@@ -492,7 +492,9 @@ class BoundaryData:
 
 def _default_solver(problem, boundary_data, grid, tol):
     from . import solver
-    return solver.solve_face(problem, boundary_data, grid=grid, tol=tol)
+    sol, _ = solver.newton_solve(problem, boundary=boundary_data, grid=grid,
+                                 tol=tol)
+    return sol
 
 
 def _subface_samples(P, face):

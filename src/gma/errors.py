@@ -36,7 +36,12 @@ class NotAFace(GmaError):
 
 
 class ChartTooLarge(GmaError):
-    """A face chart box of the requested size leaves the polytope."""
+    """A chart cannot be built at the requested size or shape.
+
+    Raised when a face chart box leaves the polytope, when a global chart
+    is asked for a polytope that is neither a simplex nor an affine box,
+    and when a lattice of m^n slots would exceed the size limit.
+    """
 
 
 # ---------------------------------------------------------------------------

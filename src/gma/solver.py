@@ -25,15 +25,21 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator
 from scipy.optimize import linprog
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from . import geometry
 from .boundary import build_boundary_data
 from .errors import (BarrierConstantSearchFailed, ChartTooLarge,
-                     LineSearchStall, NonConvexIterate, OutsideDomain,
-                     SingularJacobian, ValidationError)
+                     GmaError, LineSearchStall, NonConvexIterate,
+                     OutsideDomain, SingularJacobian, ValidationError)
 from .guillemin import guillemin_potential, potential_values
 
+# largest m^n a chart may allocate; the dense index box has m^n entries
+_MAX_LATTICE = 2 ** 22
+# a chord step on kept LU factors is accepted only if it divides the sup
+# norm residual by at least 1/_CHORD_CONTRACTION
+_CHORD_CONTRACTION = 0.25
+_PERMC = "MMD_AT_PLUS_A"
 _EPS_LADDER = 10.0 ** -np.arange(0, 13)
 _A_LADDER_MAX = 41
 _VERTEX_LADDER = 2.0 ** -np.arange(1, 46)
@@ -86,7 +92,8 @@ def _box_map(P):
 
 
 def _lattice(kind, n, m):
-    idx = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+    # np.indices in C order matches itertools.product(range(m), repeat=n)
+    idx = np.indices((m,) * n).reshape(n, -1).T
     if kind == "simplex":
         idx = idx[idx.sum(axis=1) <= m - 1]
         interior = np.all(idx >= 1, axis=1) & (idx.sum(axis=1) <= m - 2)
@@ -105,7 +112,9 @@ class GridChart:
         with 2n facets; anything else raises ChartTooLarge.
     m : int
         Nodes per edge of the reference domain; the mesh width is
-        1/(m - 1).
+        1/(m - 1).  m^n above 2^22 raises ChartTooLarge before any
+        allocation, and a lattice without interior nodes raises
+        ValidationError.
 
     Attributes
     ----------
@@ -123,6 +132,10 @@ class GridChart:
             raise ValidationError("grid needs at least 3 nodes per edge")
         P = problem.polytope
         n = P.dimension
+        if int(m) ** n > _MAX_LATTICE:
+            raise ChartTooLarge(
+                "grid %d in dimension %d needs %d lattice slots, above the "
+                "limit %d" % (m, n, int(m) ** n, _MAX_LATTICE))
         N = len(P.facets)
         if N == n + 1:
             kind = "simplex"
@@ -149,11 +162,13 @@ class GridChart:
         self.ref_problem = problem.transform(M, b)
 
         idx, interior, bdry = _lattice(kind, n, m)
-        self._idx = idx
+        if len(interior) == 0:
+            raise ValidationError(
+                "grid %d leaves no interior node on the reference %s"
+                % (m, kind))
         self.nodes = idx * self.delta
         self.interior = interior
         self.boundary = bdry
-        pos = {tuple(t): k for k, t in enumerate(idx)}
         self._int_pos = np.full(len(idx), -1, dtype=int)
         self._int_pos[interior] = np.arange(len(interior))
 
@@ -169,11 +184,15 @@ class GridChart:
             e[c] = -1
             offsets.extend([e.copy(), -e])
         self.offsets = np.array(offsets)
-        nb = np.empty((len(interior), len(offsets)), dtype=int)
-        for k, node in enumerate(interior):
-            base = idx[node]
-            for o, off in enumerate(offsets):
-                nb[k, o] = pos[tuple(base + off)]
+        # interior coordinates lie in [1, m - 2], so unit offsets stay on
+        # the dense m^n index box and never wrap around a row
+        strides = m ** np.arange(n - 1, -1, -1)
+        ids = np.full(m ** n, -1, dtype=int)
+        ids[idx @ strides] = np.arange(len(idx))
+        nb = ids[(idx[interior] @ strides)[:, None]
+                 + (self.offsets @ strides)[None, :]]
+        if np.any(nb < 0):
+            raise GmaError("interior stencil leaves the %s lattice" % kind)
         self.neighbors = nb
 
         Q = self.ref_problem.polytope
@@ -306,7 +325,7 @@ def _harmonic_lift(chart, v):
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(K, K)).tocsc()
-    return spsolve(A, rhs)
+    return spsolve(A, rhs, permc_spec=_PERMC)
 
 
 class RegularizedSolution:
@@ -362,6 +381,11 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
                  damping=0.5, init=None):
     """Solve the discrete problem by damped Newton iteration.
 
+    Each Jacobian is factored once with ``splu``.  While the kept factors
+    give chord steps that cut the sup norm residual at least fourfold,
+    the iteration reuses them; otherwise it refactors at the current
+    iterate and takes a backtracking Newton step.
+
     Parameters
     ----------
     problem : GuilleminProblem
@@ -372,7 +396,8 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     tol : float
         Convergence threshold on the sup norm of the residual.
     max_iter : int
-        Newton iteration cap; exceeding it is reported, not raised.
+        Cap on accepted steps, chord and Newton alike; exceeding it is
+        reported, not raised.
     damping : float
         Backtracking factor for the line search.
     init : ndarray, optional
@@ -382,8 +407,11 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     Returns
     -------
     (RegularizedSolution, dict)
-        The report carries iterations, converged, residual_norm,
-        line_search_total, nonconvergence, and error_estimate.
+        The report carries iterations (accepted chord and Newton steps),
+        converged, residual_norm, line_search_total (residual
+        evaluations of trial steps, chord trials included),
+        factorizations (LU factorizations of the Jacobian),
+        nonconvergence, and error_estimate.
 
     Raises
     ------
@@ -425,10 +453,32 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     norm = float(np.max(np.abs(R)))
     iterations = 0
     ls_total = 0
+    factorizations = 0
+    lu = None
     converged = norm <= tol
     while not converged and iterations < max_iter:
-        J = _jacobian_matrix(chart, v)
-        step = spsolve(J, -R)
+        if lu is not None:
+            # chord step on the kept factors; fall back to a fresh Newton
+            # step unless it contracts the residual fast enough
+            vt = v.copy()
+            vt[chart.interior] += lu.solve(-R)
+            Rt, fl = assemble_residual(vt, problem, chart)
+            ls_total += 1
+            nt = float(np.max(np.abs(Rt))) if fl.size == 0 else np.inf
+            if nt <= _CHORD_CONTRACTION * norm:
+                v, R, norm = vt, Rt, nt
+                iterations += 1
+                converged = norm <= tol
+                continue
+            lu = None
+        try:
+            lu = splu(_jacobian_matrix(chart, v), permc_spec=_PERMC)
+        except RuntimeError as exc:
+            raise SingularJacobian(
+                "linearized system failed at iteration %d: %s"
+                % (iterations, exc)) from exc
+        factorizations += 1
+        step = lu.solve(-R)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian(
                 "linearized system failed at iteration %d" % iterations)
@@ -460,6 +510,7 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
         "nonconvergence": bool(not converged),
         "residual_norm": norm,
         "line_search_total": ls_total,
+        "factorizations": factorizations,
         "grid": chart.m,
         "kind": chart.kind,
         "n_interior": int(len(chart.interior)),
@@ -469,13 +520,6 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     }
     solution = RegularizedSolution(problem, chart, v, report)
     return solution, report
-
-
-def solve_face(problem, boundary_data, grid=None, tol=None):
-    """Solve one face problem; the entry point the trace builder calls."""
-    sol, _ = newton_solve(problem, boundary=boundary_data, grid=grid,
-                          tol=1e-10 if tol is None else tol)
-    return sol
 
 
 class BarrierBounds(NamedTuple):

@@ -176,6 +176,20 @@ class TestSolve:
         out = json.loads(report.read_text())
         assert out["solver"]["converged"] is False
 
+    @pytest.mark.parametrize("grid, kind", [("3", "ValidationError"),
+                                            ("1000000", "ChartTooLarge")])
+    def test_unusable_grid_is_exit_two(self, tmp_path, grid, kind):
+        # m=3 leaves the triangle no interior node; m=10^6 exceeds the
+        # lattice size limit
+        path = write_problem(tmp_path / "tri.json", simplex_body())
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--grid", grid,
+                        "--report", str(report)])
+        assert code == 2
+        out = json.loads(report.read_text())
+        assert out["exit_code"] == 2
+        assert out["error"]["kind"] == kind
+
 
 class TestBoundary:
     def test_square_tables(self, tmp_path):

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from gma import boundary, geometry, guillemin, solver
 from gma.errors import (BarrierConstantSearchFailed, ChartTooLarge,
-                        NonConvexIterate)
+                        NonConvexIterate, SingularJacobian, ValidationError)
 from gma.problem import GuilleminProblem
 
 
@@ -47,6 +51,17 @@ def interval_problem(hhat, lo=0.0, hi=1.0, alpha=(0.0, 0.0)):
     for i, v in enumerate(P.vertices):
         vals[i] = alpha[0] if abs(v[0] - lo) < 1e-12 else alpha[1]
     return GuilleminProblem(P, guillemin.DensitySpec.from_callable(hhat), vals)
+
+
+def cube_problem():
+    fs = []
+    for a in range(3):
+        e = np.zeros(3)
+        e[a] = 1.0
+        fs.extend([geometry.AffineFunctional(e, 0.0),
+                   geometry.AffineFunctional(-e, -1.0)])
+    P = geometry.build_polytope(fs)
+    return GuilleminProblem(P, guillemin.DensitySpec.constant(1.0), 0.0)
 
 
 def simplex3d_problem():
@@ -180,6 +195,64 @@ class TestGridChart:
         prob = GuilleminProblem(P, guillemin.DensitySpec.constant(1.0), 0.0)
         with pytest.raises(ChartTooLarge):
             solver.GridChart(prob, m=5)
+
+    @staticmethod
+    def reference_lattice(kind, n, m):
+        """Per-node lattice with tuple-keyed lookups, in product order."""
+        idx = [t for t in itertools.product(range(m), repeat=n)
+               if kind == "box" or sum(t) <= m - 1]
+        if kind == "simplex":
+            interior = [k for k, t in enumerate(idx)
+                        if min(t) >= 1 and sum(t) <= m - 2]
+        else:
+            interior = [k for k, t in enumerate(idx)
+                        if min(t) >= 1 and max(t) <= m - 2]
+        boundary_ids = sorted(set(range(len(idx))) - set(interior))
+        pos = {t: k for k, t in enumerate(idx)}
+        offsets = [(0,) * n]
+        for a in range(n):
+            e = [0] * n
+            e[a] = 1
+            offsets.extend([tuple(e), tuple(-x for x in e)])
+        for a, c in itertools.combinations(range(n), 2):
+            e = [0] * n
+            e[a], e[c] = 1, -1
+            offsets.extend([tuple(e), tuple(-x for x in e)])
+        nb = [[pos[tuple(x + o for x, o in zip(idx[k], off))]
+               for off in offsets] for k in interior]
+        return np.array(idx), interior, boundary_ids, np.array(offsets), nb
+
+    @pytest.mark.parametrize("kind, n", [("simplex", 2), ("box", 2),
+                                         ("simplex", 3), ("box", 3)])
+    def test_lattice_matches_reference(self, kind, n):
+        make = {("simplex", 2): simplex2d_problem, ("box", 2): square_problem,
+                ("simplex", 3): simplex3d_problem, ("box", 3): cube_problem}
+        prob = make[kind, n]()
+        for m in range(3, 10):
+            idx, interior, bdry, offsets, nb = \
+                self.reference_lattice(kind, n, m)
+            if not interior:
+                # the 2-D simplex at m=3 and the 3-D simplex at m<=4
+                with pytest.raises(ValidationError):
+                    solver.GridChart(prob, m=m)
+                continue
+            chart = solver.GridChart(prob, m=m)
+            assert chart.kind == kind
+            assert np.array_equal(np.rint(chart.nodes * (m - 1)), idx)
+            assert np.array_equal(chart.interior, interior)
+            assert np.array_equal(chart.boundary, bdry)
+            assert np.array_equal(chart.offsets, offsets)
+            assert np.array_equal(chart.neighbors, nb)
+
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("lattice built before the size guard")
+
+        monkeypatch.setattr(solver, "_lattice", no_lattice)
+        with pytest.raises(ChartTooLarge):
+            solver.GridChart(square_problem(), m=10 ** 6)
+        with pytest.raises(ChartTooLarge):
+            solver.GridChart(simplex3d_problem(), m=2 ** 8)
 
 
 class TestAssembleResidual:
@@ -364,11 +437,55 @@ class TestNewtonSolve:
         assert report["nonconvergence"]
         assert sol is not None
 
+    def test_factor_reuse_matches_plain_newton(self):
+        # plain damped Newton with a fresh sparse solve every step; the
+        # solver's chord steps must land on the same discrete solution
+        a = 3.0
+        h = guillemin.DensitySpec.polynomial(
+            {(0, 0): 1.0, (1, 0): a, (2, 0): -a, (0, 1): a, (0, 2): -a}, 2)
+        prob = square_problem(h)
+        sol, report = solver.newton_solve(prob, grid=65, tol=1e-12)
+        assert report["converged"]
+        assert report["factorizations"] < report["iterations"]
+        assert report["line_search_total"] >= report["iterations"]
+
+        chart = sol.chart
+        v = sol.values.copy()
+        v[chart.interior] = solver._harmonic_lift(chart, v)
+        R, flagged = solver.assemble_residual(v, prob, chart)
+        assert flagged.size == 0
+        norm = np.max(np.abs(R))
+        for _ in range(30):
+            if norm <= 1e-12:
+                break
+            step = spsolve(solver._jacobian_matrix(chart, v), -R)
+            lam = 1.0
+            while lam > 2.0 ** -31:
+                vt = v.copy()
+                vt[chart.interior] += lam * step
+                Rt, fl = solver.assemble_residual(vt, prob, chart)
+                if fl.size == 0 and \
+                        np.max(np.abs(Rt)) <= (1.0 - 0.25 * lam) * norm:
+                    break
+                lam *= 0.5
+            v, R, norm = vt, Rt, np.max(np.abs(Rt))
+        assert norm <= 1e-12
+        assert np.max(np.abs(sol.values - v)) <= 1e-11
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        def singular(chart, v):
+            K = len(chart.interior)
+            return sp.csc_matrix((K, K))
+
+        monkeypatch.setattr(solver, "_jacobian_matrix", singular)
+        with pytest.raises(SingularJacobian):
+            solver.newton_solve(manufactured_problem(), grid=9, tol=1e-11)
+
     def test_solve_face_on_simplex3d_facet(self):
         prob = simplex3d_problem()
         res = boundary.restrict_problem(prob, (3,))
         bd = boundary.build_boundary_data(res.problem)
-        sol = solver.solve_face(res.problem, bd, grid=17)
+        sol, _ = solver.newton_solve(res.problem, boundary=bd, grid=17)
         face = res.problem.polytope
         rng = np.random.default_rng(9)
         pts = geometry.sample_interior(face, 20, rng, margin=0.05)
