@@ -226,15 +226,6 @@ class EdgeProfile:
         out = self.w0 + self.c * (tt - self.t_lo) + tt * I0 - I1
         return float(out[0]) if scalar else out
 
-    def w_prime(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        scalar = ts.ndim == 0
-        tt = np.atleast_1d(ts)
-        self._check_range(tt)
-        I0, _ = self._moments(tt)
-        out = self.c + I0
-        return float(out[0]) if scalar else out
-
     def w_second(self, t):
         """w'' = q at an interior point."""
         out = self._panel(float(t), float(t))[2]
@@ -449,8 +440,7 @@ class BoundaryData:
     the active set; ``v(x)`` subtracts the canonical potential
     sum_i l_i log l_i, so it is the boundary value of the regular part.
     ``consistency`` reports the largest mismatch found between each face
-    trace and its subface traces at shared sample points, along with the
-    measured sensitivity of the edge profiles to the vertex values.
+    trace and its subface traces at shared sample points.
     """
 
     def __init__(self, problem, traces, consistency):
@@ -490,13 +480,6 @@ class BoundaryData:
         return total - float(guillemin.potential_values(P, x))
 
 
-def _default_solver(problem, boundary_data, grid, tol):
-    from . import solver
-    sol, _ = solver.newton_solve(problem, boundary=boundary_data, grid=grid,
-                                 tol=tol)
-    return sol
-
-
 def _subface_samples(P, face):
     ids = list(face.vertex_ids)
     pts = [P.vertices[i] for i in ids]
@@ -505,27 +488,15 @@ def _subface_samples(P, face):
     return pts
 
 
-def _edge_alpha_sensitivity(trace, tol):
-    """Measured sup |dw/dalpha| for one edge: perturb and re-solve."""
-    prob = trace.restriction.problem
-    coords = prob.polytope.vertices[:, 0]
-    delta = 1e-6 * max(1.0, float(np.max(np.abs(prob.vertex_values))))
-    vals = np.array(prob.vertex_values, dtype=float)
-    vals[int(np.argmin(coords))] += delta
-    pert = GuilleminProblem(prob.polytope, prob.density, vals)
-    p2 = solve_edge(pert, tol=tol)
-    ts = np.linspace(float(coords.min()), float(coords.max()), 33)
-    return float(np.max(np.abs(p2.w(ts) - trace.profile.w(ts))) / delta)
-
-
-def build_boundary_data(problem, solver=None, grid=None, tol=1e-10,
-                        threads=None, tau_match=None):
+def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
+                        tau_match=None):
     """Assemble boundary traces for all proper faces.
 
     Vertices carry the prescribed values.  Edges are solved by
     :func:`solve_edge` on the restricted one dimensional problems.  Faces
-    of dimension two and higher are solved with ``solver`` on their
-    restricted problems, each with boundary data built recursively.
+    of dimension two and higher are solved with
+    :func:`gma.solver.newton_solve` on their restricted problems, each
+    with boundary data built recursively.
     After assembly every face trace is compared with its subface traces
     at shared points; the largest mismatch and the tolerance are reported
     and an excess raises.
@@ -533,13 +504,8 @@ def build_boundary_data(problem, solver=None, grid=None, tol=1e-10,
     Parameters
     ----------
     problem : GuilleminProblem
-    solver : callable, optional
-        ``solver(problem, boundary_data, grid, tol)`` returning an object
-        with a ``v(xi)`` evaluator for the regular part and a ``report``
-        mapping with an ``error_estimate`` entry.  Defaults to the
-        interior Newton solver.
     grid : int, optional
-        Grid parameter handed to the solver.
+        Grid parameter handed to the face solver.
     tol : float
         Quadrature tolerance for the edge profiles.
     threads : int, optional
@@ -574,8 +540,8 @@ def build_boundary_data(problem, solver=None, grid=None, tol=1e-10,
         raise IncompatibleEndpoint(
             "vertex %d violates the matching condition by %.3g"
             % (worst, res[worst]))
-    if solver is None:
-        solver = _default_solver
+    # imported here: solver imports this module
+    from .solver import newton_solve
 
     traces = {}
     for key, face in P.faces.items():
@@ -590,9 +556,9 @@ def build_boundary_data(problem, solver=None, grid=None, tol=1e-10,
         res = restrict_problem(problem, key)
         if d == 1:
             return key, _EdgeTrace(key, res, solve_edge(res.problem, tol=tol))
-        sub = build_boundary_data(res.problem, solver=solver, grid=grid,
-                                  tol=tol, tau_match=tau_match)
-        sol = solver(res.problem, sub, grid, tol)
+        sub = build_boundary_data(res.problem, grid=grid, tol=tol,
+                                  tau_match=tau_match)
+        sol, _ = newton_solve(res.problem, boundary=sub, grid=grid, tol=tol)
         return key, _FaceTrace(key, res, sub, sol)
 
     for d in range(1, n):
@@ -631,16 +597,9 @@ def build_boundary_data(problem, solver=None, grid=None, tol=1e-10,
             "faces %s and %s disagree by %.3g (tolerance %.3g)"
             % (worst[1], worst[2], worst[0], tolerance))
 
-    alpha_sens = float("nan")
-    for tr in traces.values():
-        if isinstance(tr, _EdgeTrace):
-            alpha_sens = _edge_alpha_sensitivity(tr, tol)
-            break
-
     consistency = {
         "max_mismatch": max_mismatch,
         "tolerance": tolerance,
         "pairs": len(checks),
-        "alpha_sensitivity": alpha_sens,
     }
     return BoundaryData(problem, traces, consistency)

@@ -96,10 +96,6 @@ class SingularJacobian(SolverError):
     """The linearized system was numerically singular."""
 
 
-class NonConvergence(SolverError):
-    """Iteration budget exhausted before the residual tolerance."""
-
-
 class BarrierConstantSearchFailed(SolverError):
     """No constant in the search ladder produced a valid barrier."""
 

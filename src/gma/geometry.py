@@ -356,10 +356,6 @@ class FaceChart:
     def dimension(self):
         return self.base.size
 
-    @property
-    def det_abs(self):
-        return abs(float(np.linalg.det(self.matrix)))
-
     def to_ambient(self, xi):
         xi = np.asarray(xi, dtype=float)
         return xi @ self.matrix.T + self.base
@@ -367,12 +363,6 @@ class FaceChart:
     def from_ambient(self, x):
         x = np.asarray(x, dtype=float)
         return (x - self.base) @ self._inv.T
-
-    def pullback_functional(self, functional):
-        """The composition l(x(xi)) as an affine functional of xi."""
-        n = functional.normal
-        return AffineFunctional(self.matrix.T @ n,
-                                functional.offset - n @ self.base)
 
 
 def face_chart(P, gamma, s):

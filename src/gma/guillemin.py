@@ -153,18 +153,15 @@ def check_vertex_compatibility(P, h, vertex_id):
 
 
 class DensitySpec:
-    """Positive density on the closed polytope with derivative access.
+    """Positive density on the closed polytope.
 
     Wraps a vectorized evaluator together with a family tag
-    ("analytic", "guillemin-induced" or "perturbed").  Derivatives come
-    from central finite differences unless the underlying family supplies
-    them.
+    ("analytic", "guillemin-induced" or "perturbed").
     """
 
-    def __init__(self, fn, tag="analytic", fd_scale=1.0, family=("callable",)):
+    def __init__(self, fn, tag="analytic", family=("callable",)):
         self._fn = fn
         self.tag = tag
-        self._fd_scale = float(fd_scale)
         self.family = family
 
     def __call__(self, x):
@@ -215,40 +212,6 @@ class DensitySpec:
     @classmethod
     def from_callable(cls, fn, tag="analytic"):
         return cls(fn, tag=tag)
-
-    def gradient(self, x):
-        """Fourth order central difference gradient."""
-        x = np.asarray(x, dtype=float)
-        h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, np.abs(x).max()) \
-            * self._fd_scale
-        g = np.empty(x.size)
-        for a in range(x.size):
-            e = np.zeros(x.size)
-            e[a] = h
-            g[a] = (-self(x + 2 * e) + 8 * self(x + e)
-                    - 8 * self(x - e) + self(x - 2 * e)) / (12 * h)
-        return g
-
-    def hessian(self, x):
-        """Central difference Hessian (fourth order diagonal, balanced step)."""
-        x = np.asarray(x, dtype=float)
-        n = x.size
-        h = np.finfo(float).eps ** (1.0 / 6.0) * max(1.0, np.abs(x).max()) \
-            * self._fd_scale
-        H = np.empty((n, n))
-        f0 = self(x)
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = h
-            H[a, a] = (-self(x + 2 * ea) + 16 * self(x + ea) - 30 * f0
-                       + 16 * self(x - ea) - self(x - 2 * ea)) / (12 * h * h)
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = h
-                H[a, b] = H[b, a] = (self(x + ea + eb) - self(x + ea - eb)
-                                     - self(x - ea + eb)
-                                     + self(x - ea - eb)) / (4 * h * h)
-        return H
 
 
 def smooth_extension(trace_fn, x, k):
@@ -340,7 +303,7 @@ def scaled_hessian(field, x, k, includes_log=False):
     field : object with ``hessian(x)`` or plain callable
         When ``includes_log`` is true, ``field`` is the smooth remainder G
         and the evaluated matrix is W D2G W plus the identity block from
-        sum x_a log x_a.  A plain callable is differentiated numerically.
+        sum x_a log x_a.  A plain callable goes through :func:`fd_hessian`.
     x : array_like, shape (n,)
         First k coordinates must be nonnegative.
     k : int
@@ -356,7 +319,7 @@ def scaled_hessian(field, x, k, includes_log=False):
     if hasattr(field, "hessian"):
         H = np.asarray(field.hessian(x), dtype=float)
     else:
-        H = _fd_hessian_callable(field, x)
+        H = fd_hessian(field, x)
     if not np.all(np.isfinite(H)):
         raise SingularEvaluation("Hessian is not finite at %s" % (x,))
     w = np.ones(x.size)
@@ -369,9 +332,17 @@ def scaled_hessian(field, x, k, includes_log=False):
     return ScaledHessian(k, x, M)
 
 
-def _fd_hessian_callable(f, x):
+def fd_hessian(f, x, scale=1.0):
+    """Central difference Hessian of a scalar function at one point.
+
+    Second order, with step eps^(1/4) max(scale, |x|_inf) and the four
+    point rule off the diagonal.  Floating point warnings are silenced:
+    a function that is singular near x yields non-finite entries, which
+    the caller can reject.
+    """
+    x = np.asarray(x, dtype=float)
     n = x.size
-    h = np.finfo(float).eps ** (1.0 / 6.0) * max(1.0, np.abs(x).max())
+    h = np.finfo(float).eps ** 0.25 * max(scale, float(np.max(np.abs(x))))
     H = np.empty((n, n))
     with np.errstate(all="ignore"):
         f0 = f(x)

@@ -17,16 +17,16 @@ direction, which is the setting every companion check exercises.
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+# not called here; perfbench/tracer.py patches gma.legendre.spsolve by name
+from scipy.sparse.linalg import spsolve  # noqa: F401
 from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateTransversalHessian,
-    LineSearchStall,
     NonEllipticIterate,
-    SingularJacobian,
     ValidationError,
 )
+from .solver import damped_newton
 
 __all__ = [
     "PartialLegendrePair",
@@ -118,7 +118,6 @@ class PartialLegendrePair:
         self.ustar = ustar
         self.u_values = u_values
         self.hessians = hessians
-        self._tree = None
 
     def transversal_residual(self, h):
         """Residual y1 u*_11 + h(y) det D2_tan u* at the sample points.
@@ -143,36 +142,6 @@ class PartialLegendrePair:
         ustar11 = -(u11 - u12 ** 2 / u22)
         hvals = np.asarray(h(self.y_points), dtype=float)
         return self.y_points[:, 0] * ustar11 + hvals / u22
-
-    def ustar_at(self, y):
-        """Evaluate the transformed field at a dual point.
-
-        Local quadratic least squares on the nearest scattered samples;
-        exact on quadratic data, third order on smooth data.
-        """
-        if self._tree is None:
-            self._tree = cKDTree(self.y_points)
-        return local_quadratic_eval(self._tree, self.y_points, self.ustar, y)
-
-    def resample(self, axes):
-        """Resample the transformed field onto a tensor grid in y.
-
-        Parameters
-        ----------
-        axes : tuple of ndarray
-            (y1_axis, y2_axis); the grid should sit inside the image of
-            the forward map, where the scattered cloud surrounds it.
-
-        Returns
-        -------
-        ndarray, shape (len(y1_axis), len(y2_axis))
-        """
-        y1, y2 = (np.asarray(a, dtype=float) for a in axes)
-        out = np.empty((len(y1), len(y2)))
-        for i, a in enumerate(y1):
-            for j, b in enumerate(y2):
-                out[i, j] = self.ustar_at(np.array([a, b]))
-        return out
 
 
 def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
@@ -319,9 +288,9 @@ def _model_system(V, data):
     return F, ok, (M11, D22, D12, det)
 
 
-def _model_jacobian(pieces, data, idx):
+def _model_jacobian(V, data, idx):
     (I, J, z1I, d1, d2, hq) = data
-    M11, D22, D12, det = pieces
+    M11, D22, D12, det = _model_system(V, data)[2]
     K = len(I)
     rows_all = np.arange(K)
     base = 0.5 / np.sqrt(det)
@@ -363,7 +332,7 @@ def _model_jacobian(pieces, data, idx):
 
 
 def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
-                  tol=1e-10, max_iter=30, damping=0.5, init=None):
+                  tol=1e-10, max_iter=30, init=None):
     """Solve det D2u = h/x1 near the face x1 = 0 in z-coordinates.
 
     The substitution z1 = 2 sqrt(x1), u = x1 log x1 + w turns the model
@@ -372,7 +341,9 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     closes the stencils at the face, where the transversal entry of the
     operator collapses to 1 and the equation degenerates to the
     tangential trace equation.  Dirichlet data from `trace` is imposed
-    on the outer boundary only; the face values are unknowns.
+    on the outer boundary only; the face values are unknowns.  The
+    iteration is :func:`gma.solver.damped_newton`, the chart solver's
+    driver, so LU factors are reused for chord steps.
 
     Parameters
     ----------
@@ -392,22 +363,28 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         Convergence threshold on the sup norm of the concave residual
         det(M)^(1/2) - h^(1/2).
     max_iter : int
-        Newton iteration cap; exceeding it sets the nonconvergence flag
-        instead of raising.
-    damping : float
-        Line search shrink factor.
+        Cap on accepted steps, chord and Newton alike; exceeding it sets
+        the nonconvergence flag instead of raising.
     init : ndarray, optional
         Full-grid starting values overriding the trace fill.
 
     Returns
     -------
     (ModelSolution, dict)
+        The report carries iterations, converged, residual_norm,
+        line_search_total, factorizations (LU factorizations of the
+        Jacobian), nonconvergence, error_estimate and the face checks.
 
     Raises
     ------
     NonEllipticIterate
-        If the transversal operator entry or the determinant loses
-        positivity and the line search cannot restore it.
+        If the transversal operator entry or the determinant is not
+        positive at the starting iterate.
+    SingularJacobian
+        If the linearized system cannot be factored.
+    LineSearchStall
+        If no trial step reduces the residual; the message says whether
+        every trial left the elliptic cone.
     """
     if x_depth <= 0:
         raise ValidationError("x_depth must be positive")
@@ -451,46 +428,26 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     hq = np.sqrt(hvals)
     data = (I, J, z1I, d1, d2, hq)
 
-    F, okv, pieces = _model_system(V, data)
+    F, okv, _ = _model_system(V, data)
     if not np.all(okv):
         raise NonEllipticIterate(
             "initial iterate loses ellipticity at %d nodes"
             % int(np.sum(~okv)))
-    norm = float(np.max(np.abs(F)))
-    converged = norm <= tol
-    iterations = 0
-    line_total = 0
 
-    while not converged and iterations < max_iter:
-        Jm = _model_jacobian(pieces, data, idx)
-        step = spsolve(Jm, -F)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("model Newton system is singular")
-        lam = 1.0
-        saw_flag = False
-        accepted = False
-        while lam >= 2.0 ** -31:
-            trial = V.copy()
-            trial[mask] += lam * step
-            Ft, okt, pt = _model_system(trial, data)
-            line_total += 1
-            if np.all(okt):
-                nt = float(np.max(np.abs(Ft)))
-                if nt <= (1.0 - 0.25 * lam) * norm + 1e-14 * (1.0 + norm):
-                    V, F, pieces, norm = trial, Ft, pt, nt
-                    accepted = True
-                    break
-            else:
-                saw_flag = True
-            lam *= damping
-        if not accepted:
-            if saw_flag:
-                raise NonEllipticIterate(
-                    "no elliptic descent step at iteration %d" % iterations)
-            raise LineSearchStall(
-                "no acceptable step at iteration %d" % iterations)
-        iterations += 1
-        converged = norm <= tol
+    def full(x):
+        Vt = V.copy()
+        Vt[mask] = x
+        return Vt
+
+    def residual(x):
+        Ft, okt, _ = _model_system(full(x), data)
+        return Ft, bool(np.all(okt))
+
+    x, norm, iterations, line_total, factorizations = damped_newton(
+        residual, lambda x: _model_jacobian(full(x), data, idx),
+        V[mask], F, tol, max_iter)
+    V = full(x)
+    converged = norm <= tol
 
     # a posteriori face checks: one-sided Neumann derivative (even
     # reflection demands zero) and the tangential trace equation
@@ -511,6 +468,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         "nonconvergence": bool(not converged),
         "residual_norm": norm,
         "line_search_total": line_total,
+        "factorizations": factorizations,
         "grid": (m1, m2),
         "n_unknown": int(len(I)),
         "tol": tol,

@@ -32,7 +32,7 @@ from .boundary import build_boundary_data
 from .errors import (BarrierConstantSearchFailed, ChartTooLarge,
                      GmaError, LineSearchStall, NonConvexIterate,
                      OutsideDomain, SingularJacobian, ValidationError)
-from .guillemin import guillemin_potential, potential_values
+from .guillemin import fd_hessian, guillemin_potential, potential_values
 
 # largest m^n a chart may allocate; the dense index box has m^n entries
 _MAX_LATTICE = 2 ** 22
@@ -377,14 +377,101 @@ class RegularizedSolution:
         return self.v(x) + pot
 
 
-def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
-                 damping=0.5, init=None):
+def damped_newton(residual, jacobian, x, R, tol, max_iter):
+    """Damped Newton iteration on a vector of unknowns, reusing LU factors.
+
+    The Jacobian is factored with ``splu``.  While a chord step on the
+    kept factors keeps every node admissible and cuts the sup norm
+    residual at least fourfold, the iteration reuses them; otherwise it
+    refactors at the current iterate and backtracks along the Newton
+    step, halving lambda down to 2^-31 until the Armijo rule
+    |R(x + lambda s)| <= (1 - lambda/4) |R(x)| holds.
+
+    Parameters
+    ----------
+    residual : callable
+        x -> (R, ok); ``ok`` is false when some node leaves the
+        admissible cone, and R is then not read.
+    jacobian : callable
+        x -> sparse matrix, the derivative of R at x.
+    x, R : ndarray
+        Admissible starting unknowns and the residual there.
+    tol : float
+        Convergence threshold on the sup norm of the residual.
+    max_iter : int
+        Cap on accepted steps, chord and Newton alike.
+
+    Returns
+    -------
+    (x, norm, iterations, trials, factorizations)
+        The last iterate and its residual sup norm, the accepted steps,
+        the residual evaluations of trial steps (chord trials included)
+        and the LU factorizations.
+
+    Raises
+    ------
+    SingularJacobian
+        ``splu`` fails or the Newton step is not finite.
+    LineSearchStall
+        No trial step is accepted; the message says whether every trial
+        left the admissible cone.
+    """
+    norm = float(np.max(np.abs(R)))
+    iterations = trials = factorizations = 0
+    lu = None
+    while norm > tol and iterations < max_iter:
+        if lu is not None:
+            # chord step on the kept factors; fall back to a fresh Newton
+            # step unless it contracts the residual fast enough
+            xt = x + lu.solve(-R)
+            Rt, ok = residual(xt)
+            trials += 1
+            nt = float(np.max(np.abs(Rt))) if ok else np.inf
+            if nt <= _CHORD_CONTRACTION * norm:
+                x, R, norm = xt, Rt, nt
+                iterations += 1
+                continue
+            # free the old factors first: two live LUs double peak memory
+            lu = None
+        try:
+            lu = splu(jacobian(x), permc_spec=_PERMC)
+        except RuntimeError as exc:
+            raise SingularJacobian(
+                "linearized system failed at iteration %d: %s"
+                % (iterations, exc)) from exc
+        factorizations += 1
+        step = lu.solve(-R)
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian(
+                "linearized system failed at iteration %d" % iterations)
+        lam = 1.0
+        left_cone = True
+        while lam >= 2.0 ** -31:
+            xt = x + lam * step
+            Rt, ok = residual(xt)
+            trials += 1
+            if ok:
+                left_cone = False
+                nt = float(np.max(np.abs(Rt)))
+                if nt <= (1.0 - 0.25 * lam) * norm + 1e-14 * (1.0 + norm):
+                    break
+            lam *= 0.5
+        else:
+            raise LineSearchStall(
+                "no acceptable step at iteration %d, residual %.3e%s"
+                % (iterations, norm, "; every trial left the admissible "
+                   "cone" if left_cone else ""))
+        x, R, norm = xt, Rt, nt
+        iterations += 1
+    return x, norm, iterations, trials, factorizations
+
+
+def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     """Solve the discrete problem by damped Newton iteration.
 
-    Each Jacobian is factored once with ``splu``.  While the kept factors
-    give chord steps that cut the sup norm residual at least fourfold,
-    the iteration reuses them; otherwise it refactors at the current
-    iterate and takes a backtracking Newton step.
+    The interior values start from a discrete harmonic lift of the
+    boundary values and are iterated by :func:`damped_newton`, which
+    reuses LU factors of the Jacobian for chord steps.
 
     Parameters
     ----------
@@ -398,11 +485,6 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     max_iter : int
         Cap on accepted steps, chord and Newton alike; exceeding it is
         reported, not raised.
-    damping : float
-        Backtracking factor for the line search.
-    init : ndarray, optional
-        Initial interior values; default is a discrete harmonic lift of
-        the boundary values.
 
     Returns
     -------
@@ -430,10 +512,7 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
     v = np.zeros(len(chart.nodes))
     for node in chart.boundary:
         v[node] = boundary.v(chart.to_problem(chart.nodes[node]))
-    if init is not None:
-        v[chart.interior] = np.asarray(init, dtype=float)
-    else:
-        v[chart.interior] = _harmonic_lift(chart, v)
+    v[chart.interior] = _harmonic_lift(chart, v)
 
     R, flagged = assemble_residual(v, problem, chart)
     if flagged.size:
@@ -450,58 +529,20 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30,
         else:
             raise NonConvexIterate("initial iterate is not convexifiable")
 
-    norm = float(np.max(np.abs(R)))
-    iterations = 0
-    ls_total = 0
-    factorizations = 0
-    lu = None
+    def full(x):
+        vt = v.copy()
+        vt[chart.interior] = x
+        return vt
+
+    def residual(x):
+        Rt, fl = assemble_residual(full(x), problem, chart)
+        return Rt, fl.size == 0
+
+    x, norm, iterations, ls_total, factorizations = damped_newton(
+        residual, lambda x: _jacobian_matrix(chart, full(x)),
+        v[chart.interior], R, tol, max_iter)
+    v = full(x)
     converged = norm <= tol
-    while not converged and iterations < max_iter:
-        if lu is not None:
-            # chord step on the kept factors; fall back to a fresh Newton
-            # step unless it contracts the residual fast enough
-            vt = v.copy()
-            vt[chart.interior] += lu.solve(-R)
-            Rt, fl = assemble_residual(vt, problem, chart)
-            ls_total += 1
-            nt = float(np.max(np.abs(Rt))) if fl.size == 0 else np.inf
-            if nt <= _CHORD_CONTRACTION * norm:
-                v, R, norm = vt, Rt, nt
-                iterations += 1
-                converged = norm <= tol
-                continue
-            lu = None
-        try:
-            lu = splu(_jacobian_matrix(chart, v), permc_spec=_PERMC)
-        except RuntimeError as exc:
-            raise SingularJacobian(
-                "linearized system failed at iteration %d: %s"
-                % (iterations, exc)) from exc
-        factorizations += 1
-        step = lu.solve(-R)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian(
-                "linearized system failed at iteration %d" % iterations)
-        lam = 1.0
-        accepted = False
-        while lam > 2.0 ** -31:
-            vt = v.copy()
-            vt[chart.interior] += lam * step
-            Rt, fl = assemble_residual(vt, problem, chart)
-            ls_total += 1
-            if fl.size == 0:
-                nt = float(np.max(np.abs(Rt)))
-                if nt <= (1.0 - 0.25 * lam) * norm + 1e-14 * (1.0 + norm):
-                    v, R, norm = vt, Rt, nt
-                    accepted = True
-                    break
-            lam *= damping
-        if not accepted:
-            raise LineSearchStall(
-                "no acceptable step at iteration %d, residual %.3e"
-                % (iterations, norm))
-        iterations += 1
-        converged = norm <= tol
 
     vrange = float(np.ptp(v)) if len(v) else 0.0
     report = {
@@ -678,27 +719,6 @@ class CallableSolution:
         return float(out) if np.ndim(out) == 0 or x.ndim == 1 else out
 
 
-def _fd_min_eigenvalue(u, P, rng):
-    pts = geometry.sample_interior(P, 15, rng, margin=0.15)
-    n = P.dimension
-    step = np.finfo(float).eps ** 0.25 * max(1.0, P.diameter)
-    worst = np.inf
-    for x in pts:
-        H = np.empty((n, n))
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = step
-            H[a, a] = (u(x + ea) - 2.0 * u(x) + u(x - ea)) / step ** 2
-            for c in range(a + 1, n):
-                ec = np.zeros(n)
-                ec[c] = step
-                H[a, c] = H[c, a] = (u(x + ea + ec) - u(x + ea - ec)
-                                     - u(x - ea + ec) + u(x - ea - ec)) \
-                    / (4.0 * step ** 2)
-        worst = min(worst, float(np.linalg.eigvalsh(H)[0]))
-    return worst
-
-
 def strict_convexity_monitor(solution, facet=None, distances=None):
     """Convexity margin and boundary gradient growth of a solution.
 
@@ -768,7 +788,10 @@ def strict_convexity_monitor(solution, facet=None, distances=None):
         Hx = np.einsum("ca,kcd,db->kab", back, H, back)
         min_eig = float(np.min(np.linalg.eigvalsh(Hx)[:, 0]))
     else:
-        min_eig = _fd_min_eigenvalue(solution.u, P, np.random.default_rng(2))
+        pts = geometry.sample_interior(P, 15, np.random.default_rng(2),
+                                       margin=0.15)
+        min_eig = min(float(np.linalg.eigvalsh(
+            fd_hessian(solution.u, x, P.diameter))[0]) for x in pts)
 
     return {
         "min_eigenvalue": min_eig,

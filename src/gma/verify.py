@@ -24,6 +24,7 @@ from scipy.special import xlogy
 
 from . import geometry
 from .errors import ConstantSearchFailed, OutsideQuadrant, ValidationError
+from .guillemin import fd_hessian
 from .legendre import local_quadratic_eval
 
 __all__ = [
@@ -124,24 +125,6 @@ def product_power_hessian(P, alpha, x):
     return H * (alpha ** 2 * np.outer(b, b) - alpha * M)
 
 
-def _fd_hessian(f, x, h):
-    n = x.size
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            if i == j:
-                out[i, i] = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / h ** 2
-            else:
-                out[i, j] = out[j, i] = (
-                    f(x + ei + ej) - f(x + ei - ej)
-                    - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h ** 2)
-    return out
-
-
 def _vertex_rays(P):
     centroid = P.vertices.mean(axis=0)
     t = 2.0 ** -np.arange(1, 13)
@@ -181,8 +164,8 @@ def _check_product_power(P, samples, constants, seed):
 
     for x in geometry.sample_interior(P, 3, rng, margin=0.05):
         closed = product_power_hessian(P, alpha, x)
-        numeric = _fd_hessian(
-            lambda y: float(np.prod(P.evaluate_all(y)) ** alpha), x, 1e-5)
+        numeric = fd_hessian(
+            lambda y: float(np.prod(P.evaluate_all(y)) ** alpha), x)
         scale = max(1.0, float(np.max(np.abs(closed))))
         if np.max(np.abs(closed - numeric)) > 1e-3 * scale:
             raise ValidationError("closed-form Hessian disagrees with "

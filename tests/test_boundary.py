@@ -266,12 +266,6 @@ class TestBuildBoundaryData:
                 right = bd.u(v0 + (t + d) * (v1 - v0))
                 assert left + right - 2 * mid >= -1e-9
 
-    def test_alpha_sensitivity_reported(self):
-        prob = simplex2d_problem()
-        bd = boundary.build_boundary_data(prob)
-        assert "alpha_sensitivity" in bd.consistency
-        assert bd.consistency["alpha_sensitivity"] == pytest.approx(1.0, rel=1e-6)
-
 
 def _edge_endpoints(P, e):
     for key, face in P.faces.items():

@@ -250,14 +250,6 @@ class TestDensitySpec:
         assert np.isclose(h(x), 1.0 * (1.0 + 0.5 * prod_l))
         assert h.tag == "perturbed"
 
-    def test_gradient_hessian_fd(self):
-        h = guillemin.DensitySpec.polynomial({(1, 1): 2.0, (0, 2): 1.0}, 2)
-        x = np.array([0.4, 0.7])
-        g = h.gradient(x)
-        assert np.allclose(g, [2 * 0.7, 2 * 0.4 + 2 * 0.7], atol=1e-8)
-        H = h.hessian(x)
-        assert np.allclose(H, [[0.0, 2.0], [2.0, 2.0]], atol=1e-5)
-
 
 class TestSmoothExtension:
     def test_two_dim_formula(self):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from scipy.special import xlogy
 
 from gma import geometry, guillemin, legendre, solver
-from gma.errors import DegenerateTransversalHessian
+from gma.errors import DegenerateTransversalHessian, SingularJacobian
 from gma.problem import GuilleminProblem
 
 
@@ -111,34 +113,6 @@ class TestForward:
             svals, (inner1, inner2), gradient=lambda y: y[..., 1])
         expect = grid_field(model_u, inner1[1:-1], inner2[1:-1])
         assert np.max(np.abs(back.ustar - expect.ravel())) <= 1e-8
-
-    def test_resample_exact_on_quadratic(self):
-        # local quadratic least squares reproduces quadratics exactly
-        x1 = np.linspace(0.1, 1.0, 16)
-        x2 = np.linspace(-0.5, 0.5, 16)
-        vals = grid_field(lambda a, b: a * a + 0.5 * b * b, x1, x2)
-        pair = legendre.legendre_forward(
-            vals, (x1, x2), gradient=lambda x: x[..., 1])
-        y1 = np.linspace(0.3, 0.8, 7)
-        y2 = np.linspace(-0.3, 0.3, 7)
-        out = pair.resample((y1, y2))
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        expect = 0.5 * Y2 ** 2 - Y1 * Y1
-        assert np.max(np.abs(out - expect)) <= 1e-9
-
-    def test_resample_distorted_image(self):
-        # coupling shears the image grid; resample inside the image
-        x1 = np.linspace(0.1, 0.9, 33)
-        x2 = np.linspace(-0.5, 0.5, 33)
-        vals = grid_field(coupled_u, x1, x2)
-        pair = legendre.legendre_forward(
-            vals, (x1, x2), gradient=lambda x: x[..., 1] + x[..., 0])
-        y1 = np.linspace(0.2, 0.8, 9)
-        y2 = np.linspace(0.35, 0.65, 9)
-        out = pair.resample((y1, y2))
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        expect = 0.5 * (Y2 - Y1) ** 2 - xlogy(Y1, Y1)
-        assert np.max(np.abs(out - expect)) <= 5e-3
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.5, max_value=2.0))
@@ -261,3 +235,65 @@ class TestModelSolve:
         assert not report["converged"]
         assert report["nonconvergence"]
         assert sol is not None
+
+    def test_model_factor_reuse_matches_plain_newton(self):
+        # plain damped Newton with a fresh sparse solve every step; the
+        # shared driver's chord steps must land on the same solution
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            return 1.0 + 3.0 * x[..., 0] + 0.75 * x[..., 1] ** 2
+
+        def trace(x):
+            x = np.asarray(x, dtype=float)
+            return 0.5 * x[..., 1] ** 2
+
+        m = 65
+        sol, report = legendre.model_solve_z(h, trace, grid=m, tol=1e-12)
+        assert report["converged"]
+        assert report["factorizations"] < report["iterations"]
+
+        z1, z2 = sol.z1_axis, sol.z2_axis
+        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+        xpts = np.stack([Z1 ** 2 / 4.0, Z2], axis=-1)
+        V = trace(xpts)
+        mask = np.zeros((m, m), dtype=bool)
+        mask[:m - 1, 1:m - 1] = True
+        I, J = np.nonzero(mask)
+        idx = np.full((m, m), -1, dtype=int)
+        idx[mask] = np.arange(len(I))
+        data = (I, J, z1[I], z1[1] - z1[0], z2[1] - z2[0],
+                np.sqrt(h(xpts[mask])))
+        F, ok, _ = legendre._model_system(V, data)
+        assert np.all(ok)
+        norm = np.max(np.abs(F))
+        for _ in range(30):
+            if norm <= 1e-12:
+                break
+            step = spsolve(legendre._model_jacobian(V, data, idx), -F)
+            lam = 1.0
+            while lam >= 2.0 ** -31:
+                Vt = V.copy()
+                Vt[mask] += lam * step
+                Ft, ok, _ = legendre._model_system(Vt, data)
+                if np.all(ok) and \
+                        np.max(np.abs(Ft)) <= (1.0 - 0.25 * lam) * norm:
+                    break
+                lam *= 0.5
+            V, F, norm = Vt, Ft, np.max(np.abs(Ft))
+        assert norm <= 1e-12
+        assert np.max(np.abs(sol.values - V)) <= 1e-11
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        def singular(V, data, idx):
+            K = len(data[0])
+            return sp.csc_matrix((K, K))
+
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            return 1.0 + 0.5 * np.sin(3.0 * x[..., 1]) ** 2
+
+        monkeypatch.setattr(legendre, "_model_jacobian", singular)
+        with pytest.raises(SingularJacobian):
+            legendre.model_solve_z(
+                h, lambda x: 0.5 * np.asarray(x, dtype=float)[..., 1] ** 2,
+                grid=9, tol=1e-11)

@@ -7,7 +7,8 @@ from scipy.sparse.linalg import spsolve
 
 from gma import boundary, geometry, guillemin, solver
 from gma.errors import (BarrierConstantSearchFailed, ChartTooLarge,
-                        NonConvexIterate, SingularJacobian, ValidationError)
+                        LineSearchStall, NonConvexIterate, SingularJacobian,
+                        ValidationError)
 from gma.problem import GuilleminProblem
 
 
@@ -480,6 +481,21 @@ class TestNewtonSolve:
         monkeypatch.setattr(solver, "_jacobian_matrix", singular)
         with pytest.raises(SingularJacobian):
             solver.newton_solve(manufactured_problem(), grid=9, tol=1e-11)
+
+    @pytest.mark.parametrize("admissible", [True, False])
+    def test_driver_stall_says_whether_trials_left_the_cone(self,
+                                                            admissible):
+        # a residual no step can reduce: every trial is rejected
+        def residual(x):
+            return np.ones(2), admissible
+
+        def jacobian(x):
+            return sp.identity(2, format="csc")
+
+        with pytest.raises(LineSearchStall) as err:
+            solver.damped_newton(residual, jacobian, np.zeros(2),
+                                 np.ones(2), 1e-10, 5)
+        assert ("every trial left" in str(err.value)) != admissible
 
     def test_solve_face_on_simplex3d_facet(self):
         prob = simplex3d_problem()
