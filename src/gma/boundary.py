@@ -22,6 +22,7 @@ from .errors import (
     NotAFace,
     OutsideDomain,
     QuadratureFailure,
+    SolverError,
     ValidationError,
 )
 from .problem import GuilleminProblem
@@ -50,13 +51,12 @@ class RestrictedProblem:
         For each face-polytope facet, the ambient facet index.
     """
 
-    __slots__ = ("problem", "chart", "face_key", "absorbed", "vertex_map",
+    __slots__ = ("problem", "face_key", "absorbed", "vertex_map",
                  "facet_origin", "_base", "_tangent")
 
-    def __init__(self, problem, chart, face_key, absorbed, vertex_map,
-                 facet_origin, base, tangent):
+    def __init__(self, problem, face_key, absorbed, vertex_map, facet_origin,
+                 base, tangent):
         self.problem = problem
-        self.chart = chart
         self.face_key = face_key
         self.absorbed = absorbed
         self.vertex_map = vertex_map
@@ -114,10 +114,10 @@ def restrict_problem(problem, gamma):
     if face is None or face.dim == 0 or face.dim == n:
         raise NotAFace("%s does not label a proper face of positive "
                        "dimension" % (key,))
-    chart = geometry.face_chart(P, key, s=1e-6 * P.diameter)
-    k = len(key)
-    base = chart.base
-    tangent = chart.matrix[:, k:]
+    if face.dim != n - len(key):
+        raise NotAFace("face %s has dimension %d, expected %d"
+                       % (key, face.dim, n - len(key)))
+    base, tangent = geometry.face_frame(P, key)
 
     fvid = list(face.vertex_ids)
     fverts = P.vertices[fvid]
@@ -162,7 +162,7 @@ def restrict_problem(problem, gamma):
     if problem.name:
         name = "%s|%s" % (problem.name, ",".join(str(i) for i in key))
     face_problem = GuilleminProblem(face_poly, density, values, name=name)
-    return RestrictedProblem(face_problem, chart, key, absorbed, vertex_map,
+    return RestrictedProblem(face_problem, key, absorbed, vertex_map,
                              facet_origin, base, tangent)
 
 
@@ -173,16 +173,16 @@ class EdgeProfile:
     w'' = q with q = (h - a'^2 b - b'^2 a)/(ab), which extends
     continuously to the closed interval exactly when the endpoint
     matching condition holds.  The profile stores cumulative moments of q
-    on an adaptive panel decomposition and reconstructs w, w', w'' and u
+    on an adaptive panel decomposition and reconstructs w, w'' and u
     anywhere on the interval.
     """
 
     __slots__ = ("problem", "t_lo", "t_hi", "a_slope", "b_slope", "w0", "c",
                  "n_panels", "tol", "_starts", "_ends", "_cum0", "_cum1",
-                 "_panel")
+                 "_q")
 
     def __init__(self, problem, t_lo, t_hi, a_slope, b_slope, w0, c,
-                 starts, ends, cum0, cum1, panel, tol):
+                 starts, ends, cum0, cum1, q, tol):
         self.problem = problem
         self.t_lo = t_lo
         self.t_hi = t_hi
@@ -194,7 +194,7 @@ class EdgeProfile:
         self._ends = ends
         self._cum0 = cum0
         self._cum1 = cum1
-        self._panel = panel
+        self._q = q
         self.n_panels = len(starts)
         self.tol = tol
 
@@ -203,12 +203,15 @@ class EdgeProfile:
                       0, self.n_panels - 1)
         I0 = self._cum0[idx].copy()
         I1 = self._cum1[idx].copy()
-        for m, (t, i) in enumerate(zip(ts, idx)):
-            lo = self._starts[i]
-            if t > lo:
-                p0, p1 = self._panel(lo, min(t, self._ends[i]))[:2]
-                I0[m] += p0
-                I1[m] += p1
+        lo = self._starts[idx]
+        part = ts > lo
+        if np.any(part):
+            # every partial panel of the query in one integrand call
+            p0, p1 = _gauss_panels(self._q, lo[part],
+                                   np.minimum(ts[part],
+                                              self._ends[idx[part]]))[:2]
+            I0[part] += p0
+            I1[part] += p1
         return I0, I1
 
     def _check_range(self, ts):
@@ -228,8 +231,7 @@ class EdgeProfile:
 
     def w_second(self, t):
         """w'' = q at an interior point."""
-        out = self._panel(float(t), float(t))[2]
-        return float(out)
+        return float(self._q(np.array([float(t)]))[0][0])
 
     def u(self, ts):
         """The full trace w + a log a + b log b."""
@@ -242,6 +244,26 @@ class EdgeProfile:
         return float(out[0]) if scalar else out
 
 
+def _gauss_panels(q, lo, hi):
+    """15 point Gauss-Legendre moments of q on the panels [lo, hi].
+
+    ``lo`` and ``hi`` are arrays of panel ends; the integrand is
+    evaluated at the nodes of all panels in one call.  Returns the
+    moments I0 = int q and I1 = int t q, each panel's smallest |ab| over
+    the nodes where ab > 0 (1 when there is none) and its largest |h|.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    s = mid[:, None] + half[:, None] * _GL_NODES
+    qs, den, hs = q(s)
+    I0 = half * (qs @ _GL_WEIGHTS)
+    I1 = half * ((s * qs) @ _GL_WEIGHTS)
+    dmin = np.min(np.where(den <= 0.0, np.inf, np.abs(den)), axis=1)
+    dmin[np.isinf(dmin)] = 1.0
+    hmax = np.max(np.abs(hs), axis=1)
+    return I0, I1, dmin, hmax
+
+
 def solve_edge(problem, tol=1e-10):
     """Solve a one dimensional problem on an interval by quadrature.
 
@@ -252,8 +274,11 @@ def solve_edge(problem, tol=1e-10):
     composite 15 point Gauss-Legendre panels: a geometric ladder of
     forced breakpoints toward each endpoint absorbs the cancellation in
     q, and panels are bisected until the two-half estimate agrees with
-    the whole-panel one.  Requested tolerances below about 1e-11 are
-    limited by rounding in the integrand.
+    the whole-panel one.  Bisection runs level by level: one density
+    call covers the halves of every pending panel, and a child takes its
+    parent's half-panel result as its whole-panel estimate.  Requested
+    tolerances below about 1e-11 are limited by rounding in the
+    integrand.
 
     Parameters
     ----------
@@ -298,15 +323,18 @@ def solve_edge(problem, tol=1e-10):
     density = problem.density
 
     def hfun(ts):
-        return np.asarray(density(np.asarray(ts, dtype=float)[..., None]),
-                          dtype=float)
+        # one density call on the flattened points, whatever their shape
+        ts = np.asarray(ts, dtype=float)
+        hs = np.asarray(density(ts.reshape(-1, 1)), dtype=float)
+        return np.broadcast_to(hs, (ts.size,)).reshape(ts.shape)
 
     # endpoint matching: h(t_lo) = b(t_lo) a'^2 and h(t_hi) = a(t_hi) b'^2
-    for t_end, other_val, slope in (
-            (t_lo, b_slope * (t_lo - t_hi), a_slope),
-            (t_hi, a_slope * (t_hi - t_lo), b_slope)):
+    h_ends = hfun(np.array([t_lo, t_hi]))
+    for t_end, got, other_val, slope in (
+            (t_lo, h_ends[0], b_slope * (t_lo - t_hi), a_slope),
+            (t_hi, h_ends[1], a_slope * (t_hi - t_lo), b_slope)):
         required = other_val * slope ** 2
-        got = float(hfun(np.array([t_end]))[0])
+        got = float(got)
         if abs(got - required) > 1e-8 * max(abs(required), abs(got)):
             raise IncompatibleEndpoint(
                 "density %.17g at t=%.17g, endpoint structure needs %.17g"
@@ -314,10 +342,8 @@ def solve_edge(problem, tol=1e-10):
 
     eps = np.finfo(float).eps
 
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        s = mid + half * _GL_NODES
+    def q(s):
+        # q at the points s, with ab and h there for the noise floor
         av = a_slope * (s - t_lo)
         bv = b_slope * (s - t_hi)
         den = av * bv
@@ -326,51 +352,65 @@ def solve_edge(problem, tol=1e-10):
         qs = np.where(bad, 0.0,
                       (hs - a_slope ** 2 * bv - b_slope ** 2 * av)
                       / np.where(bad, 1.0, den))
-        I0 = half * (qs @ _GL_WEIGHTS)
-        I1 = half * ((s * qs) @ _GL_WEIGHTS)
-        qmid = float(qs[len(qs) // 2])
-        dmin = float(np.min(np.abs(den[~bad]))) if np.any(~bad) else 1.0
-        hmax = float(np.max(np.abs(hs)))
-        return I0, I1, qmid, dmin, hmax
+        return qs, den, hs
 
-    starts, ends, mom0, mom1 = [], [], [], []
     tscale = max(1.0, abs(t_lo), abs(t_hi))
-
-    def refine(lo, hi, depth):
-        w0, w1, _, dmin_w, hmax_w = panel(lo, hi)
-        mid = 0.5 * (lo + hi)
-        l0, l1, _, dmin_l, hmax_l = panel(lo, mid)
-        r0, r1, _, dmin_r, hmax_r = panel(mid, hi)
-        err = abs(w0 - l0 - r0) + abs(w1 - l1 - r1)
-        dmin = min(dmin_w, dmin_l, dmin_r)
-        hmax = max(hmax_w, hmax_l, hmax_r, 1e-30)
-        noise = 64.0 * eps * (hmax / max(dmin, 1e-300)) * (hi - lo) * tscale
-        if err <= max(0.01 * tol * (hi - lo) / L, noise):
-            starts.append(lo)
-            ends.append(mid)
-            mom0.append(l0)
-            mom1.append(l1)
-            starts.append(mid)
-            ends.append(hi)
-            mom0.append(r0)
-            mom1.append(r1)
-            return
-        if depth >= _MAX_DEPTH:
-            raise QuadratureFailure(
-                "panel [%.17g, %.17g] did not converge at depth %d"
-                % (lo, hi, depth))
-        refine(lo, mid, depth + 1)
-        refine(mid, hi, depth + 1)
-
     ladder = 0.5 ** np.arange(1, _ENDPOINT_LEVELS + 1)
     pts = np.unique(np.concatenate([[t_lo, t_hi],
                                     t_lo + L * ladder,
                                     t_hi - L * ladder]))
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        refine(float(lo), float(hi), 0)
 
-    starts = np.array(starts)
-    ends = np.array(ends)
+    # breadth-first bisection over the pending panels of one level, in
+    # order; level 0 integrates each ladder panel whole and in halves in
+    # one call, later levels only the halves
+    lo, hi = pts[:-1], pts[1:]
+    mid = 0.5 * (lo + hi)
+    k = len(lo)
+    first = _gauss_panels(q, np.concatenate([lo, lo, mid]),
+                          np.concatenate([hi, mid, hi]))
+    whole = [part[:k] for part in first]
+    halves = [part[k:] for part in first]
+    accepted = []
+    depth = 0
+    while True:
+        whole0, whole1, dmin_w, hmax_w = whole
+        l0, l1, dmin_l, hmax_l = (part[:k] for part in halves)
+        r0, r1, dmin_r, hmax_r = (part[k:] for part in halves)
+        err = np.abs(whole0 - l0 - r0) + np.abs(whole1 - l1 - r1)
+        dmin = np.minimum(np.minimum(dmin_w, dmin_l), dmin_r)
+        hmax = np.maximum(np.maximum(np.maximum(hmax_w, hmax_l), hmax_r),
+                          1e-30)
+        noise = 64.0 * eps * (hmax / np.maximum(dmin, 1e-300)) * (hi - lo) \
+            * tscale
+        ok = err <= np.maximum(0.01 * tol * (hi - lo) / L, noise)
+        accepted.append(np.stack([
+            np.concatenate([lo[ok], mid[ok]]),
+            np.concatenate([mid[ok], hi[ok]]),
+            np.concatenate([l0[ok], r0[ok]]),
+            np.concatenate([l1[ok], r1[ok]])]))
+        if np.all(ok):
+            break
+        if depth >= _MAX_DEPTH:
+            i = int(np.argmin(ok))
+            raise QuadratureFailure(
+                "panel [%.17g, %.17g] did not converge at depth %d"
+                % (lo[i], hi[i], depth))
+        # children of the rejected panels, left before right; each takes
+        # its half of the parent as its whole-panel estimate
+        fail = ~ok
+        lo = np.column_stack([lo[fail], mid[fail]]).ravel()
+        hi = np.column_stack([mid[fail], hi[fail]]).ravel()
+        whole = [np.column_stack([left[fail], right[fail]]).ravel()
+                 for left, right in zip((l0, l1, dmin_l, hmax_l),
+                                        (r0, r1, dmin_r, hmax_r))]
+        mid = 0.5 * (lo + hi)
+        k = len(lo)
+        halves = _gauss_panels(q, np.concatenate([lo, mid]),
+                               np.concatenate([mid, hi]))
+        depth += 1
+
+    panels = np.concatenate(accepted, axis=1)
+    starts, ends, mom0, mom1 = panels[:, np.argsort(panels[0])]
     cum0 = np.concatenate([[0.0], np.cumsum(mom0)])[:-1]
     cum1 = np.concatenate([[0.0], np.cumsum(mom1)])[:-1]
     I0_tot = float(np.sum(mom0))
@@ -386,7 +426,7 @@ def solve_edge(problem, tol=1e-10):
     c = (w1 - w0 - G1) / L
 
     return EdgeProfile(problem, t_lo, t_hi, a_slope, b_slope, float(w0),
-                       float(c), starts, ends, cum0, cum1, panel, tol)
+                       float(c), starts, ends, cum0, cum1, q, tol)
 
 
 class _VertexTrace:
@@ -418,27 +458,35 @@ class _FaceTrace:
 
 
 def _eval_trace(trace, x):
-    """Trace value u(x) at an ambient point on the trace's face."""
+    """Trace values u(x) at ambient points (shape (k, n)) on its face."""
+    x = np.asarray(x, dtype=float)
     if isinstance(trace, _VertexTrace):
-        return trace.value
+        return np.full(len(x), trace.value)
     res = trace.restriction
-    xi = res.from_face(np.asarray(x, dtype=float))
+    xi = res.from_face(x)
     if isinstance(trace, _EdgeTrace):
-        return trace.profile.u(float(xi[0]))
+        return trace.profile.u(xi[:, 0])
     face_poly = res.problem.polytope
-    vals = face_poly.evaluate_all(xi)
-    if float(np.min(vals)) <= face_poly.tau:
-        return trace.boundary.u(xi)
-    v = float(trace.solution.v(xi))
-    return v + float(guillemin.potential_values(face_poly, xi))
+    on_boundary = np.min(face_poly.evaluate_all(xi), axis=1) <= face_poly.tau
+    out = np.empty(len(xi))
+    if np.any(on_boundary):
+        out[on_boundary] = trace.boundary.u(xi[on_boundary])
+    inner = ~on_boundary
+    if np.any(inner):
+        out[inner] = (trace.solution.v(xi[inner])
+                      + guillemin.potential_values(face_poly, xi[inner]))
+    return out
 
 
 class BoundaryData:
     """Complete boundary trace of the solution, face by face.
 
-    ``u(x)`` evaluates the trace at any boundary point by dispatching on
-    the active set; ``v(x)`` subtracts the canonical potential
+    ``u(x)`` evaluates the trace at boundary points by dispatching on the
+    active set; ``v(x)`` subtracts the canonical potential
     sum_i l_i log l_i, so it is the boundary value of the regular part.
+    Both take one point (shape (n,), giving a float) or k points (shape
+    (k, n), giving k values); a batch is grouped by canonical active set
+    and each face trace is evaluated once on its group.
     ``consistency`` reports the largest mismatch found between each face
     trace and its subface traces at shared sample points.
     """
@@ -449,42 +497,49 @@ class BoundaryData:
         self.consistency = consistency
 
     def u(self, x):
-        """Trace value at a boundary point.
+        """Trace values at boundary points.
 
         Raises
         ------
         OutsideDomain
-            x is outside the closed polytope or strictly interior.
+            Some point is outside the closed polytope or strictly interior.
         MissingTrace
-            The active facets at x do not cut out a face.
+            The active facets at some point do not cut out a face.
         """
         P = self.problem.polytope
         x = np.asarray(x, dtype=float)
-        vals = P.evaluate_all(x)
+        X = np.atleast_2d(x)
+        vals = P.evaluate_all(X)
         if float(np.min(vals)) < -P.tau:
             raise OutsideDomain("point is outside the closed polytope")
-        active = tuple(int(i) for i in np.nonzero(vals <= P.tau)[0])
-        if not active:
+        active = vals <= P.tau
+        if not np.all(np.any(active, axis=1)):
             raise OutsideDomain("point is interior; the trace lives on the "
                                 "boundary")
-        key = P.canonical_active(active)
-        if key is None or key not in self.traces:
-            raise MissingTrace("no face with active set %s" % (active,))
-        return _eval_trace(self.traces[key], x)
+        patterns, group = np.unique(active, axis=0, return_inverse=True)
+        out = np.empty(len(X))
+        for g, pattern in enumerate(patterns):
+            gamma = tuple(int(i) for i in np.nonzero(pattern)[0])
+            key = P.canonical_active(gamma)
+            if key is None or key not in self.traces:
+                raise MissingTrace("no face with active set %s" % (gamma,))
+            rows = group == g
+            out[rows] = _eval_trace(self.traces[key], X[rows])
+        return float(out[0]) if x.ndim == 1 else out
 
     def v(self, x):
-        """Regular part u(x) - sum_i l_i log l_i at a boundary point."""
+        """Regular part u(x) - sum_i l_i log l_i at boundary points."""
         P = self.problem.polytope
         x = np.asarray(x, dtype=float)
-        total = self.u(x)
-        return total - float(guillemin.potential_values(P, x))
+        out = self.u(x) - guillemin.potential_values(P, x)
+        return float(out) if x.ndim == 1 else out
 
 
 def _subface_samples(P, face):
-    ids = list(face.vertex_ids)
-    pts = [P.vertices[i] for i in ids]
+    """The face's vertices, plus its centroid when it is not a vertex."""
+    pts = P.vertices[list(face.vertex_ids)]
     if face.dim >= 1:
-        pts.append(P.vertices[ids].mean(axis=0))
+        pts = np.vstack([pts, pts.mean(axis=0)])
     return pts
 
 
@@ -513,7 +568,8 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
         omitted.
     tau_match : float, optional
         Consistency tolerance; defaults to ten times the largest of
-        ``tol`` and the solver error estimates.
+        ``tol`` and the ``max_mismatch`` of the subface builds of the
+        faces of dimension two and higher.
 
     Returns
     -------
@@ -525,6 +581,9 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
         Some vertex does not lie on exactly n facets.
     IncompatibleEndpoint
         The density violates a vertex matching condition.
+    SolverError
+        The interior solve of some face did not converge; the message
+        names the face and its residual.
     InconsistentTraces
         A face trace and a subface trace disagree beyond tolerance.
     """
@@ -558,7 +617,12 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
             return key, _EdgeTrace(key, res, solve_edge(res.problem, tol=tol))
         sub = build_boundary_data(res.problem, grid=grid, tol=tol,
                                   tau_match=tau_match)
-        sol, _ = newton_solve(res.problem, boundary=sub, grid=grid, tol=tol)
+        sol, rep = newton_solve(res.problem, boundary=sub, grid=grid, tol=tol)
+        if not rep["converged"]:
+            raise SolverError(
+                "face %s did not converge: residual %.3g after %d "
+                "iterations" % (tuple(int(i) for i in key),
+                                rep["residual_norm"], rep["iterations"]))
         return key, _FaceTrace(key, res, sub, sol)
 
     for d in range(1, n):
@@ -574,22 +638,21 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
                 error_estimates.append(
                     float(tr.boundary.consistency["max_mismatch"]))
 
-    checks = []
+    pairs = 0
     worst = (0.0, None, None)
     for key, face in P.faces.items():
         if face.dim < 1 or face.dim >= n:
             continue
         for ck in P.subfaces.get(key, ()):
-            child = P.faces[ck]
-            for x in _subface_samples(P, child):
-                ua = _eval_trace(traces[key], x)
-                ub = _eval_trace(traces[ck], x)
-                gap = abs(ua - ub)
-                checks.append(gap)
-                if gap > worst[0]:
-                    worst = (gap, key, ck)
+            x = _subface_samples(P, P.faces[ck])
+            gaps = np.abs(_eval_trace(traces[key], x)
+                          - _eval_trace(traces[ck], x))
+            pairs += len(gaps)
+            i = int(np.argmax(gaps))
+            if gaps[i] > worst[0]:
+                worst = (float(gaps[i]), key, ck)
 
-    max_mismatch = float(max(checks)) if checks else 0.0
+    max_mismatch = worst[0]
     tolerance = (float(tau_match) if tau_match is not None
                  else 10.0 * max(error_estimates))
     if max_mismatch > tolerance:
@@ -600,6 +663,6 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     consistency = {
         "max_mismatch": max_mismatch,
         "tolerance": tolerance,
-        "pairs": len(checks),
+        "pairs": pairs,
     }
     return BoundaryData(problem, traces, consistency)

@@ -284,21 +284,27 @@ def _cmd_boundary(config):
         n = P.dimension
         header = ["face", "t"] + ["x%d" % (i + 1) for i in range(n)] \
             + ["u", "v"]
-        rows = []
+        labels, ts, pts = [], [], []
         for key in keys:
             face = P.faces[key]
-            label = _face_label(key)
             if face.dim == 0:
-                x = P.vertices[face.vertex_ids[0]]
-                rows.append([label, 0.0] + [float(c) for c in x]
-                            + [float(bd.u(x)), float(bd.v(x))])
+                labels.append(_face_label(key))
+                ts.append([0.0])
+                pts.append(P.vertices[list(face.vertex_ids)])
             elif face.dim == 1:
                 p = P.vertices[face.vertex_ids[0]]
                 q = P.vertices[face.vertex_ids[1]]
-                for t in np.linspace(0.0, 1.0, 33):
-                    x = (1.0 - t) * p + t * q
-                    rows.append([label, float(t)] + [float(c) for c in x]
-                                + [float(bd.u(x)), float(bd.v(x))])
+                t = np.linspace(0.0, 1.0, 33)
+                labels.extend([_face_label(key)] * len(t))
+                ts.append(t)
+                pts.append((1.0 - t)[:, None] * p + t[:, None] * q)
+        ts = np.concatenate(ts)
+        pts = np.vstack(pts)
+        u = bd.u(pts)
+        v = bd.v(pts)
+        rows = [[label, float(t)] + [float(c) for c in x]
+                + [float(a), float(b)]
+                for label, t, x, a, b in zip(labels, ts, pts, u, v)]
         _write_csv(config.dump_path, header, rows)
     _emit_report(config, payload, started)
     return EXIT_OK
@@ -553,11 +559,11 @@ def _quadrant_estimator_levels(config):
 
     class _QuadrantTraces:
         # boundary values of the closed-form quadrant solution
-        # x1 log x1 + x2 log x2, written as a regular part
+        # x1 log x1 + x2 log x2, written as a regular part, at (k, 2) points
         def v(self, x):
             x = np.asarray(x, dtype=float)
-            u = float(xlogy(x[0], x[0])) + float(xlogy(x[1], x[1]))
-            return u - float(potential_values(P, x))
+            u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
+            return u - potential_values(P, x)
 
     levels = []
     for m in config.levels:

@@ -25,6 +25,7 @@ from .errors import (
 
 _PARALLEL_TOL = 1e-9
 _RANK_TOL = 1e-8
+_RECESSION_TOL = 1e-9
 
 
 class AffineFunctional:
@@ -161,16 +162,22 @@ def _chebyshev(normals, offsets):
 
 
 def _has_recession_direction(normals):
+    """True when some nonzero d has N d >= 0, i.e. the set is unbounded.
+
+    A rank deficient N has a null direction.  Otherwise N d = 0 forces
+    d = 0, so one LP, maximise 1^t N d subject to N d >= 0 and
+    |d|_inf <= 1, has a positive optimum exactly when a recession
+    direction exists.  Both tests use a threshold scaled by the largest
+    normal.
+    """
     m, n = normals.shape
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[j] = -sign
-            res = linprog(c, A_ub=-normals, b_ub=np.zeros(m),
-                          bounds=[(-1.0, 1.0)] * n, method="highs")
-            if res.success and -res.fun > 1e-9:
-                return True
-    return False
+    thresh = _RECESSION_TOL * float(np.max(np.linalg.norm(normals, axis=1)))
+    sv = np.linalg.svd(normals, compute_uv=False)
+    if m < n or sv[-1] <= thresh:
+        return True
+    res = linprog(-normals.sum(axis=0), A_ub=-normals, b_ub=np.zeros(m),
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    return bool(res.success and -res.fun > thresh)
 
 
 def build_polytope(functionals, tau_geom=None):
@@ -196,7 +203,8 @@ def build_polytope(functionals, tau_geom=None):
     DegenerateNormals
         A normal is zero or two normals are positively parallel.
     Unbounded
-        The halfspace intersection admits a recession direction.
+        The halfspace intersection admits a recession direction; normals
+        of rank below n always do.
     EmptyInterior
         No point satisfies all inequalities strictly.
     RedundantFacet
@@ -365,6 +373,24 @@ class FaceChart:
         return (x - self.base) @ self._inv.T
 
 
+def face_frame(P, key):
+    """Base point and tangent basis of the face with active set ``key``.
+
+    The base is the mean of the face's vertices.  The tangent columns are
+    an orthonormal basis of the null space of the active normals, each
+    signed so that its largest entry in magnitude is positive; there are
+    n - len(key) of them.
+    """
+    base = P.vertices[list(P.faces[key].vertex_ids)].mean(axis=0)
+    _, _, Vt = np.linalg.svd(P.normals[list(key)], full_matrices=True)
+    tangent = Vt[len(key):].T
+    for j in range(tangent.shape[1]):
+        lead = int(np.argmax(np.abs(tangent[:, j])))
+        if tangent[lead, j] < 0:
+            tangent[:, j] = -tangent[:, j]
+    return base, tangent
+
+
 def face_chart(P, gamma, s):
     """Affine chart adapted to the face with active set ``gamma``.
 
@@ -404,23 +430,13 @@ def face_chart(P, gamma, s):
     if sv[-1] <= 1e-12 * sv[0]:
         raise NotAFace("active normals of %s are linearly dependent" % (key,))
 
-    base = P.vertices[list(face.vertex_ids)].mean(axis=0)
+    base, tangent = face_frame(P, key)
 
     B = G.T @ np.linalg.inv(G @ G.T)
     col_norms = np.linalg.norm(B, axis=0)
     transversal = B / col_norms
     kappa = 1.0 / col_norms
-
-    if k < n:
-        _, _, Vt = np.linalg.svd(G, full_matrices=True)
-        tangent = Vt[k:].T
-        for j in range(tangent.shape[1]):
-            lead = int(np.argmax(np.abs(tangent[:, j])))
-            if tangent[lead, j] < 0:
-                tangent[:, j] = -tangent[:, j]
-        M = np.hstack([transversal, tangent])
-    else:
-        M = transversal
+    M = np.hstack([transversal, tangent])
 
     others = [i for i in range(len(P.facets)) if i not in key]
     axes = [(0.0, s)] * k + [(-s, s)] * (n - k)

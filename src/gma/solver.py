@@ -477,7 +477,9 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     ----------
     problem : GuilleminProblem
     boundary : BoundaryData, optional
-        Built on demand when omitted.
+        Built on demand when omitted.  Any object whose ``v`` maps an
+        array of k points (shape (k, n)) to their k regular-part values
+        will do; it is called once, on all boundary nodes of the chart.
     grid : GridChart, int, or None
         A prebuilt chart, or nodes per edge (default 17).
     tol : float
@@ -510,8 +512,8 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
                                        tol=min(tol, 1e-10))
 
     v = np.zeros(len(chart.nodes))
-    for node in chart.boundary:
-        v[node] = boundary.v(chart.to_problem(chart.nodes[node]))
+    bpts = chart.to_problem(chart.nodes[chart.boundary])
+    v[chart.boundary] = boundary.v(bpts)
     v[chart.interior] = _harmonic_lift(chart, v)
 
     R, flagged = assemble_residual(v, problem, chart)
@@ -577,15 +579,18 @@ def _boundary_samples(problem, boundary, per_edge):
     ts = np.concatenate([np.linspace(0.0, 1.0, per_edge + 2)[1:-1],
                          _VERTEX_LADDER, 1.0 - _VERTEX_LADDER])
     ts = np.unique(ts)
+    segs = []
     for key, face in P.faces.items():
         if face.dim != 1 or not key:
             continue
         ends = P.vertices[list(face.vertex_ids)]
         if len(ends) != 2:
             continue
-        seg = ends[0] + ts[:, None] * (ends[1] - ends[0])
-        pts.append(seg)
-        vals.append(np.array([boundary.u(p) for p in seg]))
+        segs.append(ends[0] + ts[:, None] * (ends[1] - ends[0]))
+    if segs:
+        segs = np.vstack(segs)
+        pts.append(segs)
+        vals.append(boundary.u(segs))
     return np.vstack(pts), np.concatenate(vals)
 
 

@@ -248,10 +248,11 @@ def _quadrant_estimator_levels(ms):
     prob = GuilleminProblem(P, DensitySpec.from_callable(hfun), 0.0)
 
     class QuadrantTraces:
+        # regular-part values at (k, 2) points
         def v(self, x):
             x = np.asarray(x, dtype=float)
-            u = float(xlogy(x[0], x[0])) + float(xlogy(x[1], x[1]))
-            return u - float(guillemin.potential_values(P, x))
+            u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
+            return u - guillemin.potential_values(P, x)
 
     levels = []
     for m in ms:

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gma import boundary, geometry, guillemin
-from gma.errors import IncompatibleEndpoint, NotAFace
+import gma.solver
+from gma import boundary, cli, geometry, guillemin
+from gma.errors import (IncompatibleEndpoint, NotAFace, QuadratureFailure,
+                        SolverError)
 from gma.problem import GuilleminProblem
 
 
@@ -46,6 +50,96 @@ def interval_problem(hhat, lo=0.0, hi=1.0, alpha=(0.0, 0.0)):
     for i, v in enumerate(P.vertices):
         vals[i] = alpha[0] if abs(v[0] - lo) < 1e-12 else alpha[1]
     return GuilleminProblem(P, guillemin.DensitySpec.from_callable(hhat), vals)
+
+
+def recursive_edge_panels(problem, tol):
+    """Depth-first panel refinement of solve_edge, kept as the reference.
+
+    Each panel is integrated whole and in halves with its own density
+    call, and a rejected panel recurses into its left half before its
+    right one.  Returns starts, ends and the cumulative moments.
+    """
+    P = problem.polytope
+    coords = P.vertices[:, 0]
+    i_lo, i_hi = int(np.argmin(coords)), int(np.argmax(coords))
+    t_lo, t_hi = float(coords[i_lo]), float(coords[i_hi])
+    L = t_hi - t_lo
+    f0, f1 = P.facets
+    a, b = (f0, f1) if abs(float(f0(P.vertices[i_lo]))) <= P.tau else (f1, f0)
+    a_slope, b_slope = float(a.normal[0]), float(b.normal[0])
+    eps = np.finfo(float).eps
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        s = mid + half * nodes
+        av = a_slope * (s - t_lo)
+        bv = b_slope * (s - t_hi)
+        den = av * bv
+        hs = np.asarray(problem.density(s[:, None]), dtype=float)
+        bad = den <= 0.0
+        qs = np.where(bad, 0.0, (hs - a_slope ** 2 * bv - b_slope ** 2 * av)
+                      / np.where(bad, 1.0, den))
+        dmin = float(np.min(np.abs(den[~bad]))) if np.any(~bad) else 1.0
+        return (half * (qs @ weights), half * ((s * qs) @ weights), dmin,
+                float(np.max(np.abs(hs))))
+
+    out = []
+    tscale = max(1.0, abs(t_lo), abs(t_hi))
+
+    def refine(lo, hi, depth):
+        w0, w1, dmin_w, hmax_w = panel(lo, hi)
+        mid = 0.5 * (lo + hi)
+        l0, l1, dmin_l, hmax_l = panel(lo, mid)
+        r0, r1, dmin_r, hmax_r = panel(mid, hi)
+        err = abs(w0 - l0 - r0) + abs(w1 - l1 - r1)
+        dmin = min(dmin_w, dmin_l, dmin_r)
+        hmax = max(hmax_w, hmax_l, hmax_r, 1e-30)
+        noise = 64.0 * eps * (hmax / max(dmin, 1e-300)) * (hi - lo) * tscale
+        if err <= max(0.01 * tol * (hi - lo) / L, noise):
+            out.extend([(lo, mid, l0, l1), (mid, hi, r0, r1)])
+            return
+        if depth >= 40:
+            raise QuadratureFailure(
+                "panel [%.17g, %.17g] did not converge at depth %d"
+                % (lo, hi, depth))
+        refine(lo, mid, depth + 1)
+        refine(mid, hi, depth + 1)
+
+    ladder = 0.5 ** np.arange(1, 46)
+    pts = np.unique(np.concatenate([[t_lo, t_hi], t_lo + L * ladder,
+                                    t_hi - L * ladder]))
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        refine(float(lo), float(hi), 0)
+    starts, ends, mom0, mom1 = (np.array(c) for c in zip(*out))
+    cum0 = np.concatenate([[0.0], np.cumsum(mom0)])[:-1]
+    cum1 = np.concatenate([[0.0], np.cumsum(mom1)])[:-1]
+    return starts, ends, cum0, cum1
+
+
+def _perturbed_edge():
+    # the hypotenuse of the triangle: both facet slopes are not unit and
+    # the absorbed factor is nonconstant
+    prob = simplex2d_problem()
+    P = prob.polytope
+    prob = simplex2d_problem(guillemin.DensitySpec.perturbed(P, 3.0))
+    return boundary.restrict_problem(prob, (2,)).problem
+
+
+def _polynomial_edge():
+    h = guillemin.DensitySpec.polynomial({(0,): 1.0, (1,): 3.0, (2,): -3.0},
+                                         1)
+    return interval_problem(h, alpha=(0.3, -0.2))
+
+
+def _kink_edge(power):
+    # 1 + t (1 - t) |t - 0.3137|^power: bisection goes deep at the kink
+    # (27 levels for power 1, the depth limit for power 1/2)
+    def h(t):
+        s = np.asarray(t, dtype=float)[..., 0]
+        return 1.0 + s * (1.0 - s) * np.abs(s - 0.3137) ** power
+    return interval_problem(h)
 
 
 class TestRestrictProblem:
@@ -207,6 +301,36 @@ class TestSolveEdge:
         assert np.isclose(profile.u(np.array([0.0]))[0], 0.4, atol=1e-12)
         assert np.isclose(profile.u(np.array([1.0]))[0], 0.9, atol=1e-12)
 
+    @pytest.mark.parametrize("make, tol", [
+        (_perturbed_edge, 1e-10),
+        (_polynomial_edge, 1e-12),
+        (lambda: _kink_edge(1.0), 1e-10),
+    ], ids=["perturbed", "polynomial", "deep"])
+    def test_level_batching_matches_recursive_refinement(self, make, tol):
+        prob = make()
+        starts, ends, cum0, cum1 = recursive_edge_panels(prob, tol)
+        profile = boundary.solve_edge(prob, tol=tol)
+        assert np.array_equal(profile._starts, starts)
+        assert np.array_equal(profile._ends, ends)
+        scale = max(1.0, np.max(np.abs(cum0)), np.max(np.abs(cum1)))
+        assert np.max(np.abs(profile._cum0 - cum0)) <= 1e-15 * scale
+        assert np.max(np.abs(profile._cum1 - cum1)) <= 1e-15 * scale
+
+    def test_depth_limit_names_the_same_panel(self):
+        prob = _kink_edge(0.5)
+        with pytest.raises(QuadratureFailure) as recursive:
+            recursive_edge_panels(prob, 1e-10)
+        with pytest.raises(QuadratureFailure) as batched:
+            boundary.solve_edge(prob, tol=1e-10)
+        assert str(batched.value) == str(recursive.value)
+
+    def test_vector_evaluation_matches_scalar(self):
+        profile = boundary.solve_edge(_polynomial_edge(), tol=1e-12)
+        ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37) ** 3])
+        batch = profile.u(ts)
+        single = np.array([profile.u(float(t)) for t in ts])
+        assert np.max(np.abs(batch - single)) <= 1e-14
+
 
 class TestBuildBoundaryData:
     def test_simplex_reproduces_potential(self):
@@ -265,6 +389,78 @@ class TestBuildBoundaryData:
                 left = bd.u(v0 + (t - d) * (v1 - v0))
                 right = bd.u(v0 + (t + d) * (v1 - v0))
                 assert left + right - 2 * mid >= -1e-9
+
+    @pytest.mark.parametrize("shape", ["simplex", "cube"])
+    def test_batched_traces_match_pointwise(self, shape):
+        prob = _solid3d_problem(shape)
+        P = prob.polytope
+        bd = boundary.build_boundary_data(prob, grid=9)
+        rng = np.random.default_rng(8)
+        pts = [P.vertices]
+        for key, face in P.faces.items():
+            verts = P.vertices[list(face.vertex_ids)]
+            if face.dim in (1, 2):
+                # points in the relative interior of edges and 2-faces
+                w = rng.dirichlet(np.full(len(verts), 2.0), size=3)
+                pts.append(w @ verts)
+        X = np.vstack(pts)
+        X = X[rng.permutation(len(X))]
+        for fn in (bd.u, bd.v):
+            batch = fn(X)
+            single = np.array([fn(x) for x in X])
+            assert batch.shape == (len(X),)
+            assert all(isinstance(fn(x), float) for x in X[:3])
+            assert np.max(np.abs(batch - single)) <= 1e-14
+
+    def test_unconverged_face_raises(self, monkeypatch):
+        _report_unconverged(monkeypatch)
+        prob = _solid3d_problem("simplex")
+        with pytest.raises(SolverError, match=r"face \(\d+,\) did not "
+                           r"converge: residual 0\.125"):
+            boundary.build_boundary_data(prob, grid=9)
+
+    def test_unconverged_face_is_exit_three(self, monkeypatch, tmp_path):
+        _report_unconverged(monkeypatch)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "dimension": 3,
+            "facets": [{"normal": [1.0, 0.0, 0.0], "offset": 0.0},
+                       {"normal": [0.0, 1.0, 0.0], "offset": 0.0},
+                       {"normal": [0.0, 0.0, 1.0], "offset": 0.0},
+                       {"normal": [-1.0, -1.0, -1.0], "offset": -1.0}],
+            "density": {"type": "perturbed", "amplitude": 0.1}}))
+        report = tmp_path / "r.json"
+        code = cli.run(["boundary", str(path), "--grid", "9",
+                        "--report", str(report)])
+        assert code == 3
+        out = json.loads(report.read_text())
+        assert out["error"]["kind"] == "SolverError"
+        assert "did not converge" in out["error"]["message"]
+
+
+def _solid3d_problem(shape):
+    if shape == "simplex":
+        fs = [geometry.AffineFunctional(e, 0.0) for e in np.eye(3)]
+        fs.append(geometry.AffineFunctional([-1.0, -1.0, -1.0], -1.0))
+    else:
+        fs = []
+        for e in np.eye(3):
+            fs.append(geometry.AffineFunctional(e, 0.0))
+            fs.append(geometry.AffineFunctional(-e, -1.0))
+    P = geometry.build_polytope(fs)
+    return GuilleminProblem(P, guillemin.DensitySpec.perturbed(P, 0.5), 0.0)
+
+
+def _report_unconverged(monkeypatch):
+    # the face solves of the boundary build report converged: false
+    real = gma.solver.newton_solve
+
+    def unconverged(*args, **kwargs):
+        sol, rep = real(*args, **kwargs)
+        return sol, dict(rep, converged=False, nonconvergence=True,
+                         residual_norm=0.125)
+
+    monkeypatch.setattr(gma.solver, "newton_solve", unconverged)
 
 
 def _edge_endpoints(P, e):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from gma import geometry
 from gma.errors import (
@@ -186,6 +187,71 @@ class TestBuildPolytope:
         ])
         expect = np.array([[0, 0], [0, 1], [1, 1], [2, 0]], dtype=float)
         assert np.allclose(sorted_pts(P.vertices), expect, atol=1e-12)
+
+
+def recession_by_coordinate_lps(normals):
+    """The 2n-LP recession test: maximise +-d_j subject to N d >= 0."""
+    m, n = normals.shape
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[j] = -sign
+            res = linprog(c, A_ub=-normals, b_ub=np.zeros(m),
+                          bounds=[(-1.0, 1.0)] * n, method="highs")
+            if res.success and -res.fun > 1e-9:
+                return True
+    return False
+
+
+class TestRecession:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4),
+           st.booleans())
+    def test_one_lp_agrees_with_coordinate_lps(self, seed, n, extra,
+                                               bounded):
+        rng = np.random.default_rng(seed)
+        N = rng.normal(size=(n + extra, n))
+        if bounded:
+            # a negative combination of the others closes the set: the
+            # normals then span R^n with a positive dependence
+            N = np.vstack([N, -(rng.uniform(0.5, 2.0, size=len(N)) @ N)])
+        else:
+            # every normal has a positive component along d
+            d = rng.normal(size=n)
+            d /= np.linalg.norm(d)
+            N += (rng.uniform(0.1, 1.0, size=len(N)) - N @ d)[:, None] * d
+        N *= 10.0 ** rng.uniform(-3.0, 3.0)
+        expect = recession_by_coordinate_lps(N)
+        assert expect == (not bounded)
+        assert geometry._has_recession_direction(N) == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 4), st.integers(0, 4))
+    def test_rank_deficient_normals_are_unbounded(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        # normals in a hyperplane, around the origin, which stays interior;
+        # the strip below covers n = 2, where three such normals would
+        # include a positively parallel pair
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :n - 1]
+        N = rng.normal(size=(n + extra, n - 1)) @ basis.T
+        assert geometry._has_recession_direction(N)
+        with pytest.raises(Unbounded):
+            geometry.build_polytope([geometry.AffineFunctional(v, -1.0)
+                                     for v in N])
+
+    def test_strip_and_prism_are_unbounded(self):
+        with pytest.raises(Unbounded):
+            geometry.build_polytope([
+                geometry.AffineFunctional([1.0, 0.0], 0.0),
+                geometry.AffineFunctional([-1.0, 0.0], -1.0),
+            ])
+        with pytest.raises(Unbounded):
+            geometry.build_polytope([
+                geometry.AffineFunctional([1.0, 0.0, 0.0], 0.0),
+                geometry.AffineFunctional([-1.0, 0.0, 0.0], -1.0),
+                geometry.AffineFunctional([0.0, 1.0, 0.0], 0.0),
+                geometry.AffineFunctional([0.0, -1.0, 0.0], -1.0),
+            ])
 
 
 class TestFaceLattice:

@@ -280,10 +280,11 @@ class TestEstimators:
             P, guillemin.DensitySpec.from_callable(hfun), 0.0)
 
         class LiouvilleBoundary:
+            # regular-part values at (k, 2) points
             def v(self, x):
                 x = np.asarray(x, dtype=float)
-                u = xlogy(x[0], x[0]) + xlogy(x[1], x[1])
-                return float(u - guillemin.potential_values(P, x))
+                u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
+                return u - guillemin.potential_values(P, x)
 
         levels = []
         for m in (9, 17, 33):
