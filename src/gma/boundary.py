@@ -2,11 +2,15 @@
 
 The solution of the degenerate Monge-Ampere problem restricts, on every
 proper face, to the solution of a problem of the same type in fewer
-variables.  This module carries out that induction: it pulls the problem
-back to a face chart, solves the one dimensional edge problems by
-quadrature, recurses through higher dimensional faces with an interior
-solver, and assembles the traces into a single evaluator with a
-cross-face consistency report.
+variables; a face's trace is shared by every face that contains it.
+This module walks the face lattice once, in increasing dimension: it
+pulls the problem back to each face, solves the one dimensional edge
+problems by quadrature, and solves each higher dimensional face with
+the interior solver, its boundary values read off the traces of its
+subfaces.  Each face is checked against its subfaces where it is built:
+edge profiles against the vertex values at their ends, face solutions
+by their stored boundary values and a residual audit.  The traces are
+assembled into a single evaluator with a consistency report.
 """
 
 import numpy as np
@@ -47,20 +51,17 @@ class RestrictedProblem:
         their pullbacks; the ambient density is divided by them.
     vertex_map : list of int
         For each face-polytope vertex, the ambient vertex index.
-    facet_origin : list of int
-        For each face-polytope facet, the ambient facet index.
     """
 
-    __slots__ = ("problem", "face_key", "absorbed", "vertex_map",
-                 "facet_origin", "_base", "_tangent")
+    __slots__ = ("problem", "face_key", "absorbed", "vertex_map", "_base",
+                 "_tangent")
 
-    def __init__(self, problem, face_key, absorbed, vertex_map, facet_origin,
-                 base, tangent):
+    def __init__(self, problem, face_key, absorbed, vertex_map, base,
+                 tangent):
         self.problem = problem
         self.face_key = face_key
         self.absorbed = absorbed
         self.vertex_map = vertex_map
-        self.facet_origin = facet_origin
         self._base = base
         self._tangent = tangent
 
@@ -122,7 +123,6 @@ def restrict_problem(problem, gamma):
     fvid = list(face.vertex_ids)
     fverts = P.vertices[fvid]
     face_functionals = []
-    facet_origin = []
     absorbed = []
     for j, f in enumerate(P.facets):
         if j in key:
@@ -131,7 +131,6 @@ def restrict_problem(problem, gamma):
                                       f.offset - f.normal @ base)
         if float(np.min(f(fverts))) <= P.tau:
             face_functionals.append(g)
-            facet_origin.append(j)
         else:
             absorbed.append((j, g))
     face_poly = geometry.build_polytope(face_functionals, tau_geom=P.tau)
@@ -162,8 +161,8 @@ def restrict_problem(problem, gamma):
     if problem.name:
         name = "%s|%s" % (problem.name, ",".join(str(i) for i in key))
     face_problem = GuilleminProblem(face_poly, density, values, name=name)
-    return RestrictedProblem(face_problem, key, absorbed, vertex_map,
-                             facet_origin, base, tangent)
+    return RestrictedProblem(face_problem, key, absorbed, vertex_map, base,
+                             tangent)
 
 
 class EdgeProfile:
@@ -448,17 +447,21 @@ class _EdgeTrace:
 
 
 class _FaceTrace:
-    __slots__ = ("key", "restriction", "boundary", "solution")
+    __slots__ = ("key", "restriction", "solution")
 
-    def __init__(self, key, restriction, boundary, solution):
+    def __init__(self, key, restriction, solution):
         self.key = key
         self.restriction = restriction
-        self.boundary = boundary
         self.solution = solution
 
 
 def _eval_trace(trace, x):
-    """Trace values u(x) at ambient points (shape (k, n)) on its face."""
+    """Trace values u(x) at ambient points (shape (k, n)) on its face.
+
+    A face of dimension two or more is evaluated through its interior
+    solution; :meth:`BoundaryData.u` hands the points on its relative
+    boundary to the subface traces instead.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(trace, _VertexTrace):
         return np.full(len(x), trace.value)
@@ -466,16 +469,8 @@ def _eval_trace(trace, x):
     xi = res.from_face(x)
     if isinstance(trace, _EdgeTrace):
         return trace.profile.u(xi[:, 0])
-    face_poly = res.problem.polytope
-    on_boundary = np.min(face_poly.evaluate_all(xi), axis=1) <= face_poly.tau
-    out = np.empty(len(xi))
-    if np.any(on_boundary):
-        out[on_boundary] = trace.boundary.u(xi[on_boundary])
-    inner = ~on_boundary
-    if np.any(inner):
-        out[inner] = (trace.solution.v(xi[inner])
-                      + guillemin.potential_values(face_poly, xi[inner]))
-    return out
+    return (trace.solution.v(xi)
+            + guillemin.potential_values(res.problem.polytope, xi))
 
 
 class BoundaryData:
@@ -487,8 +482,9 @@ class BoundaryData:
     Both take one point (shape (n,), giving a float) or k points (shape
     (k, n), giving k values); a batch is grouped by canonical active set
     and each face trace is evaluated once on its group.
-    ``consistency`` reports the largest mismatch found between each face
-    trace and its subface traces at shared sample points.
+    ``consistency`` reports the largest gap found between each face trace
+    and its subface traces where they meet; see
+    :func:`build_boundary_data`.
     """
 
     def __init__(self, problem, traces, consistency):
@@ -535,26 +531,47 @@ class BoundaryData:
         return float(out) if x.ndim == 1 else out
 
 
-def _subface_samples(P, face):
-    """The face's vertices, plus its centroid when it is not a vertex."""
-    pts = P.vertices[list(face.vertex_ids)]
-    if face.dim >= 1:
-        pts = np.vstack([pts, pts.mean(axis=0)])
-    return pts
+class _SubfaceValues:
+    """Boundary values of a face problem, read off the ambient traces.
+
+    ``v`` maps face coordinates to ambient points, evaluates the ambient
+    traces there (all on faces of lower dimension) and subtracts the
+    face polytope's own potential.  Only the face solve holds it, so no
+    trace refers back to the ambient :class:`BoundaryData`.
+    """
+
+    __slots__ = ("ambient", "restriction")
+
+    def __init__(self, ambient, restriction):
+        self.ambient = ambient
+        self.restriction = restriction
+
+    def v(self, xi):
+        res = self.restriction
+        return (self.ambient.u(res.to_ambient(xi))
+                - guillemin.potential_values(res.problem.polytope, xi))
 
 
 def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
                         tau_match=None):
     """Assemble boundary traces for all proper faces.
 
-    Vertices carry the prescribed values.  Edges are solved by
-    :func:`solve_edge` on the restricted one dimensional problems.  Faces
-    of dimension two and higher are solved with
-    :func:`gma.solver.newton_solve` on their restricted problems, each
-    with boundary data built recursively.
-    After assembly every face trace is compared with its subface traces
-    at shared points; the largest mismatch and the tolerance are reported
-    and an excess raises.
+    The face lattice is walked once, in increasing dimension, and every
+    face is restricted and solved exactly once.  Vertices carry the
+    prescribed values.  Edges are solved by :func:`solve_edge` on their
+    restricted one dimensional problems.  A face of dimension two or
+    more is solved by :func:`gma.solver.newton_solve` on its restricted
+    problem, with boundary values read off the traces of its subfaces,
+    which are already built.
+
+    Each face is checked where it is built, against its subfaces:
+
+    - an edge: its profile at both endpoints against the vertex values;
+    - a face of dimension two or more: the values its solution stores
+      on the chart boundary nodes against the subface traces at those
+      nodes.  The solve must report convergence, and the discrete
+      residual re-assembled from the stored values must flag no node
+      and stay within ``tol``.
 
     Parameters
     ----------
@@ -562,18 +579,22 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     grid : int, optional
         Grid parameter handed to the face solver.
     tol : float
-        Quadrature tolerance for the edge profiles.
+        Quadrature tolerance for the edge profiles and residual
+        tolerance of the face solves.
     threads : int, optional
         Worker threads for faces of equal dimension; sequential when
         omitted.
     tau_match : float, optional
-        Consistency tolerance; defaults to ten times the largest of
-        ``tol`` and the ``max_mismatch`` of the subface builds of the
-        faces of dimension two and higher.
+        Tolerance on the face-against-subface gaps; ten times ``tol``
+        when omitted.
 
     Returns
     -------
     BoundaryData
+        ``consistency`` holds ``max_mismatch`` (the largest gap),
+        ``tolerance`` and ``pairs`` (the number of points compared: two
+        per edge, and the chart boundary nodes of every face of
+        dimension two or more).
 
     Raises
     ------
@@ -582,8 +603,8 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     IncompatibleEndpoint
         The density violates a vertex matching condition.
     SolverError
-        The interior solve of some face did not converge; the message
-        names the face and its residual.
+        The interior solve of some face did not converge, or its stored
+        values fail the residual audit; the message names the face.
     InconsistentTraces
         A face trace and a subface trace disagree beyond tolerance.
     """
@@ -600,7 +621,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
             "vertex %d violates the matching condition by %.3g"
             % (worst, res[worst]))
     # imported here: solver imports this module
-    from .solver import newton_solve
+    from .solver import assemble_residual, newton_solve
 
     traces = {}
     for key, face in P.faces.items():
@@ -608,23 +629,51 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
             vid = face.vertex_ids[0]
             traces[key] = _VertexTrace(key, float(problem.vertex_values[vid]),
                                        P.vertices[vid].copy())
-
-    error_estimates = [tol]
+    # filled in increasing dimension; a face solve reads only the traces
+    # of lower dimension
+    bd = BoundaryData(problem, traces, None)
+    tolerance = float(tau_match) if tau_match is not None else 10.0 * tol
 
     def build_one(key, d):
         res = restrict_problem(problem, key)
         if d == 1:
-            return key, _EdgeTrace(key, res, solve_edge(res.problem, tol=tol))
-        sub = build_boundary_data(res.problem, grid=grid, tol=tol,
-                                  tau_match=tau_match)
-        sol, rep = newton_solve(res.problem, boundary=sub, grid=grid, tol=tol)
-        if not rep["converged"]:
-            raise SolverError(
-                "face %s did not converge: residual %.3g after %d "
-                "iterations" % (tuple(int(i) for i in key),
-                                rep["residual_norm"], rep["iterations"]))
-        return key, _FaceTrace(key, res, sub, sol)
+            trace = _EdgeTrace(key, res, solve_edge(res.problem, tol=tol))
+            ids = list(P.faces[key].vertex_ids)
+            x = P.vertices[ids]
+            gaps = np.abs(_eval_trace(trace, x) - problem.vertex_values[ids])
+        else:
+            subfaces = _SubfaceValues(bd, res)
+            sol, rep = newton_solve(res.problem, boundary=subfaces,
+                                    grid=grid, tol=tol)
+            if not rep["converged"]:
+                raise SolverError(
+                    "face %s did not converge: residual %.3g after %d "
+                    "iterations" % (key, rep["residual_norm"],
+                                    rep["iterations"]))
+            # NaN at flagged nodes, so they fail the audit too
+            R, flagged = assemble_residual(sol.values, res.problem, sol.chart)
+            audit = float(np.max(np.abs(R)))
+            if not audit <= tol:
+                raise SolverError(
+                    "face %s fails the residual audit: %d flagged nodes, "
+                    "residual %.3g against tol %.3g"
+                    % (key, flagged.size, audit, tol))
+            trace = _FaceTrace(key, res, sol)
+            chart = sol.chart
+            xi = chart.to_problem(chart.nodes[chart.boundary])
+            x = res.to_ambient(xi)
+            gaps = np.abs(sol.values[chart.boundary] - subfaces.v(xi))
+        i = int(np.argmax(gaps))
+        if not gaps[i] <= tolerance:
+            active = np.nonzero(P.evaluate_all(x[i]) <= P.tau)[0]
+            raise InconsistentTraces(
+                "faces %s and %s disagree by %.3g (tolerance %.3g)"
+                % (key, P.canonical_active(tuple(active)), gaps[i],
+                   tolerance))
+        return key, trace, float(gaps[i]), len(gaps)
 
+    max_mismatch = 0.0
+    pairs = 0
     for d in range(1, n):
         keys = [k for k, f in P.faces.items() if f.dim == d]
         if threads and threads > 1 and len(keys) > 1:
@@ -632,37 +681,14 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
                 built = list(pool.map(lambda k: build_one(k, d), keys))
         else:
             built = [build_one(k, d) for k in keys]
-        for key, tr in built:
-            traces[key] = tr
-            if isinstance(tr, _FaceTrace):
-                error_estimates.append(
-                    float(tr.boundary.consistency["max_mismatch"]))
+        for key, trace, gap, count in built:
+            traces[key] = trace
+            max_mismatch = max(max_mismatch, gap)
+            pairs += count
 
-    pairs = 0
-    worst = (0.0, None, None)
-    for key, face in P.faces.items():
-        if face.dim < 1 or face.dim >= n:
-            continue
-        for ck in P.subfaces.get(key, ()):
-            x = _subface_samples(P, P.faces[ck])
-            gaps = np.abs(_eval_trace(traces[key], x)
-                          - _eval_trace(traces[ck], x))
-            pairs += len(gaps)
-            i = int(np.argmax(gaps))
-            if gaps[i] > worst[0]:
-                worst = (float(gaps[i]), key, ck)
-
-    max_mismatch = worst[0]
-    tolerance = (float(tau_match) if tau_match is not None
-                 else 10.0 * max(error_estimates))
-    if max_mismatch > tolerance:
-        raise InconsistentTraces(
-            "faces %s and %s disagree by %.3g (tolerance %.3g)"
-            % (worst[1], worst[2], worst[0], tolerance))
-
-    consistency = {
+    bd.consistency = {
         "max_mismatch": max_mismatch,
         "tolerance": tolerance,
         "pairs": pairs,
     }
-    return BoundaryData(problem, traces, consistency)
+    return bd

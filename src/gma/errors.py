@@ -38,9 +38,9 @@ class NotAFace(GmaError):
 class ChartTooLarge(GmaError):
     """A chart cannot be built at the requested size or shape.
 
-    Raised when a face chart box leaves the polytope, when a global chart
-    is asked for a polytope that is neither a simplex nor an affine box,
-    and when a lattice of m^n slots would exceed the size limit.
+    Raised when a global chart is asked for a polytope that is neither a
+    simplex nor an affine box, and when a lattice of m^n slots would
+    exceed the size limit.
     """
 
 

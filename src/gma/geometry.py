@@ -4,9 +4,8 @@ A polytope is stored as the intersection of halfspaces l_i(x) >= 0 with
 l_i(x) = normal_i . x - offset_i.  Construction enumerates vertices by
 solving every n-subset of facet equations, validates boundedness and
 nondegeneracy, and builds the face lattice from vertex active sets.  The
-raw functionals are preserved exactly as given (several downstream
-quantities are not invariant under rescaling them); normalization happens
-only inside chart construction, where the scale factors are recorded.
+raw functionals are preserved exactly as given, because several
+downstream quantities are not invariant under rescaling them.
 """
 
 import itertools
@@ -15,10 +14,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import (
-    ChartTooLarge,
     DegenerateNormals,
     EmptyInterior,
-    NotAFace,
     RedundantFacet,
     Unbounded,
 )
@@ -260,7 +257,9 @@ def build_polytope(functionals, tau_geom=None):
     keep = np.min(values, axis=1) >= -tau
     pts = pts[keep]
     values = values[keep]
-    vertex_active = [tuple(np.nonzero(np.abs(row) <= tau)[0]) for row in values]
+    # Python ints, so face keys print as (2, 3) in messages
+    vertex_active = [tuple(int(i) for i in np.nonzero(np.abs(row) <= tau)[0])
+                     for row in values]
 
     for i in range(m):
         on_facet = pts[[i in a for a in vertex_active]]
@@ -340,39 +339,6 @@ def is_simple(P):
     return ok, report
 
 
-class FaceChart:
-    """Affine chart straightening a face to a coordinate corner.
-
-    The map is x = base + M xi with the first ``codim`` reference
-    coordinates proportional to the active functionals:
-    l_active[a](x) = kappa[a] * xi[a] with kappa[a] > 0.  The reference
-    domain is [0, s]^codim x [-s, s]^(n - codim).
-    """
-
-    __slots__ = ("active", "base", "matrix", "kappa", "s", "codim", "_inv")
-
-    def __init__(self, active, base, matrix, kappa, s):
-        self.active = tuple(active)
-        self.base = np.asarray(base, dtype=float)
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.kappa = np.asarray(kappa, dtype=float)
-        self.s = float(s)
-        self.codim = len(self.active)
-        self._inv = np.linalg.inv(self.matrix)
-
-    @property
-    def dimension(self):
-        return self.base.size
-
-    def to_ambient(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi @ self.matrix.T + self.base
-
-    def from_ambient(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x - self.base) @ self._inv.T
-
-
 def face_frame(P, key):
     """Base point and tangent basis of the face with active set ``key``.
 
@@ -389,65 +355,6 @@ def face_frame(P, key):
         if tangent[lead, j] < 0:
             tangent[:, j] = -tangent[:, j]
     return base, tangent
-
-
-def face_chart(P, gamma, s):
-    """Affine chart adapted to the face with active set ``gamma``.
-
-    Parameters
-    ----------
-    P : Polytope
-    gamma : iterable of int
-        Facet indices cutting out the face; must be the canonical active
-        set of a face of dimension n - len(gamma).
-    s : float
-        Reference box half-size; the box is [0, s]^k x [-s, s]^(n-k).
-
-    Returns
-    -------
-    FaceChart
-
-    Raises
-    ------
-    NotAFace
-        gamma is not a face label, or the face has the wrong dimension
-        (non-simple corner).
-    ChartTooLarge
-        The image of the reference box leaves the closed polytope.
-    """
-    key = tuple(sorted(int(g) for g in gamma))
-    n = P.dimension
-    if key not in P.faces:
-        raise NotAFace("%s is not the active set of a face" % (key,))
-    face = P.faces[key]
-    k = len(key)
-    if face.dim != n - k:
-        raise NotAFace(
-            "face %s has dimension %d, expected %d" % (key, face.dim, n - k))
-
-    G = P.normals[list(key)]
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise NotAFace("active normals of %s are linearly dependent" % (key,))
-
-    base, tangent = face_frame(P, key)
-
-    B = G.T @ np.linalg.inv(G @ G.T)
-    col_norms = np.linalg.norm(B, axis=0)
-    transversal = B / col_norms
-    kappa = 1.0 / col_norms
-    M = np.hstack([transversal, tangent])
-
-    others = [i for i in range(len(P.facets)) if i not in key]
-    axes = [(0.0, s)] * k + [(-s, s)] * (n - k)
-    for corner in itertools.product(*axes):
-        x = base + M @ np.asarray(corner)
-        for j in others:
-            if P.facets[j](x) <= P.tau:
-                raise ChartTooLarge(
-                    "chart for %s with s=%g leaves the polytope at facet %d"
-                    % (key, s, j))
-    return FaceChart(key, base, M, kappa, s)
 
 
 def sample_interior(P, count, rng, margin=0.0):

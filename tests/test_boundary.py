@@ -6,8 +6,8 @@ from scipy import integrate
 
 import gma.solver
 from gma import boundary, cli, geometry, guillemin
-from gma.errors import (IncompatibleEndpoint, NotAFace, QuadratureFailure,
-                        SolverError)
+from gma.errors import (IncompatibleEndpoint, InconsistentTraces, NotAFace,
+                        QuadratureFailure, SolverError)
 from gma.problem import GuilleminProblem
 
 
@@ -421,21 +421,87 @@ class TestBuildBoundaryData:
 
     def test_unconverged_face_is_exit_three(self, monkeypatch, tmp_path):
         _report_unconverged(monkeypatch)
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({
-            "dimension": 3,
-            "facets": [{"normal": [1.0, 0.0, 0.0], "offset": 0.0},
-                       {"normal": [0.0, 1.0, 0.0], "offset": 0.0},
-                       {"normal": [0.0, 0.0, 1.0], "offset": 0.0},
-                       {"normal": [-1.0, -1.0, -1.0], "offset": -1.0}],
-            "density": {"type": "perturbed", "amplitude": 0.1}}))
-        report = tmp_path / "r.json"
-        code = cli.run(["boundary", str(path), "--grid", "9",
-                        "--report", str(report)])
+        code, out = _boundary_cli(tmp_path)
         assert code == 3
-        out = json.loads(report.read_text())
         assert out["error"]["kind"] == "SolverError"
         assert "did not converge" in out["error"]["message"]
+
+    def test_corrupted_face_interior_raises(self, monkeypatch):
+        # +1.0 on every face-interior value, still reported as converged:
+        # the residual re-assembled from the stored values must see it
+        _corrupt_face_solves(monkeypatch, interior_only=True)
+        with pytest.raises(SolverError, match=r"face \(\d+,\) fails the "
+                           r"residual audit"):
+            boundary.build_boundary_data(_solid3d_problem("simplex"), grid=9)
+
+    def test_corrupted_face_interior_is_exit_three(self, monkeypatch,
+                                                   tmp_path):
+        _corrupt_face_solves(monkeypatch, interior_only=True)
+        code, out = _boundary_cli(tmp_path)
+        assert code == 3
+        assert out["error"]["kind"] == "SolverError"
+        assert "residual audit" in out["error"]["message"]
+
+    def test_shifted_face_solution_is_inconsistent(self, monkeypatch):
+        # a constant shift keeps every discrete Hessian, so only the
+        # stored boundary nodes against the subface traces can see it
+        _corrupt_face_solves(monkeypatch, interior_only=False)
+        with pytest.raises(InconsistentTraces, match=r"faces \(\d+,\) and "
+                           r"\((\d+, )+\d+\) disagree by 0\.5 "):
+            boundary.build_boundary_data(_solid3d_problem("simplex"), grid=9)
+
+    def test_edge_off_its_vertex_values_is_inconsistent(self, monkeypatch):
+        real = boundary.solve_edge
+
+        def shifted(*args, **kwargs):
+            profile = real(*args, **kwargs)
+            profile.w0 += 1e-3
+            return profile
+
+        monkeypatch.setattr(boundary, "solve_edge", shifted)
+        with pytest.raises(InconsistentTraces, match=r"faces \(\d+,\) and "
+                           r"\(\d+, \d+\) disagree by 0\.001 "):
+            boundary.build_boundary_data(simplex2d_problem())
+
+    @pytest.mark.parametrize("shape, edges, faces",
+                             [("simplex", 6, 4), ("cube", 12, 6)])
+    def test_each_face_solved_once(self, monkeypatch, shape, edges, faces):
+        calls = {"edge": 0, "restrict": 0, "face": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(boundary, "solve_edge",
+                            counted("edge", boundary.solve_edge))
+        monkeypatch.setattr(boundary, "restrict_problem",
+                            counted("restrict", boundary.restrict_problem))
+        monkeypatch.setattr(gma.solver, "newton_solve",
+                            counted("face", gma.solver.newton_solve))
+        bd = boundary.build_boundary_data(_solid3d_problem(shape), grid=9)
+        assert calls == {"edge": edges, "restrict": edges + faces,
+                         "face": faces}
+        assert bd.consistency["pairs"] == 2 * edges + sum(
+            len(tr.solution.chart.boundary) for tr in bd.traces.values()
+            if isinstance(tr, boundary._FaceTrace))
+
+
+def _boundary_cli(tmp_path):
+    # gma boundary on the unit 3-simplex at grid 9: exit code and report
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "facets": [{"normal": [1.0, 0.0, 0.0], "offset": 0.0},
+                   {"normal": [0.0, 1.0, 0.0], "offset": 0.0},
+                   {"normal": [0.0, 0.0, 1.0], "offset": 0.0},
+                   {"normal": [-1.0, -1.0, -1.0], "offset": -1.0}],
+        "density": {"type": "perturbed", "amplitude": 0.1}}))
+    report = tmp_path / "r.json"
+    code = cli.run(["boundary", str(path), "--grid", "9",
+                    "--report", str(report)])
+    return code, json.loads(report.read_text())
 
 
 def _solid3d_problem(shape):
@@ -461,6 +527,22 @@ def _report_unconverged(monkeypatch):
                          residual_norm=0.125)
 
     monkeypatch.setattr(gma.solver, "newton_solve", unconverged)
+
+
+def _corrupt_face_solves(monkeypatch, interior_only):
+    # the face solves of the boundary build return values raised by 1.0
+    # on the interior nodes, or by 0.5 on every node, reported converged
+    real = gma.solver.newton_solve
+
+    def corrupted(*args, **kwargs):
+        sol, rep = real(*args, **kwargs)
+        if interior_only:
+            sol.values[sol.chart.interior] += 1.0
+        else:
+            sol.values += 0.5
+        return sol, rep
+
+    monkeypatch.setattr(gma.solver, "newton_solve", corrupted)
 
 
 def _edge_endpoints(P, e):

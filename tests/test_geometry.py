@@ -7,10 +7,8 @@ from scipy.optimize import linprog
 
 from gma import geometry
 from gma.errors import (
-    ChartTooLarge,
     DegenerateNormals,
     EmptyInterior,
-    NotAFace,
     RedundantFacet,
     Unbounded,
 )
@@ -319,80 +317,6 @@ class TestIsSimple:
                       for f in P.facets]
             Q = geometry.build_polytope(mapped)
             assert geometry.is_simple(Q)[0] == geometry.is_simple(P)[0]
-
-
-class TestFaceChart:
-    def test_vertex_chart_is_identity(self):
-        P = simplex2d()
-        chart = geometry.face_chart(P, (0, 1), s=0.2)
-        pts = np.array([[0.0, 0.0], [0.1, 0.05], [0.2, 0.2]])
-        for xi in pts:
-            assert np.allclose(chart.to_ambient(xi), xi, atol=1e-14)
-        assert np.allclose(chart.kappa, [1.0, 1.0])
-
-    def test_square_corner_chart_flips(self):
-        P = unit_square()
-        # active at (1,1): facets 1 - x1 and 1 - x2
-        chart = geometry.face_chart(P, (1, 3), s=0.2)
-        xi = np.array([0.05, 0.1])
-        assert np.allclose(chart.to_ambient(xi), [0.95, 0.9], atol=1e-14)
-        assert np.allclose(chart.kappa, [1.0, 1.0])
-
-    def test_edge_chart_pullbacks(self):
-        P = simplex2d()
-        chart = geometry.face_chart(P, (0,), s=0.2)
-        rng = np.random.default_rng(3)
-        kappa = chart.kappa
-        for _ in range(100):
-            xi = np.empty(2)
-            xi[0] = rng.uniform(0, 0.2)
-            xi[1] = rng.uniform(-0.2, 0.2)
-            x = chart.to_ambient(xi)
-            l0 = P.facets[0](x)
-            assert abs(l0 - kappa[0] * xi[0]) <= 1e-12 * (1 + abs(kappa[0]))
-            assert np.min(P.evaluate_all(x)) >= -P.tau
-
-    def test_pullback_identity_random_polygon(self):
-        rng = np.random.default_rng(11)
-        from oracles import random_polytope_2d
-        P = None
-        while P is None:
-            normals, offsets = random_polytope_2d(rng, nfacets=5)
-            try:
-                P = geometry.build_polytope(
-                    [geometry.AffineFunctional(n, c)
-                     for n, c in zip(normals, offsets)])
-            except RedundantFacet:
-                continue
-        key = tuple(P.vertex_active[0])
-        chart = geometry.face_chart(P, key, s=0.05)
-        for _ in range(100):
-            xi = rng.uniform(0, 0.05, size=2)
-            x = chart.to_ambient(xi)
-            for a, idx in enumerate(key):
-                la = P.facets[idx](x)
-                assert abs(la - chart.kappa[a] * xi[a]) <= 1e-12 * (1 + abs(chart.kappa[a]))
-
-    def test_round_trip(self):
-        P = unit_cube()
-        key = tuple(P.vertex_active[0])
-        chart = geometry.face_chart(P, key, s=0.3)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            xi = np.concatenate([rng.uniform(0, 0.3, size=chart.codim)])
-            x = chart.to_ambient(xi)
-            back = chart.from_ambient(x)
-            assert np.allclose(back, xi, atol=1e-12)
-
-    def test_not_a_face(self):
-        P = unit_square()
-        with pytest.raises(NotAFace):
-            geometry.face_chart(P, (0, 1), s=0.1)  # x1=0 and x1=1 cannot meet
-
-    def test_chart_too_large(self):
-        P = simplex2d()
-        with pytest.raises(ChartTooLarge):
-            geometry.face_chart(P, (0, 1), s=0.9)
 
 
 class TestPolytopeQueries:
