@@ -107,6 +107,8 @@ def restrict_problem(problem, gamma):
     NotAFace
         ``gamma`` is not the active set of a proper face of positive
         dimension.
+    NonSimpleVertex
+        A vertex of the face lies on too many of its facets.
     """
     P = problem.polytope
     n = P.dimension
@@ -119,28 +121,15 @@ def restrict_problem(problem, gamma):
         raise NotAFace("face %s has dimension %d, expected %d"
                        % (key, face.dim, n - len(key)))
     base, tangent = geometry.face_frame(P, key)
+    face_poly = geometry.pull_back(P, key, tangent, base, P.tau)
 
-    fvid = list(face.vertex_ids)
-    fverts = P.vertices[fvid]
-    face_functionals = []
-    absorbed = []
-    for j, f in enumerate(P.facets):
-        if j in key:
-            continue
-        g = geometry.AffineFunctional(tangent.T @ f.normal,
-                                      f.offset - f.normal @ base)
-        if float(np.min(f(fverts))) <= P.tau:
-            face_functionals.append(g)
-        else:
-            absorbed.append((j, g))
-    face_poly = geometry.build_polytope(face_functionals, tau_geom=P.tau)
-
-    vertex_map = []
-    for xi in face_poly.vertices:
-        x = base + tangent @ xi
-        d = np.linalg.norm(fverts - x, axis=1)
-        vertex_map.append(fvid[int(np.argmin(d))])
-    values = np.array([problem.vertex_values[i] for i in vertex_map])
+    # the facets that vanish nowhere on the closed face
+    touching = set().union(*(P.vertex_active[v] for v in face.vertex_ids))
+    absorbed = [(j, geometry.AffineFunctional(tangent.T @ f.normal,
+                                              f.offset - f.normal @ base))
+                for j, f in enumerate(P.facets) if j not in touching]
+    vertex_map = list(face.vertex_ids)
+    values = problem.vertex_values[vertex_map]
 
     ambient_density = problem.density
     absorbed_funcs = [g for _, g in absorbed]
@@ -172,8 +161,8 @@ class EdgeProfile:
     w'' = q with q = (h - a'^2 b - b'^2 a)/(ab), which extends
     continuously to the closed interval exactly when the endpoint
     matching condition holds.  The profile stores cumulative moments of q
-    on an adaptive panel decomposition and reconstructs w, w'' and u
-    anywhere on the interval.
+    on an adaptive panel decomposition and reconstructs w and u anywhere
+    on the interval.
     """
 
     __slots__ = ("problem", "t_lo", "t_hi", "a_slope", "b_slope", "w0", "c",
@@ -227,10 +216,6 @@ class EdgeProfile:
         I0, I1 = self._moments(tt)
         out = self.w0 + self.c * (tt - self.t_lo) + tt * I0 - I1
         return float(out[0]) if scalar else out
-
-    def w_second(self, t):
-        """w'' = q at an interior point."""
-        return float(self._q(np.array([float(t)]))[0][0])
 
     def u(self, ts):
         """The full trace w + a log a + b log b."""

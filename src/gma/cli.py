@@ -27,8 +27,8 @@ from . import geometry, legendre, solver, verify
 from .boundary import build_boundary_data, restrict_problem, solve_edge
 from .errors import (ConstantSearchFailed, DegenerateTransversalHessian,
                      GmaError, InconsistentTraces, NonEllipticIterate,
-                     ParseError, QuadratureFailure, SingularEvaluation,
-                     SolverError, ValidationError)
+                     ParseError, QuadratureFailure, SolverError,
+                     ValidationError)
 from .guillemin import DensitySpec, guillemin_density, potential_values
 from .problem import SCHEMA_VERSION, GuilleminProblem, load_problem
 
@@ -41,7 +41,7 @@ EXIT_USAGE = 64
 
 _SOLVER_FAILURES = (SolverError, QuadratureFailure, InconsistentTraces,
                     NonEllipticIterate, DegenerateTransversalHessian,
-                    SingularEvaluation, ConstantSearchFailed)
+                    ConstantSearchFailed)
 
 _EPILOG = """\
 exit codes:

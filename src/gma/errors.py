@@ -60,10 +60,6 @@ class MissingTrace(GmaError):
     """Boundary data for a required face was not supplied."""
 
 
-class SingularEvaluation(GmaError):
-    """Evaluation hit a logarithmic singularity that does not cancel."""
-
-
 class IncompatibleEndpoint(GmaError):
     """Edge data violates the vertex matching condition."""
 

@@ -3,9 +3,12 @@
 A polytope is stored as the intersection of halfspaces l_i(x) >= 0 with
 l_i(x) = normal_i . x - offset_i.  Construction enumerates vertices by
 solving every n-subset of facet equations, validates boundedness and
-nondegeneracy, and builds the face lattice from vertex active sets.  The
-raw functionals are preserved exactly as given, because several
-downstream quantities are not invariant under rescaling them.
+nondegeneracy, and builds the face lattice from vertex active sets.
+Faces and affine images are pulled back from that lattice with no
+rebuild: a face of a simple polytope is a simple polytope whose faces
+are the ambient faces that contain it.  The raw functionals are
+preserved exactly as given, because several downstream quantities are
+not invariant under rescaling them.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from scipy.optimize import linprog
 from .errors import (
     DegenerateNormals,
     EmptyInterior,
+    NonSimpleVertex,
     RedundantFacet,
     Unbounded,
 )
@@ -80,19 +84,21 @@ def _affine_rank(points, scale):
 class Polytope:
     """Bounded intersection of halfspaces with vertex and face data.
 
-    Not meant to be constructed directly; use :func:`build_polytope`.
+    Not meant to be constructed directly; use :func:`build_polytope` or
+    :func:`pull_back`.  ``tau`` defaults to 1e-9 times the diameter.
     Instances are immutable after construction and safe to share across
     threads.
     """
 
-    def __init__(self, facets, vertices, vertex_active, faces, subfaces, tau):
+    def __init__(self, facets, vertices, vertex_active, faces, tau=None):
         self.facets = tuple(facets)
         self.dimension = self.facets[0].normal.size
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = v = np.asarray(vertices, dtype=float)
+        self.diameter = float(np.max(np.linalg.norm(
+            v[:, None, :] - v[None, :, :], axis=-1)))
         self.vertex_active = tuple(tuple(a) for a in vertex_active)
         self.faces = dict(faces)
-        self.subfaces = dict(subfaces)
-        self.tau = float(tau)
+        self.tau = 1e-9 * self.diameter if tau is None else float(tau)
         self._normals = np.array([f.normal for f in self.facets])
         self._offsets = np.array([f.offset for f in self.facets])
 
@@ -112,16 +118,6 @@ class Polytope:
     def contains(self, x, tol=None):
         tol = self.tau if tol is None else tol
         return bool(np.min(self.evaluate_all(x)) >= -tol)
-
-    @property
-    def diameter(self):
-        d = getattr(self, "_diameter", None)
-        if d is None:
-            v = self.vertices
-            d = float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :],
-                                            axis=-1)))
-            object.__setattr__(self, "_diameter", d)
-        return d
 
     def interior_point(self):
         """Chebyshev center: deepest interior point by linear programming."""
@@ -158,6 +154,13 @@ def _chebyshev(normals, offsets):
     return res.x[:-1], res.x[-1]
 
 
+def _rank_deficient(normals):
+    """Rank below n, up to a threshold scaled by the largest normal."""
+    m, n = normals.shape
+    thresh = _RECESSION_TOL * float(np.max(np.linalg.norm(normals, axis=1)))
+    return m < n or np.linalg.svd(normals, compute_uv=False)[-1] <= thresh
+
+
 def _has_recession_direction(normals):
     """True when some nonzero d has N d >= 0, i.e. the set is unbounded.
 
@@ -167,11 +170,10 @@ def _has_recession_direction(normals):
     direction exists.  Both tests use a threshold scaled by the largest
     normal.
     """
+    if _rank_deficient(normals):
+        return True
     m, n = normals.shape
     thresh = _RECESSION_TOL * float(np.max(np.linalg.norm(normals, axis=1)))
-    sv = np.linalg.svd(normals, compute_uv=False)
-    if m < n or sv[-1] <= thresh:
-        return True
     res = linprog(-normals.sum(axis=0), A_ub=-normals, b_ub=np.zeros(m),
                   bounds=[(-1.0, 1.0)] * n, method="highs")
     return bool(res.success and -res.fun > thresh)
@@ -293,14 +295,54 @@ def build_polytope(functionals, tau_geom=None):
         dim = _affine_rank(pts[ids], diam)
         faces[key] = Face(key, dim, ids)
 
-    subfaces = {}
-    items = list(faces.values())
-    for g in items:
-        kids = [f.active for f in items
-                if f.dim == g.dim - 1 and set(f.vertex_ids) < set(g.vertex_ids)]
-        subfaces[g.active] = tuple(sorted(kids))
+    return Polytope(facets, pts, vertex_active, faces, tau)
 
-    return Polytope(facets, pts, vertex_active, faces, subfaces, tau)
+
+def pull_back(P, key, A, c, tau=None):
+    """The face ``key`` of P (all of P for ``key == ()``) in coordinates
+    xi with x = A xi + c, built from the data P holds.
+
+    The facets are the pullbacks of the ambient facets outside ``key``
+    that vanish at some vertex of the face, and the vertices are those
+    of the face, both in ambient order; each vertex is solved from its
+    own active facets, as :func:`build_polytope` solves it.  Active sets
+    and faces are the ambient ones that contain ``key``, re-indexed.
+
+    Raises
+    ------
+    NonSimpleVertex
+        A vertex of the face is not on exactly d = A.shape[1] of its facets.
+    Unbounded
+        The pulled-back normals have rank below d: A is (nearly) singular.
+    """
+    A = np.asarray(A, dtype=float)
+    d = A.shape[1]
+    ids = list(P.faces[key].vertex_ids)
+    kept = sorted(set().union(*(P.vertex_active[v] for v in ids)) - set(key))
+    index = {j: i for i, j in enumerate(kept)}
+    facets = [AffineFunctional(A.T @ P.facets[j].normal,
+                               P.facets[j].offset - P.facets[j].normal @ c)
+              for j in kept]
+    active = [[index[j] for j in P.vertex_active[v] if j in index]
+              for v in ids]
+    for v, a in zip(ids, active):
+        if len(a) != d:
+            raise NonSimpleVertex("vertex %d of face %s lies on %d of its "
+                                  "facets, expected %d" % (v, key, len(a), d))
+    normals = np.array([f.normal for f in facets])
+    offsets = np.array([f.offset for f in facets])
+    if _rank_deficient(normals):
+        raise Unbounded("pulled-back normals of face %s have rank below %d"
+                        % (key, d))
+    act = np.array(active)
+    pts = np.linalg.solve(normals[act], offsets[act][..., None])[..., 0]
+    pos = {v: i for i, v in enumerate(ids)}
+    faces = {}
+    for k, f in P.faces.items():
+        if set(key) <= set(k):
+            sub = tuple(index[j] for j in k if j in index)
+            faces[sub] = Face(sub, f.dim, [pos[v] for v in f.vertex_ids])
+    return Polytope(facets, pts, active, faces, tau)
 
 
 def is_simple(P):

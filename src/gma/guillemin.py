@@ -6,8 +6,7 @@ density h_G = (prod_i l_i) det(sum_i n_i n_i^t / l_i) extends continuously
 to the closed polytope when the polytope is simple.  This module evaluates
 the potential, the induced density (with a stable near-boundary route),
 the vertex compatibility residual, the inclusion-exclusion boundary
-extension, and weighted Hessians whose entries stay bounded at the
-boundary.
+extension, and the one finite difference Hessian the package uses.
 """
 
 import itertools
@@ -19,7 +18,6 @@ from .errors import (
     MissingTrace,
     NonSimpleVertex,
     OutsideDomain,
-    SingularEvaluation,
 )
 
 _EXPANSION_SWITCH = 1e-6
@@ -252,84 +250,6 @@ def smooth_extension(trace_fn, x, k):
     if acc is None:
         raise ValueError("k must be at least 1")
     return float(acc) if acc.ndim == 0 else acc
-
-
-class QuadraticField:
-    """The field x -> x.Q x / 2 with exact derivatives; test and model helper."""
-
-    def __init__(self, Q):
-        self.Q = np.asarray(Q, dtype=float)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...a,ab,...b->...", x, self.Q, x)
-
-    def gradient(self, x):
-        return self.Q @ np.asarray(x, dtype=float)
-
-    def hessian(self, x):
-        return self.Q
-
-
-class ScaledHessian:
-    """Weighted Hessian with square-root weights on the singular coordinates.
-
-    For a field F = sum_{a<k} x_a log x_a + G with smooth G the entries
-    are bounded up to {x_a = 0}: the log part contributes exactly the
-    identity on the first k diagonal entries.
-    """
-
-    __slots__ = ("k", "point", "matrix")
-
-    def __init__(self, k, point, matrix):
-        self.k = int(k)
-        self.point = np.asarray(point, dtype=float)
-        self.matrix = np.asarray(matrix, dtype=float)
-
-    @property
-    def det(self):
-        return float(np.linalg.det(self.matrix))
-
-
-def scaled_hessian(field, x, k, includes_log=False):
-    """Evaluate the weighted Hessian W D2F W at a chart point.
-
-    W = diag(sqrt(x_1), ..., sqrt(x_k), 1, ..., 1).  The identity
-    det(result) = (prod_{a<k} x_a) det D2F holds wherever both sides are
-    defined.
-
-    Parameters
-    ----------
-    field : object with ``hessian(x)`` or plain callable
-        When ``includes_log`` is true, ``field`` is the smooth remainder G
-        and the evaluated matrix is W D2G W plus the identity block from
-        sum x_a log x_a.  A plain callable goes through :func:`fd_hessian`.
-    x : array_like, shape (n,)
-        First k coordinates must be nonnegative.
-    k : int
-
-    Raises
-    ------
-    SingularEvaluation
-        A weighted entry is non-finite, or some x_a < 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x[:k] < 0):
-        raise SingularEvaluation("negative coordinate in the weighted block")
-    if hasattr(field, "hessian"):
-        H = np.asarray(field.hessian(x), dtype=float)
-    else:
-        H = fd_hessian(field, x)
-    if not np.all(np.isfinite(H)):
-        raise SingularEvaluation("Hessian is not finite at %s" % (x,))
-    w = np.ones(x.size)
-    w[:k] = np.sqrt(x[:k])
-    M = H * w[:, None] * w[None, :]
-    if includes_log:
-        M[np.arange(k), np.arange(k)] += 1.0
-    if not np.all(np.isfinite(M)):
-        raise SingularEvaluation("weighted Hessian entry diverged at %s" % (x,))
-    return ScaledHessian(k, x, M)
 
 
 def fd_hessian(f, x, scale=1.0):

@@ -73,14 +73,13 @@ class GuilleminProblem:
         Functionals pull back to l(M xi + b); the density picks up the
         squared Jacobian determinant.  The induced and perturbed families
         transform exactly into the same family on the image polytope.
+        The image keeps the vertex order, so the vertex values carry
+        over; a singular or nearly singular M raises Unbounded.
         """
         M = np.asarray(M, dtype=float)
         b = np.asarray(b, dtype=float)
         det2 = float(np.linalg.det(M)) ** 2
-        facets = [geometry.AffineFunctional(M.T @ f.normal,
-                                            f.offset - f.normal @ b)
-                  for f in self.polytope.facets]
-        Q = geometry.build_polytope(facets)
+        Q = geometry.pull_back(self.polytope, (), M, b)
         fam = self.density.family
         if fam[0] == "constant":
             dens = DensitySpec.constant(fam[1] * det2)
@@ -93,13 +92,8 @@ class GuilleminProblem:
             dens = DensitySpec.from_callable(
                 lambda xi: h(np.asarray(xi) @ M.T + b) * det2,
                 tag=h.tag)
-        new_values = np.empty(len(Q.vertices))
-        for j, q in enumerate(Q.vertices):
-            x = M @ q + b
-            i = int(np.argmin(np.linalg.norm(self.polytope.vertices - x,
-                                             axis=1)))
-            new_values[j] = self.vertex_values[i]
-        return GuilleminProblem(Q, dens, new_values, name=self.name)
+        return GuilleminProblem(Q, dens, self.vertex_values.copy(),
+                                name=self.name)
 
 
 def _density_from_dict(d, P):

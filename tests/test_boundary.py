@@ -277,21 +277,30 @@ class TestSolveEdge:
             boundary.solve_edge(prob)
 
     def test_general_interval_and_slopes(self):
-        # interval [1, 3] with functionals 2(t-1) and (3-t): compatibility
-        # needs hhat(1) = b(1) a'^2 = 2*4 = 8, hhat(3) = a(3) b'^2 = 4
+        # interval [1, 3] with functionals a = 2(t-1) and b = 3-t:
+        # compatibility needs hhat(1) = b(1) a'^2 = 2*4 = 8 and
+        # hhat(3) = a(3) b'^2 = 4; the bump vanishes at both ends
         a = geometry.AffineFunctional([2.0], 2.0)
         b = geometry.AffineFunctional([-1.0], -3.0)
         P = geometry.build_polytope([a, b])
-        hhat = lambda t: 8.0 + (t[..., 0] - 1.0) * (4.0 - 8.0) / 2.0
+        hh = lambda t: (8.0 - 2.0 * (t - 1.0)
+                        + (t - 1.0) * (3.0 - t) * (1.0 + 0.5 * np.sin(t)))
         prob = GuilleminProblem(
-            P, guillemin.DensitySpec.from_callable(hhat), [0.0, 0.0])
+            P, guillemin.DensitySpec.from_callable(lambda t: hh(t[..., 0])),
+            [0.0, 0.0])
         profile = boundary.solve_edge(prob, tol=1e-12)
-        # oracle: w'' = q by quadrature
-        qf = lambda s: ((8.0 + (s - 1.0) * -2.0) - 4.0 * (3.0 - s)
-                        - 1.0 * 2.0 * (s - 1.0)) / (2.0 * (s - 1.0) * (3.0 - s))
+        # oracle: w'' = q by QUADPACK, with w = -b log b at t = 1 and
+        # w = -a log a at t = 3
+        q = lambda s: ((hh(s) - 4.0 * (3.0 - s) - 2.0 * (s - 1.0))
+                       / (2.0 * (s - 1.0) * (3.0 - s)))
+        G = lambda t: integrate.quad(lambda s: (t - s) * q(s), 1.0, t,
+                                     epsabs=1e-13, limit=200)[0]
+        w0 = -2.0 * np.log(2.0)
+        w1 = -4.0 * np.log(4.0)
+        c = (w1 - w0 - G(3.0)) / 2.0
         for t in (1.3, 2.0, 2.6):
-            got = profile.w_second(t)
-            assert np.isclose(got, qf(t), rtol=1e-6)
+            w_oracle = w0 + c * (t - 1.0) + G(t)
+            assert abs(profile.w(np.array([t]))[0] - w_oracle) <= 1e-8
 
     def test_reconstruction_hits_alpha(self):
         hh = lambda t: 1.0 + t[..., 0] * (1.0 - t[..., 0])

@@ -191,6 +191,18 @@ class TestSolve:
         assert out["error"]["kind"] == kind
 
 
+    def test_face_chart_on_nonsimple_polytope_is_exit_two(self, tmp_path):
+        # every facet of the octahedron is a triangle whose corners lie
+        # on three more facets each
+        path = write_problem(tmp_path / "oct.json", octahedron_body())
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
+                        "--report", str(report)])
+        assert code == 2
+        out = json.loads(report.read_text())
+        assert out["exit_code"] == 2
+
+
 class TestBoundary:
     def test_square_tables(self, tmp_path):
         path = write_problem(

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from gma import geometry
+from gma import geometry, guillemin
 from gma.errors import (
     DegenerateNormals,
     EmptyInterior,
+    GmaError,
+    NonSimpleVertex,
     RedundantFacet,
     Unbounded,
 )
+from gma.problem import GuilleminProblem
 
 from oracles import brute_force_vertices, hull_vertices
 
@@ -266,16 +269,106 @@ class TestFaceLattice:
         P = unit_cube()
         body = P.faces[()]
         assert body.dim == 3
-        kids = P.subfaces[()]
+        kids = [f for f in P.faces.values() if f.dim == 2]
         assert len(kids) == 6
-        for k in kids:
-            assert P.faces[k].dim == 2
+        for f in kids:
+            assert set(f.vertex_ids) < set(body.vertex_ids)
 
     def test_face_vertices_consistent(self):
         P = unit_cube()
         for key, face in P.faces.items():
             for vid in face.vertex_ids:
                 assert set(key) <= set(P.vertex_active[vid])
+
+
+def simplex_functionals(n):
+    fs = [geometry.AffineFunctional(np.eye(n)[a], 0.0) for a in range(n)]
+    fs.append(geometry.AffineFunctional(-np.ones(n), -1.0))
+    return fs
+
+
+def box_functionals(n):
+    fs = []
+    for a in range(n):
+        fs.append(geometry.AffineFunctional(np.eye(n)[a], 0.0))
+        fs.append(geometry.AffineFunctional(-np.eye(n)[a], -1.0))
+    return fs
+
+
+def prism_functionals():
+    fs = [geometry.AffineFunctional([1.0, 0.0, 0.0], 0.0),
+          geometry.AffineFunctional([0.0, 1.0, 0.0], 0.0),
+          geometry.AffineFunctional([-1.0, -1.0, 0.0], -1.0)]
+    return fs + [geometry.AffineFunctional([0.0, 0.0, 1.0], 0.0),
+                 geometry.AffineFunctional([0.0, 0.0, -1.0], -1.0)]
+
+
+def random_frame(rng, n):
+    """Affine map x = M xi + b with singular values of M in [0.6, 1.6]."""
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return U @ np.diag(rng.uniform(0.6, 1.6, size=n)) @ V, rng.normal(size=n)
+
+
+def pulled(P, key, A, c):
+    """Pullbacks of the facets outside key that vanish on the face."""
+    verts = P.vertices[list(P.faces[key].vertex_ids)]
+    return [geometry.AffineFunctional(A.T @ f.normal, f.offset - f.normal @ c)
+            for j, f in enumerate(P.facets)
+            if j not in key and np.min(f(verts)) <= P.tau]
+
+
+def assert_same_polytope(Q, R):
+    assert np.array_equal(Q.normals, R.normals)
+    assert np.array_equal(Q.offsets, R.offsets)
+    assert np.array_equal(Q.vertices, R.vertices)
+    assert Q.vertex_active == R.vertex_active
+    assert ({k: (f.active, f.dim, f.vertex_ids) for k, f in Q.faces.items()}
+            == {k: (f.active, f.dim, f.vertex_ids) for k, f in R.faces.items()})
+    assert Q.tau == R.tau
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("make", [
+        lambda: simplex_functionals(2), lambda: simplex_functionals(3),
+        lambda: simplex_functionals(4), lambda: box_functionals(3),
+        lambda: box_functionals(4), prism_functionals,
+    ], ids=["simplex2d", "simplex3d", "simplex4d", "cube", "box4d", "prism"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_build_polytope(self, make, seed):
+        rng = np.random.default_rng(seed)
+        ref = geometry.build_polytope(make())
+        n = ref.dimension
+        P = geometry.build_polytope(pulled(ref, (), *random_frame(rng, n)))
+        for key, face in P.faces.items():
+            if face.dim == 0:
+                continue
+            if key:
+                base, tangent = geometry.face_frame(P, key)
+            else:
+                tangent, base = random_frame(rng, n)
+            # the face tolerance is the ambient one; the whole polytope
+            # falls back to 1e-9 times its diameter
+            tau = P.tau if key else None
+            got = geometry.pull_back(P, key, tangent, base, tau)
+            want = geometry.build_polytope(pulled(P, key, tangent, base),
+                                           tau_geom=tau)
+            assert_same_polytope(got, want)
+
+    def test_nonsimple_face_raises(self):
+        P = octahedron()
+        base, tangent = geometry.face_frame(P, (0,))
+        with pytest.raises(NonSimpleVertex):
+            geometry.pull_back(P, (0,), tangent, base, P.tau)
+
+    @pytest.mark.parametrize("M", [np.diag([1.0, 1e-13]),
+                                   np.array([[1.0, 1.0], [1.0, 1.0]])],
+                             ids=["near-singular", "singular"])
+    def test_singular_transform_raises(self, M):
+        prob = GuilleminProblem(unit_square(),
+                                guillemin.DensitySpec.constant(1.0))
+        with pytest.raises(GmaError):
+            prob.transform(M, np.zeros(2))
 
 
 class TestIsSimple:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gma import geometry, guillemin
-from gma.errors import MissingTrace, NonSimpleVertex, OutsideDomain, SingularEvaluation
+from gma.errors import MissingTrace, NonSimpleVertex, OutsideDomain
 
 from oracles import fd_gradient, fd_hessian
 
@@ -288,72 +287,3 @@ class TestSmoothExtension:
             return np.where(np.asarray(x[..., 1]) == 0.0, np.nan, out)
         with pytest.raises(MissingTrace):
             guillemin.smooth_extension(broken, np.array([0.2, 0.3]), k=2)
-
-
-class TestScaledHessian:
-    def test_model_field_is_identity(self):
-        # F = sum x_a log x_a + |x''|^2 / 2
-        G = guillemin.QuadraticField(np.diag([0.0, 0.0, 1.0]))
-        for x in ([0.2, 0.4, -0.3], [1e-8, 0.5, 2.0], [0.0, 0.1, 0.0]):
-            M = guillemin.scaled_hessian(G, x, k=2, includes_log=True)
-            assert np.allclose(M.matrix, np.eye(3), atol=1e-12)
-
-    def test_quadratic_at_ones(self):
-        G = guillemin.QuadraticField(np.eye(3))
-        M = guillemin.scaled_hessian(G, [1.0, 1.0, 1.0], k=3,
-                                     includes_log=False)
-        assert np.allclose(M.matrix, np.eye(3))
-
-    def test_hand_example(self):
-        # F = x1 log x1 + x1 x2: entries (1,1)=1, (1,2)=sqrt(x1), (2,2)=0
-        class Bilinear:
-            def hessian(self, x):
-                return np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = np.array([0.25, 0.3])
-        M = guillemin.scaled_hessian(Bilinear(), x, k=1, includes_log=True)
-        expect = np.array([[1.0, 0.5], [0.5, 0.0]])
-        assert np.allclose(M.matrix, expect, atol=1e-12)
-
-    def test_hand_example_fd_cross_check(self):
-        F = lambda x: x[0] * np.log(x[0]) + x[0] * x[1]
-        x = np.array([0.25, 0.3])
-        H = fd_hessian(F, x, h=1e-5)
-        W = np.diag([np.sqrt(0.25), 1.0])
-        assert np.allclose(W @ H @ W, [[1.0, 0.5], [0.5, 0.0]], atol=1e-5)
-
-    def test_det_identity(self):
-        rng = np.random.default_rng(11)
-        A = rng.normal(size=(3, 3))
-        G = guillemin.QuadraticField(A @ A.T + 0.5 * np.eye(3))
-        x = np.array([0.3, 0.7, -0.2])
-        k = 2
-        M = guillemin.scaled_hessian(G, x, k=k, includes_log=True)
-        F = lambda y: (y[0] * np.log(y[0]) + y[1] * np.log(y[1])
-                       + 0.5 * y @ G.Q @ y)
-        H = fd_hessian(F, x, h=1e-4)
-        lhs = np.linalg.det(M.matrix)
-        rhs = x[0] * x[1] * np.linalg.det(H)
-        assert np.isclose(lhs, rhs, rtol=1e-6)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_det_identity_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n, k = 3, rng.integers(1, 4)
-        A = rng.normal(size=(n, n))
-        G = guillemin.QuadraticField(A @ A.T + np.eye(n))
-        x = np.empty(n)
-        x[:k] = rng.uniform(0.1, 1.0, size=k)
-        x[k:] = rng.uniform(-1.0, 1.0, size=n - k)
-        M = guillemin.scaled_hessian(G, x, k=int(k), includes_log=True)
-        D2 = G.Q.copy()
-        for a in range(k):
-            D2[a, a] += 1.0 / x[a]
-        assert np.isclose(np.linalg.det(M.matrix),
-                          np.prod(x[:k]) * np.linalg.det(D2), rtol=1e-9)
-
-    def test_singular_black_box_raises(self):
-        F = lambda x: x[0] * np.log(x[0]) + 0.5 * x[1] ** 2
-        with pytest.raises(SingularEvaluation):
-            guillemin.scaled_hessian(F, np.array([0.0, 0.5]), k=1,
-                                     includes_log=False)
