@@ -22,7 +22,6 @@ from .errors import (
     IncompatibleEndpoint,
     InconsistentTraces,
     MissingTrace,
-    NonSimpleVertex,
     NotAFace,
     OutsideDomain,
     QuadratureFailure,
@@ -44,24 +43,16 @@ class RestrictedProblem:
     problem : GuilleminProblem
         The face problem: face polytope in chart coordinates, effective
         density, and the ambient vertex values carried over.
-    face_key : tuple of int
-        Active set of the face in the ambient polytope.
     absorbed : list of (int, AffineFunctional)
         Ambient facets strictly positive on the closed face, paired with
         their pullbacks; the ambient density is divided by them.
-    vertex_map : list of int
-        For each face-polytope vertex, the ambient vertex index.
     """
 
-    __slots__ = ("problem", "face_key", "absorbed", "vertex_map", "_base",
-                 "_tangent")
+    __slots__ = ("problem", "absorbed", "_base", "_tangent")
 
-    def __init__(self, problem, face_key, absorbed, vertex_map, base,
-                 tangent):
+    def __init__(self, problem, absorbed, base, tangent):
         self.problem = problem
-        self.face_key = face_key
         self.absorbed = absorbed
-        self.vertex_map = vertex_map
         self._base = base
         self._tangent = tangent
 
@@ -128,8 +119,7 @@ def restrict_problem(problem, gamma):
     absorbed = [(j, geometry.AffineFunctional(tangent.T @ f.normal,
                                               f.offset - f.normal @ base))
                 for j, f in enumerate(P.facets) if j not in touching]
-    vertex_map = list(face.vertex_ids)
-    values = problem.vertex_values[vertex_map]
+    values = problem.vertex_values[list(face.vertex_ids)]
 
     ambient_density = problem.density
     absorbed_funcs = [g for _, g in absorbed]
@@ -150,8 +140,7 @@ def restrict_problem(problem, gamma):
     if problem.name:
         name = "%s|%s" % (problem.name, ",".join(str(i) for i in key))
     face_problem = GuilleminProblem(face_poly, density, values, name=name)
-    return RestrictedProblem(face_problem, key, absorbed, vertex_map, base,
-                             tangent)
+    return RestrictedProblem(face_problem, absorbed, base, tangent)
 
 
 class EdgeProfile:
@@ -165,13 +154,11 @@ class EdgeProfile:
     on the interval.
     """
 
-    __slots__ = ("problem", "t_lo", "t_hi", "a_slope", "b_slope", "w0", "c",
-                 "n_panels", "tol", "_starts", "_ends", "_cum0", "_cum1",
-                 "_q")
+    __slots__ = ("t_lo", "t_hi", "a_slope", "b_slope", "w0", "c", "n_panels",
+                 "_starts", "_ends", "_cum0", "_cum1", "_q")
 
-    def __init__(self, problem, t_lo, t_hi, a_slope, b_slope, w0, c,
-                 starts, ends, cum0, cum1, q, tol):
-        self.problem = problem
+    def __init__(self, t_lo, t_hi, a_slope, b_slope, w0, c, starts, ends,
+                 cum0, cum1, q):
         self.t_lo = t_lo
         self.t_hi = t_hi
         self.a_slope = a_slope
@@ -184,7 +171,6 @@ class EdgeProfile:
         self._cum1 = cum1
         self._q = q
         self.n_panels = len(starts)
-        self.tol = tol
 
     def _moments(self, ts):
         idx = np.clip(np.searchsorted(self._starts, ts, side="right") - 1,
@@ -409,33 +395,29 @@ def solve_edge(problem, tol=1e-10):
     G1 = t_hi * I0_tot - I1_tot
     c = (w1 - w0 - G1) / L
 
-    return EdgeProfile(problem, t_lo, t_hi, a_slope, b_slope, float(w0),
-                       float(c), starts, ends, cum0, cum1, q, tol)
+    return EdgeProfile(t_lo, t_hi, a_slope, b_slope, float(w0), float(c),
+                       starts, ends, cum0, cum1, q)
 
 
 class _VertexTrace:
-    __slots__ = ("key", "value", "point")
+    __slots__ = ("value",)
 
-    def __init__(self, key, value, point):
-        self.key = key
+    def __init__(self, value):
         self.value = value
-        self.point = point
 
 
 class _EdgeTrace:
-    __slots__ = ("key", "restriction", "profile")
+    __slots__ = ("restriction", "profile")
 
-    def __init__(self, key, restriction, profile):
-        self.key = key
+    def __init__(self, restriction, profile):
         self.restriction = restriction
         self.profile = profile
 
 
 class _FaceTrace:
-    __slots__ = ("key", "restriction", "solution")
+    __slots__ = ("restriction", "solution")
 
-    def __init__(self, key, restriction, solution):
-        self.key = key
+    def __init__(self, restriction, solution):
         self.restriction = restriction
         self.solution = solution
 
@@ -595,10 +577,6 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     """
     P = problem.polytope
     n = P.dimension
-    simple, report = geometry.is_simple(P)
-    if not simple:
-        bad = [r["index"] for r in report if not r["simple"]]
-        raise NonSimpleVertex("vertices %s are not simple" % (bad,))
     if not problem.compatibility_ok():
         res = problem.compatibility_residuals()
         worst = int(np.argmax(np.abs(res)))
@@ -612,8 +590,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     for key, face in P.faces.items():
         if face.dim == 0:
             vid = face.vertex_ids[0]
-            traces[key] = _VertexTrace(key, float(problem.vertex_values[vid]),
-                                       P.vertices[vid].copy())
+            traces[key] = _VertexTrace(float(problem.vertex_values[vid]))
     # filled in increasing dimension; a face solve reads only the traces
     # of lower dimension
     bd = BoundaryData(problem, traces, None)
@@ -622,7 +599,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     def build_one(key, d):
         res = restrict_problem(problem, key)
         if d == 1:
-            trace = _EdgeTrace(key, res, solve_edge(res.problem, tol=tol))
+            trace = _EdgeTrace(res, solve_edge(res.problem, tol=tol))
             ids = list(P.faces[key].vertex_ids)
             x = P.vertices[ids]
             gaps = np.abs(_eval_trace(trace, x) - problem.vertex_values[ids])
@@ -643,7 +620,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
                     "face %s fails the residual audit: %d flagged nodes, "
                     "residual %.3g against tol %.3g"
                     % (key, flagged.size, audit, tol))
-            trace = _FaceTrace(key, res, sol)
+            trace = _FaceTrace(res, sol)
             chart = sol.chart
             xi = chart.to_problem(chart.nodes[chart.boundary])
             x = res.to_ambient(xi)

@@ -92,10 +92,6 @@ class SingularJacobian(SolverError):
     """The linearized system was numerically singular."""
 
 
-class BarrierConstantSearchFailed(SolverError):
-    """No constant in the search ladder produced a valid barrier."""
-
-
 # ---------------------------------------------------------------------------
 # partial Legendre transform and model problems
 

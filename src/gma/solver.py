@@ -12,27 +12,20 @@ without change.  The interior residual is
 with the mixed second differences formed from diagonal and antidiagonal
 stencils.  The singular part is analytic and never differenced, so the
 scheme is exact whenever v restricted to the lattice has cubic accuracy.
-
-Also here: pointwise barrier bounds (convex interpolation from above,
-vertex minorants minus a power of the facet product from below) and a
-strict convexity monitor for computed solutions.
 """
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator
-from scipy.optimize import linprog
 from scipy.sparse.linalg import splu, spsolve
 
-from . import geometry
 from .boundary import build_boundary_data
-from .errors import (BarrierConstantSearchFailed, ChartTooLarge,
-                     GmaError, LineSearchStall, NonConvexIterate,
-                     OutsideDomain, SingularJacobian, ValidationError)
-from .guillemin import fd_hessian, guillemin_potential, potential_values
+from .errors import (ChartTooLarge, GmaError, LineSearchStall,
+                     NonConvexIterate, OutsideDomain, SingularJacobian,
+                     ValidationError)
+from .guillemin import potential_values
 
 # largest m^n a chart may allocate; the dense index box has m^n entries
 _MAX_LATTICE = 2 ** 22
@@ -40,9 +33,6 @@ _MAX_LATTICE = 2 ** 22
 # norm residual by at least 1/_CHORD_CONTRACTION
 _CHORD_CONTRACTION = 0.25
 _PERMC = "MMD_AT_PLUS_A"
-_EPS_LADDER = 10.0 ** -np.arange(0, 13)
-_A_LADDER_MAX = 41
-_VERTEX_LADDER = 2.0 ** -np.arange(1, 46)
 
 
 def _lex_sorted(vertices):
@@ -563,245 +553,3 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     }
     solution = RegularizedSolution(problem, chart, v, report)
     return solution, report
-
-
-class BarrierBounds(NamedTuple):
-    lower: object
-    upper: object
-    constant: float
-
-
-def _boundary_samples(problem, boundary, per_edge):
-    """Vertices plus uniform and endpoint-geometric edge samples."""
-    P = problem.polytope
-    pts = [P.vertices]
-    vals = [np.asarray(problem.vertex_values, dtype=float)]
-    ts = np.concatenate([np.linspace(0.0, 1.0, per_edge + 2)[1:-1],
-                         _VERTEX_LADDER, 1.0 - _VERTEX_LADDER])
-    ts = np.unique(ts)
-    segs = []
-    for key, face in P.faces.items():
-        if face.dim != 1 or not key:
-            continue
-        ends = P.vertices[list(face.vertex_ids)]
-        if len(ends) != 2:
-            continue
-        segs.append(ends[0] + ts[:, None] * (ends[1] - ends[0]))
-    if segs:
-        segs = np.vstack(segs)
-        pts.append(segs)
-        vals.append(boundary.u(segs))
-    return np.vstack(pts), np.concatenate(vals)
-
-
-def barrier_bounds(problem, boundary, x, alpha_exp=None, a_cap=1e12,
-                   edge_samples=16, rng=None):
-    """Pointwise enclosure of the solution between explicit barriers.
-
-    The upper bound is the smallest convex combination of boundary
-    values reproducing x (a linear program over vertex and edge
-    samples); it pinches to the prescribed value at every vertex.  The
-    lower bound takes the best affine vertex minorant, calibrated on the
-    same samples, minus A (prod_i l_i)^alpha with the constant A found
-    on a doubling ladder from the curvature certificate of the power
-    barrier.  Both bounds are sampled calibrations, not formal proofs.
-
-    Parameters
-    ----------
-    problem : GuilleminProblem
-    boundary : BoundaryData
-    x : array_like, shape (n,) or (m, n)
-    alpha_exp : float, optional
-        Exponent in (0, 1/n); default 1/(2n).
-    a_cap : float
-        Largest admissible constant before the search gives up.
-
-    Returns
-    -------
-    BarrierBounds
-        lower, upper (floats or arrays matching x) and the constant A.
-
-    Raises
-    ------
-    BarrierConstantSearchFailed
-        If the curvature certificate fails at a sample or the ladder
-        exceeds a_cap.
-    """
-    P = problem.polytope
-    n = P.dimension
-    alpha = 1.0 / (2.0 * n) if alpha_exp is None else float(alpha_exp)
-    if not 0.0 < alpha < 1.0 / n:
-        raise ValidationError("exponent must lie in (0, 1/n)")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    for row in X:
-        if not P.contains(row):
-            raise OutsideDomain("barrier query outside the polytope")
-
-    spts, svals = _boundary_samples(problem, boundary, edge_samples)
-
-    ones = np.ones((1, len(spts)))
-    A_eq = np.vstack([spts.T, ones])
-    upper = np.empty(len(X))
-    for k, xi in enumerate(X):
-        res = linprog(svals, A_eq=A_eq, b_eq=np.append(xi, 1.0),
-                      bounds=(0.0, None), method="highs")
-        if not res.success:
-            raise ValidationError(
-                "interpolation program failed at %s: %s" % (xi, res.message))
-        upper[k] = res.fun
-
-    # lower: best affine minorant anchored at each vertex
-    sl = P.evaluate_all(spts)
-    Xl = P.evaluate_all(X)
-    phi = np.full(len(X), -np.inf)
-    dtol = 1e-12 * P.diameter
-    for vp, act in enumerate(P.vertex_active):
-        a_p = float(np.asarray(problem.vertex_values)[vp])
-        ds = sl[:, list(act)].sum(axis=1)
-        dX = Xl[:, list(act)].sum(axis=1)
-        mask = ds > dtol
-        for eps in _EPS_LADDER:
-            ratio = (a_p - eps - svals[mask]) / ds[mask]
-            K = 1.05 * max(0.0, float(np.max(ratio)))
-            phi = np.maximum(phi, a_p - eps - K * dX)
-
-    # constant for the power barrier from the curvature certificate
-    gen = np.random.default_rng(0) if rng is None else rng
-    samples = [geometry.sample_interior(P, 256, gen)]
-    center = P.interior_point()
-    for p in P.vertices:
-        for k in range(1, 9):
-            samples.append((p + 10.0 ** -k * (center - p))[None, :])
-    Y = np.vstack(samples)
-    lY = P.evaluate_all(Y)
-    keep = np.min(lY, axis=1) > P.tau
-    Y, lY = Y[keep], lY[keep]
-    hY = np.asarray(problem.density(Y), dtype=float)
-    need = 0.0
-    for y, ly, hy in zip(Y, lY, hY):
-        bvec = (P.normals / ly[:, None]).sum(axis=0)
-        Q = np.einsum("j,ja,jb->ab", 1.0 / ly ** 2, P.normals, P.normals)
-        Mmat = alpha * Q - alpha * alpha * np.outer(bvec, bvec)
-        detM = float(np.linalg.det(Mmat))
-        if detM <= 0:
-            raise BarrierConstantSearchFailed(
-                "curvature certificate failed at %s" % (y,))
-        g = float(np.prod(ly))
-        need = max(need, hy / (g ** (1.0 + n * alpha) * detM))
-    target = need ** (1.0 / n)
-    constant = None
-    for j in range(_A_LADDER_MAX):
-        cand = 2.0 ** j
-        if cand > a_cap:
-            break
-        if cand >= target:
-            constant = cand
-            break
-    if constant is None:
-        raise BarrierConstantSearchFailed(
-            "constant ladder exceeded the cap %.3e (needs %.3e)"
-            % (a_cap, target))
-
-    gX = np.clip(np.prod(Xl, axis=1), 0.0, None)
-    lower = phi - constant * gX ** alpha
-    if single:
-        return BarrierBounds(float(lower[0]), float(upper[0]), constant)
-    return BarrierBounds(lower, upper, constant)
-
-
-class CallableSolution:
-    """Adapter giving closed form potentials the computed-solution shape."""
-
-    def __init__(self, problem, u):
-        self.problem = problem
-        self._u = u
-
-    def u(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self._u(x)
-        return float(out) if np.ndim(out) == 0 or x.ndim == 1 else out
-
-
-def strict_convexity_monitor(solution, facet=None, distances=None):
-    """Convexity margin and boundary gradient growth of a solution.
-
-    Reports the smallest eigenvalue of the (discrete or finite
-    difference) Hessian of u over interior nodes, and the ratio of the
-    inward directional derivative to |log distance| along a ray hitting
-    one facet; the ratio settling at a positive level is the expected
-    logarithmic gradient blow-up of the singular part.
-
-    Parameters
-    ----------
-    solution : RegularizedSolution or CallableSolution
-    facet : int, optional
-        Facet index for the ray; default 0.
-    distances : array_like, optional
-        Distances from the facet along the inward unit normal, in
-        problem units; default a geometric ladder down to 1e-5 of the
-        diameter.
-
-    Returns
-    -------
-    dict with min_eigenvalue, gradient_ratios, distances, facet,
-    log_blowup.
-    """
-    problem = solution.problem
-    P = problem.polytope
-    n = P.dimension
-    diam = P.diameter
-    j = 0 if facet is None else int(facet)
-    face = P.faces.get((j,))
-    if face is None:
-        raise ValidationError("facet %d bounds no face" % j)
-    foot = P.vertices[list(face.vertex_ids)].mean(axis=0)
-    nj = P.normals[j]
-    d = nj / np.linalg.norm(nj)
-
-    if distances is None:
-        distances = diam * np.array([1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5])
-    distances = np.asarray(distances, dtype=float)
-    keep = np.array([P.contains(foot + t * d, tol=-P.tau)
-                     for t in distances])
-    distances = distances[keep]
-    if distances.size == 0:
-        raise ValidationError("no ray point lies inside the polytope")
-
-    grid_based = hasattr(solution, "chart")
-    ratios = np.empty(len(distances))
-    for k, t in enumerate(distances):
-        xt = foot + t * d
-        if grid_based:
-            grad_pot = guillemin_potential(P, xt)[1]
-            s = max(t / 2.0, 0.5 * solution.chart.delta * diam)
-            while not P.contains(xt + s * d, tol=-P.tau):
-                s *= 0.5
-            dv = (solution.v(xt + s * d) - solution.v(xt)) / s
-            val = abs(float(grad_pot @ d) + dv)
-        else:
-            s = t / 4.0
-            val = abs(solution.u(xt + s * d) - solution.u(xt - s * d)) \
-                / (2.0 * s)
-        lj = float(P.evaluate_all(xt)[j])
-        ratios[k] = val / max(abs(np.log(lj)), 0.5)
-
-    if grid_based:
-        H = solution.chart.discrete_hessians(solution.values)
-        back = solution.chart._inv
-        Hx = np.einsum("ca,kcd,db->kab", back, H, back)
-        min_eig = float(np.min(np.linalg.eigvalsh(Hx)[:, 0]))
-    else:
-        pts = geometry.sample_interior(P, 15, np.random.default_rng(2),
-                                       margin=0.15)
-        min_eig = min(float(np.linalg.eigvalsh(
-            fd_hessian(solution.u, x, P.diameter))[0]) for x in pts)
-
-    return {
-        "min_eigenvalue": min_eig,
-        "gradient_ratios": ratios,
-        "distances": distances,
-        "facet": j,
-        "log_blowup": bool(ratios[-1] > 0.2),
-    }

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ from scipy import integrate
 
 import gma.solver
 from gma import boundary, cli, geometry, guillemin
-from gma.errors import (IncompatibleEndpoint, InconsistentTraces, NotAFace,
-                        QuadratureFailure, SolverError)
+from gma.errors import (IncompatibleEndpoint, InconsistentTraces,
+                        NonSimpleVertex, NotAFace, QuadratureFailure,
+                        SolverError)
 from gma.problem import GuilleminProblem
 
 
@@ -217,7 +219,12 @@ class TestRestrictProblem:
         prob = simplex2d_problem(alpha=0.0)
         prob.vertex_values[:] = [3.0, 5.0, 7.0]
         res = boundary.restrict_problem(prob, (1,))
-        for j, amb in enumerate(res.vertex_map):
+        ambient = prob.polytope.faces[(1,)].vertex_ids
+        assert len(ambient) == len(res.problem.vertex_values) == 2
+        for j, amb in enumerate(ambient):
+            assert np.allclose(
+                res.to_ambient(res.problem.polytope.vertices[j]),
+                prob.polytope.vertices[amb])
             assert res.problem.vertex_values[j] == prob.vertex_values[amb]
 
     def test_not_a_face(self):
@@ -369,6 +376,21 @@ class TestBuildBoundaryData:
             v0, v1 = _edge_endpoints(P, e)
             x = v0 * (1 - t) + v1 * t
             assert abs(bd.u(x) - guillemin.potential_values(P, x)) <= 1e-8
+
+    def test_octahedron_is_not_simple(self, monkeypatch):
+        fs = [geometry.AffineFunctional(-np.array(signs), -1.0)
+              for signs in itertools.product([1.0, -1.0], repeat=3)]
+        P = geometry.build_polytope(fs)
+        prob = GuilleminProblem(P, guillemin.DensitySpec.constant(1.0), 0.0)
+
+        # simplicity is checked once, by the vertex compatibility check
+        def second_check(P):
+            raise AssertionError("build_boundary_data ran is_simple")
+
+        monkeypatch.setattr(geometry, "is_simple", second_check)
+        with pytest.raises(NonSimpleVertex,
+                           match="vertex 0 lies on 4 facets, expected 3"):
+            boundary.build_boundary_data(prob)
 
     def test_vertex_values(self):
         prob = simplex2d_problem()

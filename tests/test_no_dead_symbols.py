@@ -1,0 +1,50 @@
+"""Every top-level function and class in the package has a caller in src.
+
+A symbol that no source code refers to goes, together with the tests
+that only exercise it, unless an entry below keeps it with a reason.
+A reference is any name, attribute or import in ``src/gma`` that
+spells the symbol; the definition itself does not count.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gma"
+
+KEPT = {
+    ("guillemin", "smooth_extension"):
+        "acceptance criterion 09 checks the Whitney extension of traces",
+    ("guillemin", "guillemin_potential"):
+        "closed-form value, gradient and Hessian of sum l log l, the "
+        "reference that tests/test_guillemin.py::TestPotential checks "
+        "potential_values against",
+    ("cli", "main"): "console script entry point named in pyproject.toml",
+}
+
+
+def _scan():
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((path.stem, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(a.name.rpartition(".")[2]
+                                  for a in node.names)
+    return defined, referenced
+
+
+def test_every_symbol_has_a_src_caller():
+    defined, referenced = _scan()
+    dead = ["%s.%s" % sym for sym in defined
+            if sym[1] not in referenced and sym not in KEPT]
+    assert not dead, "no src code refers to %s" % ", ".join(dead)
+    stale = ["%s.%s" % sym for sym in KEPT if sym not in defined]
+    assert not stale, "kept but no longer defined: %s" % ", ".join(stale)

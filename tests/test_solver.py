@@ -6,8 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from gma import boundary, geometry, guillemin, solver
-from gma.errors import (BarrierConstantSearchFailed, ChartTooLarge,
-                        LineSearchStall, NonConvexIterate, SingularJacobian,
+from gma.errors import (ChartTooLarge, LineSearchStall, SingularJacobian,
                         ValidationError)
 from gma.problem import GuilleminProblem
 
@@ -508,88 +507,3 @@ class TestNewtonSolve:
         exact = guillemin.potential_values(face, pts)
         assert np.max(np.abs(sol.u(pts) - exact)) <= 1e-8
         assert "error_estimate" in sol.report
-
-
-class TestBarrierBounds:
-    def test_simplex_sandwich_at_centroid(self):
-        prob = simplex2d_problem(guillemin.DensitySpec.constant(1.0))
-        bd = boundary.build_boundary_data(prob)
-        center = np.array([1.0 / 3.0, 1.0 / 3.0])
-        out = solver.barrier_bounds(prob, bd, center)
-        u_center = -np.log(3.0)
-        assert out.lower <= u_center + 1e-9
-        assert out.upper >= u_center - 1e-9
-        assert out.lower < out.upper
-        assert out.constant <= 1e12
-
-    def test_vertex_pinch(self):
-        prob = simplex2d_problem(guillemin.DensitySpec.constant(1.0))
-        bd = boundary.build_boundary_data(prob)
-        for p, a in zip(prob.polytope.vertices, prob.vertex_values):
-            out = solver.barrier_bounds(prob, bd, p)
-            assert abs(out.upper - a) <= 1e-6
-            assert abs(out.lower - a) <= 1e-6
-
-    def test_square_bounds_sandwich_solution(self):
-        prob = square_problem()
-        bd = boundary.build_boundary_data(prob)
-        sol, _ = solver.newton_solve(prob, boundary=bd, grid=17, tol=1e-11)
-        x = sol.chart.to_problem(sol.chart.nodes[sol.chart.interior])
-        out = solver.barrier_bounds(prob, bd, x, alpha_exp=0.25)
-        u = sol.u(x)
-        assert np.min(u - out.lower) >= -1e-9
-        assert np.min(out.upper - u) >= -1e-9
-
-    def test_batch_shapes(self):
-        prob = simplex2d_problem(guillemin.DensitySpec.constant(1.0))
-        bd = boundary.build_boundary_data(prob)
-        rng = np.random.default_rng(13)
-        pts = geometry.sample_interior(prob.polytope, 5, rng)
-        out = solver.barrier_bounds(prob, bd, pts)
-        assert out.lower.shape == (5,)
-        assert out.upper.shape == (5,)
-        assert np.all(out.lower <= out.upper + 1e-12)
-
-    def test_constant_cap_raises(self):
-        prob = simplex2d_problem(guillemin.DensitySpec.constant(1.0))
-        bd = boundary.build_boundary_data(prob)
-        with pytest.raises(BarrierConstantSearchFailed):
-            solver.barrier_bounds(prob, bd, np.array([0.3, 0.3]),
-                                  a_cap=1e-8)
-
-
-class TestMonitor:
-    def test_monitor_on_guillemin_solve(self):
-        prob = simplex2d_problem()
-        sol, _ = solver.newton_solve(prob, grid=17, tol=1e-11)
-        out = solver.strict_convexity_monitor(sol)
-        assert out["min_eigenvalue"] > 0
-        assert out["log_blowup"]
-        assert 0.5 <= out["gradient_ratios"][-1] <= 2.0
-
-    def test_monitor_callable_interval_potential(self):
-        from scipy.special import xlogy
-
-        prob = interval_problem(lambda x: np.ones(np.shape(x)[:-1]))
-
-        def u(x):
-            t = np.asarray(x, dtype=float)[..., 0]
-            return xlogy(t, t) + xlogy(1.0 - t, 1.0 - t)
-
-        sol = solver.CallableSolution(prob, u)
-        out = solver.strict_convexity_monitor(sol)
-        assert out["log_blowup"]
-        assert abs(out["gradient_ratios"][-1] - 1.0) <= 0.01
-        assert out["min_eigenvalue"] > 0
-
-    def test_monitor_quadratic_no_blowup(self):
-        prob = square_problem()
-
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            return 0.5 * np.sum(x * x, axis=-1)
-
-        sol = solver.CallableSolution(prob, u)
-        out = solver.strict_convexity_monitor(sol)
-        assert not out["log_blowup"]
-        assert np.isclose(out["min_eigenvalue"], 1.0, atol=1e-4)
