@@ -115,17 +115,6 @@ class Polytope:
         x = np.asarray(x, dtype=float)
         return x @ self._normals.T - self._offsets
 
-    def contains(self, x, tol=None):
-        tol = self.tau if tol is None else tol
-        return bool(np.min(self.evaluate_all(x)) >= -tol)
-
-    def interior_point(self):
-        """Chebyshev center: deepest interior point by linear programming."""
-        x, r = _chebyshev(self._normals, self._offsets)
-        if r <= 0:
-            raise EmptyInterior("no interior point")
-        return x
-
     def canonical_active(self, gamma):
         """Smallest face active set containing gamma, or None if no vertex has it."""
         g = set(gamma)

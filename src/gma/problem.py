@@ -54,18 +54,12 @@ class GuilleminProblem:
             check_vertex_compatibility(self.polytope, self.density, i)
             for i in range(len(self.polytope.vertices))])
 
-    def compatibility_ok(self, tau_comp=None):
-        """True when every vertex residual is below tolerance.
-
-        The default tolerance is 1e-8 times |h(p)| per vertex.
-        """
-        for i, p in enumerate(self.polytope.vertices):
-            r = check_vertex_compatibility(self.polytope, self.density, i)
-            tol = tau_comp if tau_comp is not None \
-                else 1e-8 * max(abs(float(self.density(p))), 1e-30)
-            if abs(r) > tol:
-                return False
-        return True
+    def compatibility_ok(self):
+        """True when every vertex residual is at most 1e-8 times |h(p)|."""
+        h = np.abs(np.asarray(self.density(self.polytope.vertices),
+                              dtype=float))
+        tol = 1e-8 * np.maximum(h, 1e-30)
+        return bool(np.all(np.abs(self.compatibility_residuals()) <= tol))
 
     def transform(self, M, b):
         """The problem in new coordinates xi with x = M xi + b.

@@ -18,7 +18,9 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import LinearNDInterpolator
+# not called here; perfbench/tracer.py patches
+# gma.solver.LinearNDInterpolator by name
+from scipy.interpolate import LinearNDInterpolator  # noqa: F401
 from scipy.sparse.linalg import splu, spsolve
 
 from .boundary import build_boundary_data
@@ -51,16 +53,6 @@ def _box_map(P):
     n = P.dimension
     if len(P.vertices) != 2 ** n:
         return None
-    unit = P.normals / np.linalg.norm(P.normals, axis=1, keepdims=True)
-    paired = [False] * len(unit)
-    for i in range(len(unit)):
-        if paired[i]:
-            continue
-        hits = [j for j in range(len(unit)) if j != i and not paired[j]
-                and np.linalg.norm(unit[i] + unit[j]) <= 1e-9]
-        if len(hits) != 1:
-            return None
-        paired[i] = paired[hits[0]] = True
     order = np.lexsort(P.vertices.T[::-1])
     v0_id = order[0]
     b = P.vertices[v0_id]
@@ -176,8 +168,8 @@ class GridChart:
         self.offsets = np.array(offsets)
         # interior coordinates lie in [1, m - 2], so unit offsets stay on
         # the dense m^n index box and never wrap around a row
-        strides = m ** np.arange(n - 1, -1, -1)
-        ids = np.full(m ** n, -1, dtype=int)
+        self.strides = strides = m ** np.arange(n - 1, -1, -1)
+        self.node_ids = ids = np.full(m ** n, -1, dtype=int)
         ids[idx @ strides] = np.arange(len(idx))
         nb = ids[(idx[interior] @ strides)[:, None]
                  + (self.offsets @ strides)[None, :]]
@@ -321,8 +313,9 @@ def _harmonic_lift(chart, v):
 class RegularizedSolution:
     """Computed regular part on a chart; u adds the singular part back.
 
-    Evaluation maps the query point to reference coordinates, applies a
-    piecewise linear interpolant of the lattice values, and for u adds
+    Evaluation maps the query point to reference coordinates, applies the
+    piecewise linear interpolant of the lattice values on Freudenthal's
+    triangulation of the lattice cells, and for u adds
     sum_i l_i log l_i analytically.
     """
 
@@ -331,29 +324,34 @@ class RegularizedSolution:
         self.chart = chart
         self.values = np.asarray(values, dtype=float)
         self.report = report
-        self._interp = None
 
     def _eval_ref(self, xi):
+        chart = self.chart
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        if xi.shape[1] == 1:
-            order = np.argsort(self.chart.nodes[:, 0])
-            return np.interp(xi[:, 0], self.chart.nodes[order, 0],
-                             self.values[order])
-        if self._interp is None:
-            self._interp = LinearNDInterpolator(self.chart.nodes, self.values)
-        out = self._interp(xi)
-        miss = ~np.isfinite(out)
-        if np.any(miss):
-            # rounding can push boundary points marginally outside the
-            # hull; snap those to the nearest lattice node
-            Q = self.chart.ref_problem.polytope
-            vals = np.atleast_2d(Q.evaluate_all(xi[miss]))
-            if np.min(vals) < -Q.tau:
-                raise OutsideDomain("evaluation outside the polytope")
-            d = np.linalg.norm(xi[miss][:, None, :]
-                               - self.chart.nodes[None, :, :], axis=-1)
-            out[miss] = self.values[np.argmin(d, axis=1)]
-        return out
+        Q = chart.ref_problem.polytope
+        if np.min(Q.evaluate_all(xi), initial=0.0) < -Q.tau:
+            raise OutsideDomain("evaluation outside the polytope")
+        # barycentric weights on Freudenthal's triangulation of the lattice
+        # cells; in suffix sums y_a = s_a + ... + s_n the reference simplex
+        # is top >= y_1 >= ... >= y_n >= 0, a union of whole cell simplices.
+        # Points within tau outside are clipped onto the polytope.
+        top = chart.m - 1
+        s = np.clip(xi * top, 0.0, top)
+        if chart.kind == "simplex":
+            s = np.minimum(np.cumsum(s[:, ::-1], axis=1)[:, ::-1], top)
+        base = np.minimum(np.floor(s), top - 1)
+        frac = s - base
+        order = np.argsort(-frac, axis=1, kind="stable")
+        weights = -np.diff(np.take_along_axis(frac, order, axis=1),
+                           prepend=1.0, append=0.0, axis=1)
+        # corner k steps up along the k largest fractional parts
+        steps = np.arange(xi.shape[1] + 1)[None, :, None]
+        rank = np.argsort(order, axis=1)[:, None, :]
+        corners = (base[:, None, :] + (rank < steps)).astype(int)
+        if chart.kind == "simplex":
+            corners = -np.diff(corners, append=0, axis=2)
+        ids = chart.node_ids[corners @ chart.strides]
+        return np.sum(weights * self.values[ids], axis=1)
 
     def v(self, x):
         x = np.asarray(x, dtype=float)

@@ -413,20 +413,9 @@ class TestIsSimple:
 
 
 class TestPolytopeQueries:
-    def test_contains(self):
-        P = simplex2d()
-        assert P.contains([0.2, 0.2])
-        assert P.contains([0.0, 0.0])
-        assert not P.contains([0.8, 0.8])
-
     def test_diameter(self):
         assert np.isclose(simplex2d().diameter, np.sqrt(2.0))
         assert np.isclose(unit_cube().diameter, np.sqrt(3.0))
-
-    def test_interior_point(self):
-        for P in (simplex2d(), unit_square(), octahedron()):
-            x0 = P.interior_point()
-            assert np.min(P.evaluate_all(x0)) > 0
 
     def test_sample_interior_deterministic(self):
         P = unit_square()

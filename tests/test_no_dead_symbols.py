@@ -1,7 +1,9 @@
-"""Every top-level function and class in the package has a caller in src.
+"""Every top-level function and class in the package, and every method
+of a top-level class apart from dunders, has a caller in src.
 
 A symbol that no source code refers to goes, together with the tests
 that only exercise it, unless an entry below keeps it with a reason.
+Methods are keyed by class, as ("module", "Class.method").
 A reference is any name, attribute or import in ``src/gma`` that
 spells the symbol; the definition itself does not count.
 """
@@ -19,6 +21,7 @@ KEPT = {
         "reference that tests/test_guillemin.py::TestPotential checks "
         "potential_values against",
     ("cli", "main"): "console script entry point named in pyproject.toml",
+    ("cli", "_Parser.error"): "argparse calls it on a usage error",
 }
 
 
@@ -30,6 +33,12 @@ def _scan():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defined.append((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (path.stem, "%s.%s" % (node.name, f.name))
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not f.name.startswith("__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -44,7 +53,8 @@ def _scan():
 def test_every_symbol_has_a_src_caller():
     defined, referenced = _scan()
     dead = ["%s.%s" % sym for sym in defined
-            if sym[1] not in referenced and sym not in KEPT]
+            if sym[1].rpartition(".")[2] not in referenced
+            and sym not in KEPT]
     assert not dead, "no src code refers to %s" % ", ".join(dead)
     stale = ["%s.%s" % sym for sym in KEPT if sym not in defined]
     assert not stale, "kept but no longer defined: %s" % ", ".join(stale)

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from gma import boundary, geometry, guillemin, solver
-from gma.errors import (ChartTooLarge, LineSearchStall, SingularJacobian,
-                        ValidationError)
+from gma.errors import (ChartTooLarge, LineSearchStall, OutsideDomain,
+                        SingularJacobian, ValidationError)
 from gma.problem import GuilleminProblem
 
 
@@ -186,6 +186,22 @@ class TestGridChart:
         with pytest.raises(ChartTooLarge):
             solver.GridChart(trapezoid_problem(), m=5)
 
+    def test_chart_rejects_square_frustum(self):
+        # box counts (2n facets, 2^n simple vertices), but the slanted
+        # sides are not an antiparallel pair, like the trapezoid's
+        frustum = geometry.build_polytope(
+            [geometry.AffineFunctional([0.0, 0.0, 1.0], 0.0),
+             geometry.AffineFunctional([0.0, 0.0, -1.0], -1.0)]
+            + [geometry.AffineFunctional(s * e + [0.0, 0.0, -0.5],
+                                         0.0 if s > 0 else -2.0)
+               for e in np.eye(3)[:2] for s in (1.0, -1.0)])
+        assert len(frustum.facets) == 6 and len(frustum.vertices) == 8
+        assert geometry.is_simple(frustum)[0]
+        prob = GuilleminProblem(frustum, guillemin.DensitySpec.constant(1.0),
+                                0.0)
+        with pytest.raises(ChartTooLarge):
+            solver.GridChart(prob, m=5)
+
     def test_chart_rejects_pentagon(self):
         fs = []
         for k in range(5):
@@ -304,7 +320,7 @@ class TestAssembleResidual:
         prob = simplex2d_problem()
         chart = solver.GridChart(prob, m=17)
         x = chart.to_problem(chart.nodes)
-        center = prob.polytope.interior_point()
+        center = prob.polytope.vertices.mean(axis=0)
         v = -5.0 * np.sum((x - center) ** 2, axis=-1)
         R, flagged = solver.assemble_residual(v, prob, chart)
         assert flagged.size > 0
@@ -334,6 +350,72 @@ class TestAssembleResidual:
             col_fd = (Rp - Rm) / (2 * eps)
             col = np.asarray(J[:, k].todense()).ravel()
             assert np.allclose(col, col_fd, atol=1e-5 * (1 + np.abs(col).max()))
+
+
+def unit_problem(kind, n):
+    """Reference simplex or unit box in dimension n, constant density."""
+    fs = []
+    for e in np.eye(n):
+        fs.append(geometry.AffineFunctional(e, 0.0))
+        if kind == "box":
+            fs.append(geometry.AffineFunctional(-e, -1.0))
+    if kind == "simplex":
+        fs.append(geometry.AffineFunctional(-np.ones(n), -1.0))
+    P = geometry.build_polytope(fs)
+    return GuilleminProblem(P, guillemin.DensitySpec.constant(1.0), 0.0)
+
+
+def lattice_solution(prob, m, f):
+    """A RegularizedSolution holding f at every lattice node."""
+    chart = solver.GridChart(prob, m=m)
+    values = f(chart.to_problem(chart.nodes))
+    return solver.RegularizedSolution(prob, chart, values, None)
+
+
+class TestInterpolant:
+    CASES = [(kind, n) for kind in ("simplex", "box") for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_affine_data_reproduced(self, kind, n):
+        rng = np.random.default_rng(n)
+        prob = unit_problem(kind, n)
+        c = rng.standard_normal(n)
+        sol = lattice_solution(prob, 9, lambda x: x @ c + 0.3)
+        x = rng.uniform(size=(2000, n))
+        if kind == "simplex":
+            x = x[x.sum(axis=1) <= 1.0]
+        assert np.max(np.abs(sol.v(x) - (x @ c + 0.3))) <= 1e-14
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_lattice_node_values_returned(self, kind, n):
+        prob = unit_problem(kind, n)
+        sol = lattice_solution(prob, 9,
+                               lambda x: np.exp(np.sum(x * x, axis=1)))
+        assert np.array_equal(sol.v(sol.chart.to_problem(sol.chart.nodes)),
+                              sol.values)
+
+    @pytest.mark.parametrize("kind", ["simplex", "box"])
+    def test_point_just_outside_an_edge_is_clipped(self, kind):
+        # the lattice edge from (0, 1) to (d, 1 - d) on the hypotenuse of
+        # the simplex, or from (0, 1) to (d, 1) on the top of the box
+        prob = unit_problem(kind, 2)
+        sol = lattice_solution(prob, 9, lambda x: np.sum(x * x, axis=1))
+        d = sol.chart.delta
+        a = np.array([0.0, 1.0])
+        b = a + ([d, -d] if kind == "simplex" else [d, 0.0])
+        normal = [1.0, 1.0] if kind == "simplex" else [0.0, 1.0]
+        x = 0.5 * (a + b) + 0.1 * prob.polytope.tau * (
+            np.array(normal) / np.linalg.norm(normal))
+        expect = 0.5 * (np.sum(a * a) + np.sum(b * b))
+        assert abs(sol.v(x) - expect) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["simplex", "box"])
+    def test_point_beyond_tau_raises(self, kind):
+        prob = unit_problem(kind, 2)
+        sol = lattice_solution(prob, 9, lambda x: np.sum(x * x, axis=1))
+        x = np.array([0.5 * sol.chart.delta, -10.0 * prob.polytope.tau])
+        with pytest.raises(OutsideDomain):
+            sol.v(x)
 
 
 class TestNewtonSolve:
