@@ -29,8 +29,8 @@ from .errors import (ConstantSearchFailed, DegenerateTransversalHessian,
                      GmaError, InconsistentTraces, NonEllipticIterate,
                      ParseError, QuadratureFailure, SolverError,
                      ValidationError)
-from .guillemin import DensitySpec, guillemin_density, potential_values
-from .problem import SCHEMA_VERSION, GuilleminProblem, load_problem
+from .guillemin import guillemin_density, potential_values
+from .problem import SCHEMA_VERSION, load_problem
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -219,21 +219,6 @@ def _face_label(key):
     return "+".join(str(i) for i in key)
 
 
-def _unit_square():
-    return geometry.build_polytope([
-        geometry.AffineFunctional([1.0, 0.0], 0.0),
-        geometry.AffineFunctional([-1.0, 0.0], -1.0),
-        geometry.AffineFunctional([0.0, 1.0], 0.0),
-        geometry.AffineFunctional([0.0, -1.0], -1.0)])
-
-
-def _standard_simplex():
-    return geometry.build_polytope([
-        geometry.AffineFunctional([1.0, 0.0], 0.0),
-        geometry.AffineFunctional([0.0, 1.0], 0.0),
-        geometry.AffineFunctional([-1.0, -1.0], -1.0)])
-
-
 def _cmd_check(config):
     started = time.monotonic()
     prob = load_problem(config.problem)
@@ -418,20 +403,14 @@ def _cmd_model(config):
                "z2_range": [float(msol.z2_axis[0]), float(msol.z2_axis[-1])]}
 
     if config.dump_path:
-        if config.form == "z":
-            rows = []
-            for i, z1 in enumerate(msol.z1_axis):
-                for j, z2 in enumerate(msol.z2_axis):
-                    rows.append([float(z1), float(z2),
-                                 float(msol.values[i, j])])
-            _write_csv(config.dump_path, ["z1", "z2", "w"], rows)
-        elif config.form == "x":
-            rows = []
-            for i, z1 in enumerate(msol.z1_axis):
-                for j, z2 in enumerate(msol.z2_axis):
-                    rows.append([float(z1) ** 2 / 4.0, float(z2),
-                                 float(msol.values[i, j])])
-            _write_csv(config.dump_path, ["x1", "x2", "v"], rows)
+        if config.form in ("z", "x"):
+            Z1, Z2 = np.meshgrid(msol.z1_axis, msol.z2_axis, indexing="ij")
+            first = Z1 if config.form == "z" else Z1 ** 2 / 4.0
+            table = np.column_stack([first.ravel(), Z2.ravel(),
+                                     msol.values.ravel()])
+            header = ["z1", "z2", "w"] if config.form == "z" \
+                else ["x1", "x2", "v"]
+            _write_csv(config.dump_path, header, table.tolist())
         else:
             # push the chart solution through the forward transform on
             # an x-grid strictly inside the chart and report the dual
@@ -440,10 +419,9 @@ def _cmd_model(config):
             hi = config.depth * 0.96
             x1_axis = np.linspace(0.4 * config.depth, hi, m)
             x2_axis = np.linspace(-0.6, 0.6, m)
-            U = np.empty((m, m))
-            for i, a in enumerate(x1_axis):
-                queries = np.column_stack([np.full(m, a), x2_axis])
-                U[i] = float(xlogy(a, a)) + msol.v(queries)
+            X1, X2 = np.meshgrid(x1_axis, x2_axis, indexing="ij")
+            U = xlogy(X1, X1) + msol.v(
+                np.column_stack([X1.ravel(), X2.ravel()])).reshape(m, m)
             pair = legendre.legendre_forward(U, (x1_axis, x2_axis))
             resid = pair.transversal_residual(
                 lambda y: np.ones(len(y)))
@@ -480,8 +458,8 @@ def _suite_oracles(config):
 
 def _suite_barriers(config):
     checks = []
-    for label, P in (("square", _unit_square()),
-                     ("simplex", _standard_simplex())):
+    for label, P in (("square", verify._unit_square()),
+                     ("simplex", verify._standard_simplex())):
         try:
             res = verify.verify_barrier("product-power", P, samples=400,
                                         seed=config.seed)
@@ -525,73 +503,13 @@ def _suite_barriers(config):
     return checks
 
 
-def _simplex_estimator_levels(config):
-    P = _standard_simplex()
-    prob = GuilleminProblem(P, DensitySpec.perturbed(P, 0.4), 0.0)
-    levels = []
-    for m in config.levels:
-        sol, rep = solver.newton_solve(prob, grid=int(m),
-                                       tol=config.tol_solve,
-                                       max_iter=config.max_iter)
-        if not rep["converged"]:
-            raise SolverError("estimator solve did not converge at %d" % m)
-        probe = verify.solution_probe(sol)
-        x1 = np.linspace(0.0, 0.25, int(m))
-        x2 = np.linspace(0.25, 0.45, int(m))
-        vals = np.empty((int(m), int(m)))
-        for i, a in enumerate(x1):
-            for j, b in enumerate(x2):
-                x = np.array([a, b])
-                vals[i, j] = probe(x) + float(potential_values(P, x)) \
-                    - float(xlogy(a, a))
-        levels.append((vals, (x1, x2)))
-    return levels
-
-
-def _quadrant_estimator_levels(config):
-    P = _unit_square()
-
-    def hfun(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x[..., 0]) * (1.0 - x[..., 1])
-
-    prob = GuilleminProblem(P, DensitySpec.from_callable(hfun), 0.0)
-
-    class _QuadrantTraces:
-        # boundary values of the closed-form quadrant solution
-        # x1 log x1 + x2 log x2, written as a regular part, at (k, 2) points
-        def v(self, x):
-            x = np.asarray(x, dtype=float)
-            u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
-            return u - potential_values(P, x)
-
-    levels = []
-    for m in config.levels:
-        sol, rep = solver.newton_solve(prob, boundary=_QuadrantTraces(),
-                                       grid=int(m), tol=config.tol_solve,
-                                       max_iter=config.max_iter)
-        if not rep["converged"]:
-            raise SolverError("estimator solve did not converge at %d" % m)
-        probe = verify.solution_probe(sol)
-        ax = np.linspace(0.0, 0.5, int(m))
-        vals = np.empty((int(m), int(m)))
-        for i, a in enumerate(ax):
-            for j, b in enumerate(ax):
-                vals[i, j] = probe(np.array([a, b])) \
-                    + float(xlogy(1.0 - a, 1.0 - a)) \
-                    + float(xlogy(1.0 - b, 1.0 - b))
-        levels.append((vals, (ax, ax)))
-    return levels
-
-
 def _suite_asymptotics(config):
-    simplex_levels = _simplex_estimator_levels(config)
-    quadrant_levels = _quadrant_estimator_levels(config)
-    lip = verify.estimate_lipschitz(simplex_levels)
-    hes = verify.estimate_weighted_hessian(simplex_levels)
-    asym = verify.estimate_face_asymptotics(quadrant_levels)
-    reports = [("lipschitz-simplex-edge", lip),
-               ("weighted-hessian-simplex-edge", hes)]
+    edge, corner = verify.estimator_levels(config.levels, config.tol_solve,
+                                           config.max_iter)
+    asym = verify.estimate_face_asymptotics(corner)
+    reports = [("lipschitz-simplex-edge", verify.estimate_lipschitz(edge)),
+               ("weighted-hessian-simplex-edge",
+                verify.estimate_weighted_hessian(edge))]
     for key in ("root-product", "quadratic", "full-product"):
         reports.append(("asymptotics-quadrant-%s" % key, asym[key]))
     checks = []

@@ -24,6 +24,7 @@ from scipy.spatial import cKDTree
 from .errors import (
     DegenerateTransversalHessian,
     NonEllipticIterate,
+    OutsideDomain,
     ValidationError,
 )
 from .solver import damped_newton
@@ -42,11 +43,12 @@ _LSQ_COEFFS = 6
 
 
 def local_quadratic_eval(tree, points, values, y):
-    """Quadratic least-squares value at y from scattered planar samples.
+    """Quadratic least-squares values at y from scattered planar samples.
 
-    Fits the six-coefficient quadratic to the nearest samples and widens
-    the neighborhood until the basis has full rank; exact on quadratic
-    data, third order on smooth data.
+    Fits the six-coefficient quadratic to the nearest samples of every
+    query at once and widens the rank-deficient neighborhoods until the
+    basis has full rank; exact on quadratic data, third order on smooth
+    data.
 
     Parameters
     ----------
@@ -54,33 +56,40 @@ def local_quadratic_eval(tree, points, values, y):
         Built over ``points``.
     points : ndarray, shape (K, 2)
     values : ndarray, shape (K,)
-    y : ndarray, shape (2,)
+    y : ndarray, shape (2,) or (k, 2)
 
     Returns
     -------
-    float
+    float or ndarray, shape (k,)
     """
-    y = np.asarray(y, dtype=float)
+    Y = np.atleast_2d(np.asarray(y, dtype=float))
     total = len(values)
     if total < _LSQ_COEFFS:
         raise ValidationError("too few samples for a quadratic fit")
-    k = min(max(_LSQ_NEIGHBORS, _LSQ_COEFFS + 2), total)
-    while True:
-        _, idx = tree.query(y, k=k)
-        d = points[idx] - y
-        r = np.max(np.sqrt(np.sum(d * d, axis=1)))
-        if r <= 0.0:
-            return float(values[idx[0]])
-        s = d / r
-        B = np.column_stack([
-            np.ones(k), s[:, 0], s[:, 1],
-            s[:, 0] ** 2, s[:, 0] * s[:, 1], s[:, 1] ** 2])
-        coef, _, rank, _ = np.linalg.lstsq(B, values[idx], rcond=None)
+    out = np.empty(len(Y))
+    pending = np.arange(len(Y))
+    k = min(_LSQ_NEIGHBORS, total)
+    while len(pending):
+        _, idx = tree.query(Y[pending], k=k)
+        d = points[idx] - Y[pending][:, None, :]
+        s = d / np.sqrt(np.max(np.sum(d * d, axis=2), axis=1))[:, None, None]
+        B = np.stack([
+            np.ones(s.shape[:2]), s[..., 0], s[..., 1],
+            s[..., 0] ** 2, s[..., 0] * s[..., 1], s[..., 1] ** 2], axis=-1)
+        # least squares by SVD with the rank cutoff of np.linalg.lstsq;
+        # only the constant coefficient is needed
+        U, S, Vt = np.linalg.svd(B, full_matrices=False)
+        keep = S > np.finfo(float).eps * k * S[:, :1]
+        proj = np.sum(U * values[idx][:, :, None], axis=1)
+        out[pending] = np.divide(Vt[:, :, 0] * proj, S, where=keep,
+                                 out=np.zeros_like(S)).sum(axis=1)
         # nearest grid neighbors can line up in two columns, which
         # degenerates the quadratic basis; widen until full rank
-        if rank == _LSQ_COEFFS or k == total:
-            return float(coef[0])
+        if k == total:
+            break
+        pending = pending[np.sum(keep, axis=1) < _LSQ_COEFFS]
         k = min(2 * k, total)
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
 def _uniform_spacing(axis, label):
@@ -250,16 +259,17 @@ class ModelSolution:
         self._tree = cKDTree(self._points)
 
     def v(self, x):
-        """Regular part at x-coordinates, v(x) = w(2 sqrt(x1), x2)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        if np.min(X[:, 0]) < 0:
-            raise ValidationError("transversal coordinate must be >= 0")
-        z = np.column_stack([2.0 * np.sqrt(X[:, 0]), X[:, 1]])
-        out = np.array([local_quadratic_eval(self._tree, self._points,
-                                             self._flat, q) for q in z])
-        return float(out[0]) if single else out
+        """Regular part at x-coordinates, v(x) = w(2 sqrt(x1), x2).
+
+        Takes one point (2,) or points (k, 2); OutsideDomain off the chart.
+        """
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        z = np.column_stack([2.0 * np.sqrt(np.abs(X[:, 0])), X[:, 1]])
+        lo, hi = (0.0, self.z2_axis[0]), (self.z1_axis[-1], self.z2_axis[-1])
+        if np.min(X[:, 0]) < 0 or np.any(z < lo) or np.any(z > hi):
+            raise OutsideDomain("point outside the model chart")
+        out = local_quadratic_eval(self._tree, self._points, self._flat, z)
+        return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def _model_system(V, data):

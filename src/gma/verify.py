@@ -23,9 +23,12 @@ from scipy.spatial import cKDTree
 from scipy.special import xlogy
 
 from . import geometry
-from .errors import ConstantSearchFailed, OutsideQuadrant, ValidationError
-from .guillemin import fd_hessian
+from .errors import (ConstantSearchFailed, OutsideDomain, OutsideQuadrant,
+                     SolverError, ValidationError)
+from .guillemin import DensitySpec, fd_hessian, potential_values
 from .legendre import local_quadratic_eval
+from .problem import GuilleminProblem
+from .solver import newton_solve
 
 __all__ = [
     "LiouvilleData",
@@ -40,6 +43,7 @@ __all__ = [
     "appendix_checks",
     "interpolation_constant",
     "solution_probe",
+    "estimator_levels",
 ]
 
 _TREND_FLOOR = 1e-12
@@ -210,12 +214,14 @@ def _check_face_lift(samples, constants, seed, u, h):
     if u is None:
         boundary = 0.0
     else:
-        # the lift equals the trace plus C0 x1 log x1, which vanishes
-        # on the face, so the touching condition is checked verbatim
-        face = np.column_stack([np.zeros(64), np.linspace(-1.0, 1.0, 64)])
-        gaps = [abs(float(u(p)) + c0 * float(xlogy(p[0], p[0]))
-                    - float(u(p))) for p in face]
-        boundary = -max(gaps)
+        # the lift trace(x2) + C0 x1 log x1 meets u on the face x1 = 0;
+        # it must stay below u on the other sides of [0, depth] x [-1, 1]
+        t = np.linspace(0.0, 1.0, 64)
+        sides = np.column_stack([
+            np.concatenate([np.full(64, depth), depth * t[1:], depth * t[1:]]),
+            np.concatenate([2.0 * t - 1.0, np.full(63, -1.0), np.ones(63)])])
+        boundary = min(float(u(p)) - float(u(np.array([0.0, p[1]])))
+                       - c0 * float(xlogy(p[0], p[0])) for p in sides)
     return BarrierCheck(
         "face-lift",
         {"C0": c0, "depth": depth},
@@ -285,8 +291,9 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     seed : int
         Sampling seed.
     u : callable, optional
-        Model potential whose face trace the "face-lift" barrier
-        matches; used for the boundary comparison.
+        Model potential at one point whose face trace the "face-lift"
+        barrier lifts; the boundary margin is the least of u minus the
+        lift on the sides of the half-strip off the face.
     h : callable, optional
         Density for "face-lift"; default is 1.
     k : int
@@ -615,7 +622,8 @@ def solution_probe(solution):
     Returns
     -------
     callable
-        x -> float evaluating the regular part.
+        x -> regular part at one point (2,) or at points (k, 2); raises
+        OutsideDomain beyond the polytope's tau.
     """
     chart = solution.chart
     pts = chart.to_problem(chart.nodes)
@@ -623,8 +631,71 @@ def solution_probe(solution):
         raise ValidationError("probe supports planar charts")
     tree = cKDTree(pts)
     values = np.asarray(solution.values, dtype=float)
+    P = solution.problem.polytope
 
     def probe(x):
+        if np.min(P.evaluate_all(x), initial=0.0) < -P.tau:
+            raise OutsideDomain("probe point outside the polytope")
         return local_quadratic_eval(tree, pts, values, x)
 
     return probe
+
+
+def _unit_square():
+    return geometry.build_polytope([
+        geometry.AffineFunctional([1.0, 0.0], 0.0),
+        geometry.AffineFunctional([-1.0, 0.0], -1.0),
+        geometry.AffineFunctional([0.0, 1.0], 0.0),
+        geometry.AffineFunctional([0.0, -1.0], -1.0)])
+
+
+def _standard_simplex():
+    return geometry.build_polytope([
+        geometry.AffineFunctional([1.0, 0.0], 0.0),
+        geometry.AffineFunctional([0.0, 1.0], 0.0),
+        geometry.AffineFunctional([-1.0, -1.0], -1.0)])
+
+
+def estimator_levels(levels, tol=1e-10, max_iter=30):
+    """Edge and corner probe grids on refined lattices, for the estimators.
+
+    Edge: u - x1 log x1 on [0, 0.25] x [0.25, 0.45] for the standard
+    simplex with the perturbed density of strength 0.4.  Corner: u -
+    x1 log x1 - x2 log x2 on [0, 0.5]^2 for the unit square with density
+    (1 - x1)(1 - x2) and the traces of x1 log x1 + x2 log x2.  Level m
+    solves on the lattice of size m, raising SolverError unless it
+    converges, and probes an m x m grid in one call.  Returns the lists
+    (edge, corner) of (values, (x1_axis, x2_axis)), one entry per level.
+    """
+    simplex, square = _standard_simplex(), _unit_square()
+
+    class QuadrantTraces:
+        # regular part of x1 log x1 + x2 log x2 at (k, 2) points
+        def v(self, x):
+            return xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1]) \
+                - potential_values(square, x)
+
+    def probe_grid(problem, boundary, m, x1, x2):
+        sol, rep = newton_solve(problem, boundary=boundary, grid=m, tol=tol,
+                                max_iter=max_iter)
+        if not rep["converged"]:
+            raise SolverError("estimator solve did not converge at %d" % m)
+        X = np.stack(np.meshgrid(x1, x2, indexing="ij"), -1).reshape(-1, 2)
+        return X, solution_probe(sol)(X)
+
+    edge_problem = GuilleminProblem(
+        simplex, DensitySpec.perturbed(simplex, 0.4), 0.0)
+    corner_problem = GuilleminProblem(square, DensitySpec.from_callable(
+        lambda x: (1.0 - x[..., 0]) * (1.0 - x[..., 1])), 0.0)
+    edge, corner = [], []
+    for m in map(int, levels):
+        x1, x2 = np.linspace(0.0, 0.25, m), np.linspace(0.25, 0.45, m)
+        X, v = probe_grid(edge_problem, None, m, x1, x2)
+        v = v + potential_values(simplex, X) - xlogy(X[:, 0], X[:, 0])
+        edge.append((v.reshape(m, m), (x1, x2)))
+        ax = np.linspace(0.0, 0.5, m)
+        X, v = probe_grid(corner_problem, QuadrantTraces(), m, ax, ax)
+        v = v + xlogy(1.0 - X[:, 0], 1.0 - X[:, 0]) \
+            + xlogy(1.0 - X[:, 1], 1.0 - X[:, 1])
+        corner.append((v.reshape(m, m), (ax, ax)))
+    return edge, corner

@@ -217,64 +217,9 @@ def test_06_barrier_margins():
     _report(6, "barrier certificate margins", ok, "; ".join(details))
 
 
-def _simplex_estimator_levels(ms):
-    P = standard_simplex()
-    prob = GuilleminProblem(P, DensitySpec.perturbed(P, 0.4), 0.0)
-    levels = []
-    for m in ms:
-        sol, rep = solver.newton_solve(prob, grid=m, tol=1e-11)
-        assert rep["converged"]
-        probe = verify.solution_probe(sol)
-        x1 = np.linspace(0.0, 0.25, m)
-        x2 = np.linspace(0.25, 0.45, m)
-        vals = np.empty((m, m))
-        for i, a in enumerate(x1):
-            for j, b in enumerate(x2):
-                x = np.array([a, b])
-                vals[i, j] = probe(x) \
-                    + float(guillemin.potential_values(P, x)) \
-                    - float(xlogy(a, a))
-        levels.append((vals, (x1, x2)))
-    return levels
-
-
-def _quadrant_estimator_levels(ms):
-    P = unit_square()
-
-    def hfun(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x[..., 0]) * (1.0 - x[..., 1])
-
-    prob = GuilleminProblem(P, DensitySpec.from_callable(hfun), 0.0)
-
-    class QuadrantTraces:
-        # regular-part values at (k, 2) points
-        def v(self, x):
-            x = np.asarray(x, dtype=float)
-            u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
-            return u - guillemin.potential_values(P, x)
-
-    levels = []
-    for m in ms:
-        sol, rep = solver.newton_solve(prob, boundary=QuadrantTraces(),
-                                       grid=m, tol=1e-11)
-        assert rep["converged"]
-        probe = verify.solution_probe(sol)
-        ax = np.linspace(0.0, 0.5, m)
-        vals = np.empty((m, m))
-        for i, a in enumerate(ax):
-            for j, b in enumerate(ax):
-                vals[i, j] = probe(np.array([a, b])) \
-                    + float(xlogy(1.0 - a, 1.0 - a)) \
-                    + float(xlogy(1.0 - b, 1.0 - b))
-        levels.append((vals, (ax, ax)))
-    return levels
-
-
 def test_07_estimator_ratios_stay_bounded():
     ms = (17, 33, 65)
-    simplex_levels = _simplex_estimator_levels(ms)
-    quadrant_levels = _quadrant_estimator_levels(ms)
+    simplex_levels, quadrant_levels = verify.estimator_levels(ms, tol=1e-11)
     reports = {
         "lipschitz": verify.estimate_lipschitz(simplex_levels),
         "weighted-hessian": verify.estimate_weighted_hessian(simplex_levels),

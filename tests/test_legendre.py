@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
+from scipy.spatial import cKDTree
 from scipy.special import xlogy
 
 from gma import geometry, guillemin, legendre, solver
-from gma.errors import DegenerateTransversalHessian, SingularJacobian
+from gma.errors import (DegenerateTransversalHessian, OutsideDomain,
+                        SingularJacobian)
 from gma.problem import GuilleminProblem
 
 
@@ -125,6 +127,86 @@ class TestForward:
         assert np.all(np.diff(y[:, :, 1], axis=1) > 0)
 
 
+def lattice_samples(m=17):
+    X1, X2 = np.meshgrid(np.linspace(0.0, 1.0, m),
+                         np.linspace(-1.0, 1.0, m), indexing="ij")
+    return np.column_stack([X1.ravel(), X2.ravel()])
+
+
+class TestLocalQuadraticEval:
+    def quadratic(self, seed):
+        c = np.random.default_rng(seed).normal(size=6)
+        return lambda p: (c[0] + c[1] * p[..., 0] + c[2] * p[..., 1]
+                          + c[3] * p[..., 0] ** 2
+                          + c[4] * p[..., 0] * p[..., 1]
+                          + c[5] * p[..., 1] ** 2)
+
+    def queries(self, pts, seed):
+        rng = np.random.default_rng(seed)
+        inside = np.column_stack([rng.uniform(0.0, 1.0, 300),
+                                  rng.uniform(-1.0, 1.0, 300)])
+        return np.concatenate([pts, inside])
+
+    def test_batch_reproduces_quadratic(self):
+        pts = lattice_samples()
+        f = self.quadratic(3)
+        tree = cKDTree(pts)
+        Y = self.queries(pts, 4)
+        # lattice nodes on an edge see their 8 nearest samples in two
+        # rows, where the quadratic basis is rank deficient, so the
+        # batch runs through the widening step
+        _, idx = tree.query(Y, k=8)
+        d = pts[idx] - Y[:, None, :]
+        B = np.stack([np.ones(d.shape[:2]), d[..., 0], d[..., 1],
+                      d[..., 0] ** 2, d[..., 0] * d[..., 1],
+                      d[..., 1] ** 2], axis=-1)
+        assert np.min(np.linalg.matrix_rank(B)) < 6
+        got = legendre.local_quadratic_eval(tree, pts, f(pts), Y)
+        assert got.shape == (len(Y),)
+        assert np.max(np.abs(got - f(Y))) <= 1e-12
+
+    def test_batch_equals_point_by_point(self):
+        pts = lattice_samples()
+        vals = np.sin(3.0 * pts[:, 0]) * np.exp(pts[:, 1])
+        tree = cKDTree(pts)
+        Y = self.queries(pts, 5)
+        batch = legendre.local_quadratic_eval(tree, pts, vals, Y)
+        single = [legendre.local_quadratic_eval(tree, pts, vals, y)
+                  for y in Y]
+        assert np.array_equal(batch, single)
+
+    def test_batch_matches_lstsq_loop(self):
+        # reference: one np.linalg.lstsq per point, widening the same way
+        pts = lattice_samples()
+        vals = np.sin(3.0 * pts[:, 0]) * np.exp(pts[:, 1])
+        tree = cKDTree(pts)
+        Y = self.queries(pts, 6)
+        ref = []
+        for y in Y:
+            k = 8
+            while True:
+                _, idx = tree.query(y, k=k)
+                d = pts[idx] - y
+                s = d / np.max(np.sqrt(np.sum(d * d, axis=1)))
+                B = np.column_stack([np.ones(k), s[:, 0], s[:, 1],
+                                     s[:, 0] ** 2, s[:, 0] * s[:, 1],
+                                     s[:, 1] ** 2])
+                coef, _, rank, _ = np.linalg.lstsq(B, vals[idx], rcond=None)
+                if rank == 6 or k == len(pts):
+                    break
+                k = min(2 * k, len(pts))
+            ref.append(coef[0])
+        got = legendre.local_quadratic_eval(tree, pts, vals, Y)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_single_point_returns_float(self):
+        pts = lattice_samples()
+        out = legendre.local_quadratic_eval(
+            cKDTree(pts), pts, pts[:, 0] * pts[:, 1], np.array([0.3, 0.2]))
+        assert isinstance(out, float)
+        assert abs(out - 0.06) <= 1e-12
+
+
 class TestModelSolve:
     def test_flat_model_exact(self):
         def trace(x):
@@ -177,6 +259,30 @@ class TestModelSolve:
         assert np.isclose(sol.v(np.array([0.04, 0.25])),
                           0.5 * 0.25 ** 2, atol=1e-12)
         assert abs(sol.v(np.array([0.04, 0.3])) - 0.5 * 0.3 ** 2) <= 1e-10
+
+    def chart_solution(self, w):
+        # lattice values of w(z1, z2) on the chart of depth 0.25 and
+        # lateral range (-1, 1)
+        z1 = np.linspace(0.0, 1.0, 17)
+        z2 = np.linspace(-1.0, 1.0, 17)
+        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+        return legendre.ModelSolution(z1, z2, w(Z1, Z2), {})
+
+    def test_array_evaluation_matches_points(self):
+        sol = self.chart_solution(lambda a, b: 0.5 * b ** 2 + a ** 3)
+        rng = np.random.default_rng(2)
+        x = np.column_stack([rng.uniform(0.0, 0.25, 50),
+                             rng.uniform(-1.0, 1.0, 50)])
+        out = sol.v(x)
+        assert out.shape == (50,)
+        assert np.array_equal(out, [sol.v(p) for p in x])
+
+    def test_points_off_the_chart_raise(self):
+        sol = self.chart_solution(lambda a, b: 0.5 * b ** 2)
+        assert abs(sol.v(np.array([0.25, 1.0])) - 0.5) <= 1e-12
+        for p in ([5.0, 7.0], [0.3, 0.0], [0.1, -1.5], [-0.01, 0.0]):
+            with pytest.raises(OutsideDomain):
+                sol.v(np.array(p))
 
     def test_cross_validation_against_chart_solver(self):
         # square [0,3]^2 with a perturbed induced density; the same

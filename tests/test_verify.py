@@ -3,7 +3,7 @@ import pytest
 from scipy.special import xlogy
 
 from gma import geometry, guillemin, solver, verify
-from gma.errors import ConstantSearchFailed, OutsideQuadrant
+from gma.errors import ConstantSearchFailed, OutsideDomain, OutsideQuadrant
 from gma.problem import GuilleminProblem
 
 from oracles import fd_hessian
@@ -135,6 +135,19 @@ class TestVerifyBarrier:
         deficit = verify.verify_barrier(
             "face-lift", samples=200, constants={"C0": 0.5})
         assert deficit.margin_differential < 0.0
+
+    def test_face_lift_boundary_margin_catches_low_potential(self):
+        # same face trace as the calibration potential but 5 x1 lower
+        # inside, so the lift exceeds u on the far side of the strip
+        def low_u(x):
+            x = np.asarray(x, dtype=float)
+            return xlogy(x[0], x[0]) + 0.5 * x[1] ** 2 - 5.0 * x[0]
+
+        check = verify.verify_barrier("face-lift", samples=100, u=low_u)
+        assert check.margin_boundary < -1.0
+        surplus = verify.verify_barrier("face-lift", samples=100,
+                                        constants={"C0": 2.0}, u=low_u)
+        assert surplus.margin_boundary < 0.0
 
     def test_g_concavity_planar(self):
         check = verify.verify_barrier("g-concavity", samples=200)
@@ -270,65 +283,43 @@ class TestEstimators:
     def test_face_asymptotics_numeric_quadrant_solve(self):
         # local solve of det D2u = 1/(x1 x2) on the unit square with
         # traces from the closed-form quadrant solution
-        P = unit_square()
-
-        def hfun(x):
-            x = np.asarray(x, dtype=float)
-            return (1.0 - x[..., 0]) * (1.0 - x[..., 1])
-
-        prob = GuilleminProblem(
-            P, guillemin.DensitySpec.from_callable(hfun), 0.0)
-
-        class LiouvilleBoundary:
-            # regular-part values at (k, 2) points
-            def v(self, x):
-                x = np.asarray(x, dtype=float)
-                u = xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1])
-                return u - guillemin.potential_values(P, x)
-
-        levels = []
-        for m in (9, 17, 33):
-            sol, rep = solver.newton_solve(
-                prob, boundary=LiouvilleBoundary(), grid=m, tol=1e-11)
-            assert rep["converged"]
-            probe = verify.solution_probe(sol)
-            ax = np.linspace(0.0, 0.5, m)
-            vals = np.empty((m, m))
-            for i, a in enumerate(ax):
-                for j, b in enumerate(ax):
-                    x = np.array([a, b])
-                    vals[i, j] = probe(x) \
-                        + xlogy(1.0 - a, 1.0 - a) + xlogy(1.0 - b, 1.0 - b)
-            levels.append((vals, (ax, ax)))
+        _, levels = verify.estimator_levels((9, 17, 33), tol=1e-11)
         reports = verify.estimate_face_asymptotics(levels)
         for rep in reports.values():
             assert all(np.isfinite(rep.ratios))
         assert reports["full-product"].bounded
 
     def test_numeric_edge_trends_on_perturbed_simplex(self):
-        P = standard_simplex()
-        prob = GuilleminProblem(
-            P, guillemin.DensitySpec.perturbed(P, 0.4), 0.0)
-        levels = []
-        for m in (9, 17, 33):
-            sol, rep = solver.newton_solve(prob, grid=m, tol=1e-11)
-            assert rep["converged"]
-            probe = verify.solution_probe(sol)
-            x1 = np.linspace(0.0, 0.25, m)
-            x2 = np.linspace(0.25, 0.45, m)
-            vals = np.empty((m, m))
-            for i, a in enumerate(x1):
-                for j, b in enumerate(x2):
-                    x = np.array([a, b])
-                    vals[i, j] = probe(x) \
-                        + guillemin.potential_values(P, x) - xlogy(a, a)
-            levels.append((vals, (x1, x2)))
+        levels, _ = verify.estimator_levels((9, 17, 33), tol=1e-11)
         lip = verify.estimate_lipschitz(levels)
         hes = verify.estimate_weighted_hessian(levels)
         assert lip.bounded
         assert hes.bounded
         assert all(np.isfinite(lip.ratios))
         assert all(np.isfinite(hes.ratios))
+
+
+class TestSolutionProbe:
+    def test_array_probe_matches_points(self):
+        P = standard_simplex()
+        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+        sol, _ = solver.newton_solve(prob, grid=9)
+        probe = verify.solution_probe(sol)
+        x = np.array([[0.1, 0.2], [0.0, 0.5], [0.3, 0.3], [0.5, 0.5]])
+        out = probe(x)
+        assert out.shape == (4,)
+        assert np.array_equal(out, [probe(p) for p in x])
+        assert isinstance(probe(x[0]), float)
+
+    def test_point_off_the_polytope_raises(self):
+        P = standard_simplex()
+        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+        sol, _ = solver.newton_solve(prob, grid=9)
+        probe = verify.solution_probe(sol)
+        with pytest.raises(OutsideDomain):
+            probe(np.array([0.8, 0.8]))
+        with pytest.raises(OutsideDomain):
+            probe(np.array([[0.1, 0.1], [-0.1, 0.5]]))
 
 
 class TestAppendixChecks:
