@@ -30,7 +30,7 @@ from .errors import (ConstantSearchFailed, DegenerateTransversalHessian,
                      ParseError, QuadratureFailure, SolverError,
                      ValidationError)
 from .guillemin import guillemin_density, potential_values
-from .problem import SCHEMA_VERSION, load_problem
+from .problem import COMPATIBILITY_RTOL, SCHEMA_VERSION, load_problem
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -85,7 +85,6 @@ class RunConfig:
     grid: int = 33
     levels: tuple = (9, 17, 33)
     tol_solve: float = 1e-10
-    tau_comp: float = 1e-10
     tau_match: float = None
     max_iter: int = 30
     chart: str = "global"
@@ -104,8 +103,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol_solve <= 0.0:
             raise ValidationError("--tol must be positive")
-        if self.tau_comp <= 0.0:
-            raise ValidationError("--tau-comp must be positive")
         if self.tau_match is not None and self.tau_match <= 0.0:
             raise ValidationError("--tau-match must be positive")
         if self.grid < 3:
@@ -239,12 +236,12 @@ def _cmd_check(config):
         return EXIT_INVALID
     residuals = prob.compatibility_residuals()
     max_abs = float(np.max(np.abs(residuals))) if len(residuals) else 0.0
-    ok = max_abs <= config.tau_comp
+    ok = prob.compatibility_ok()
     payload["nonsimple_vertices"] = []
     payload["compatibility"] = {
         "residuals": [float(r) for r in residuals],
         "max_abs": max_abs,
-        "tolerance": config.tau_comp,
+        "tolerance": "%g |h(p)| per vertex" % COMPATIBILITY_RTOL,
         "pass": bool(ok),
     }
     payload["message"] = "ok" if ok \
@@ -624,8 +621,6 @@ def _add_common(sub, problem="required"):
                      help="comma separated refinement levels")
     sub.add_argument("--tol", dest="tol_solve", type=float, default=1e-10,
                      help="solver and quadrature tolerance")
-    sub.add_argument("--tau-comp", type=float, default=1e-10,
-                     help="vertex compatibility tolerance")
     sub.add_argument("--tau-match", type=float, default=None,
                      help="trace consistency tolerance")
     sub.add_argument("--max-iter", type=int, default=30,
@@ -713,7 +708,6 @@ def _config_from_args(args):
         grid=args.grid,
         levels=_parse_levels(args.levels),
         tol_solve=args.tol_solve,
-        tau_comp=args.tau_comp,
         tau_match=args.tau_match,
         max_iter=args.max_iter,
         chart=getattr(args, "chart", "global"),

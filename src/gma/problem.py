@@ -16,6 +16,9 @@ from .errors import GmaError, ParseError, ValidationError
 from .guillemin import DensitySpec, check_vertex_compatibility
 
 SCHEMA_VERSION = 1
+# vertex residuals may reach this fraction of |h(p)|; `gma check` and the
+# boundary build both apply it through compatibility_ok
+COMPATIBILITY_RTOL = 1e-8
 
 
 class GuilleminProblem:
@@ -58,7 +61,7 @@ class GuilleminProblem:
         """True when every vertex residual is at most 1e-8 times |h(p)|."""
         h = np.abs(np.asarray(self.density(self.polytope.vertices),
                               dtype=float))
-        tol = 1e-8 * np.maximum(h, 1e-30)
+        tol = COMPATIBILITY_RTOL * np.maximum(h, 1e-30)
         return bool(np.all(np.abs(self.compatibility_residuals()) <= tol))
 
     def transform(self, M, b):

@@ -14,10 +14,12 @@ stencils.  The singular part is analytic and never differenced, so the
 scheme is exact whenever v restricted to the lattice has cubic accuracy.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dstn, idstn
 # not called here; perfbench/tracer.py patches
 # gma.solver.LinearNDInterpolator by name
 from scipy.interpolate import LinearNDInterpolator  # noqa: F401
@@ -288,26 +290,55 @@ def _jacobian_matrix(chart, v):
 
 
 def _harmonic_lift(chart, v):
-    """Fill interior values by a discrete Laplace solve from the boundary."""
+    """Fill interior values by a discrete Laplace solve from the boundary.
+
+    The Dirichlet (2n+1)-point Laplacian on a box lattice is diagonalised
+    by the type-I discrete sine transform, so box charts and 1-D charts
+    are solved by one forward and one inverse DST.  The 2-D simplex
+    lattice is the half i + j <= m - 1 of the square, and the reflection
+    (i, j) -> (m - 1 - j, m - 1 - i) across the hypotenuse maps the
+    stencil onto itself: with the right hand side mirrored with its sign
+    flipped, the square solution vanishes on the hypotenuse and its lower
+    half is the triangle's.  Simplices with n >= 3 fall back to a sparse
+    LU solve.
+    """
     n = chart.nodes.shape[1]
     d2 = chart.delta ** 2
     K = len(chart.interior)
-    rows = [np.arange(K)]
-    cols = [np.arange(K)]
-    data = [np.full(K, -2.0 * n / d2)]
     rhs = np.zeros(K)
     for o in range(1, 1 + 2 * n):
         nbr = chart.neighbors[:, o]
-        cpos = chart._int_pos[nbr]
-        keep = cpos >= 0
-        rows.append(np.nonzero(keep)[0])
-        cols.append(cpos[keep])
-        data.append(np.full(int(keep.sum()), 1.0 / d2))
-        rhs[~keep] -= v[nbr[~keep]] / d2
-    A = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(K, K)).tocsc()
-    return spsolve(A, rhs, permc_spec=_PERMC)
+        out = chart._int_pos[nbr] < 0
+        rhs[out] -= v[nbr[out]] / d2
+
+    m = chart.m
+    if chart.kind == "simplex" and n >= 3:
+        rows = [np.arange(K)]
+        cols = [np.arange(K)]
+        data = [np.full(K, -2.0 * n / d2)]
+        for o in range(1, 1 + 2 * n):
+            cpos = chart._int_pos[chart.neighbors[:, o]]
+            keep = cpos >= 0
+            rows.append(np.nonzero(keep)[0])
+            cols.append(cpos[keep])
+            data.append(np.full(int(keep.sum()), 1.0 / d2))
+        A = sp.coo_matrix((np.concatenate(data),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(K, K)).tocsc()
+        return spsolve(A, rhs, permc_spec=_PERMC)
+
+    # eigenvalues of the Laplacian on the (m-2)^n interior box
+    lam1 = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / d2
+    lam = functools.reduce(np.add.outer, [lam1] * n)
+    if chart.kind == "box" or n == 1:
+        # interior nodes in C order fill the (m-2)^n array
+        F = rhs.reshape((m - 2,) * n)
+        return idstn(dstn(F, type=1) / lam, type=1).ravel()
+    a, b = np.round(chart.nodes[chart.interior] * (m - 1)).astype(int).T - 1
+    F = np.zeros((m - 2, m - 2))
+    F[a, b] = rhs
+    F -= F.T[::-1, ::-1]
+    return idstn(dstn(F, type=1) / lam, type=1)[a, b]
 
 
 class RegularizedSolution:
@@ -458,8 +489,10 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     """Solve the discrete problem by damped Newton iteration.
 
     The interior values start from a discrete harmonic lift of the
-    boundary values and are iterated by :func:`damped_newton`, which
-    reuses LU factors of the Jacobian for chord steps.
+    boundary values, solved by a type-I discrete sine transform on box
+    and 2-D simplex charts and by ``spsolve`` on simplices of dimension
+    3 and up, and are iterated by :func:`damped_newton`, which reuses LU
+    factors of the Jacobian for chord steps.
 
     Parameters
     ----------

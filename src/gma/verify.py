@@ -562,10 +562,8 @@ def appendix_checks(rng=None):
 
     for label, psi, k, n, C in _product_bound_fields():
         pts = rng.uniform(0.0, 1.0, (400, n))
-        margin = np.inf
-        for x in pts:
-            margin = min(margin,
-                         C * float(np.prod(x[:k])) - abs(float(psi(x))))
+        margin = float(np.min(C * np.prod(pts[:, :k], axis=1)
+                              - np.abs(psi(pts.T))))
         out.append({"id": "product-bound", "label": label, "k": k,
                     "constant": C, "margin": float(margin),
                     "pass": margin >= 0.0})
@@ -575,19 +573,18 @@ def appendix_checks(rng=None):
         M = max(sup_s, delta * sup_s + R * sup_ds)
 
         def f(x):
-            return abs(x[0]) ** delta * float(s(x))
+            return np.abs(x[:, 0]) ** delta * s(x.T)
 
         pairs = rng.uniform(-1.0, 1.0, (2000, 2, 2))
         # pairs reaching the singular line drive the quotient hardest
         t = 10.0 ** rng.uniform(-6, 0, 200)
         straddle = np.stack([np.column_stack([t, 0.3 * t]),
                              np.column_stack([0.0 * t, 0.3 * t])], axis=1)
-        sem = 0.0
-        for a, b in np.concatenate([pairs, straddle]):
-            gap = np.linalg.norm(a - b)
-            if gap <= 0.0:
-                continue
-            sem = max(sem, abs(f(a) - f(b)) / gap ** delta)
+        a, b = np.concatenate([pairs, straddle]).transpose(1, 0, 2)
+        gap = np.linalg.norm(a - b, axis=1)
+        keep = gap > 0.0
+        sem = float(np.max(np.abs(f(a) - f(b))[keep] / gap[keep] ** delta,
+                           initial=0.0))
         margin = 8.0 * M - sem
         out.append({"id": "holder-growth", "label": label, "delta": delta,
                     "constant": 8.0, "margin": float(margin),

@@ -84,6 +84,32 @@ class TestCheck:
         assert out["compatibility"]["max_abs"] == pytest.approx(1.0,
                                                                 abs=1e-12)
 
+    def test_small_absolute_residual_passes_like_solve(self, tmp_path):
+        # residual 1e-9 at every vertex of the unit triangle, within the
+        # relative rule 1e-8 |h(p)|, so check must pass where solve runs
+        path = write_problem(
+            tmp_path / "p.json",
+            simplex_body({"type": "constant", "value": 1.0 + 1e-9}))
+        assert cli.run(["check", path, "--report",
+                        str(tmp_path / "r.json")]) == 0
+        assert cli.run(["solve", path, "--grid", "5", "--report",
+                        str(tmp_path / "s.json")]) == 0
+
+    def test_large_relative_residual_fails_like_solve(self, tmp_path):
+        # on the triangle with legs 1e-3 the compatible constant is 1e-3;
+        # a residual of 5e-11 is 5e-8 |h(p)|, so check must fail where
+        # solve refuses the density
+        body = simplex_body({"type": "constant", "value": 1e-3 + 5e-11})
+        body["facets"][2]["offset"] = -1e-3
+        path = write_problem(tmp_path / "p.json", body)
+        report = tmp_path / "r.json"
+        assert cli.run(["check", path, "--report", str(report)]) == 2
+        out = json.loads(report.read_text())
+        assert out["compatibility"]["pass"] is False
+        assert out["compatibility"]["max_abs"] < 1e-10
+        assert cli.run(["solve", path, "--grid", "5", "--report",
+                        str(tmp_path / "s.json")]) == 2
+
 
 class TestParsing:
     def test_malformed_json(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -589,3 +590,93 @@ class TestNewtonSolve:
         exact = guillemin.potential_values(face, pts)
         assert np.max(np.abs(sol.u(pts) - exact)) <= 1e-8
         assert "error_estimate" in sol.report
+
+
+def reference_lift(chart, v):
+    """Sparse Dirichlet Laplace system (A, rhs) for the interior values.
+
+    The (2n+1)-point Laplacian is assembled here from integer lattice
+    coordinates, with the boundary values v moved to the right hand side;
+    ``spsolve(A, rhs)`` is the harmonic lift.
+    """
+    m = chart.m
+    n = chart.nodes.shape[1]
+    idx = np.round(chart.nodes * (m - 1)).astype(int)
+    ids = np.full((m,) * n, -1)
+    ids[tuple(idx.T)] = np.arange(len(idx))
+    K = len(chart.interior)
+    row = np.full(len(idx), -1)
+    row[chart.interior] = np.arange(K)
+    d2 = chart.delta ** 2
+    rows, cols, data = [np.arange(K)], [np.arange(K)], [np.full(K, -2.0 * n
+                                                                / d2)]
+    rhs = np.zeros(K)
+    for a in range(n):
+        for s in (1, -1):
+            nb = idx[chart.interior].copy()
+            nb[:, a] += s
+            j = ids[tuple(nb.T)]
+            inside = row[j] >= 0
+            rows.append(np.nonzero(inside)[0])
+            cols.append(row[j[inside]])
+            data.append(np.full(int(inside.sum()), 1.0 / d2))
+            rhs[~inside] -= v[j[~inside]] / d2
+    A = sp.csc_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(K, K))
+    return A, rhs
+
+
+def _lift_cases():
+    for kind, n, m in itertools.product(("box", "simplex"), (1, 2, 3),
+                                        (3, 4, 5, 8, 9, 17, 33)):
+        # interior nodes need m >= n + 2 on the simplex; the 31^3 box is
+        # checked by its residual below, a direct solve takes seconds
+        if (kind == "simplex" and m < n + 2) or (kind, n, m) == ("box", 3,
+                                                                 33):
+            continue
+        yield kind, n, m
+
+
+class TestHarmonicLift:
+    @pytest.mark.parametrize("kind,n,m", list(_lift_cases()))
+    def test_matches_sparse_solve(self, kind, n, m):
+        chart = solver.GridChart(unit_problem(kind, n), m=m)
+        rng = np.random.default_rng(1000 * n + m)
+        v = rng.standard_normal(len(chart.nodes))
+        A, rhs = reference_lift(chart, v)
+        ref = spsolve(A, rhs)
+        lift = solver._harmonic_lift(chart, v)
+        assert np.max(np.abs(lift - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_box3_residual(self):
+        chart = solver.GridChart(unit_problem("box", 3), m=33)
+        v = np.random.default_rng(3).standard_normal(len(chart.nodes))
+        A, rhs = reference_lift(chart, v)
+        lift = solver._harmonic_lift(chart, v)
+        d2 = chart.delta ** 2
+        assert np.max(np.abs(A @ lift - rhs)) * d2 <= 1e-12 * \
+            np.max(np.abs(v))
+
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_newton_unchanged_with_reference_lift(self, kind, monkeypatch):
+        if kind == "simplex":
+            prob = manufactured_problem()
+        else:
+            prob = square_problem(guillemin.DensitySpec.polynomial(
+                {(0, 0): 1.0, (1, 0): 3.0, (2, 0): -3.0, (0, 1): 3.0,
+                 (0, 2): -3.0}, 2))
+        # smooth nonzero boundary data, so the start is not the zero field
+        bd = types.SimpleNamespace(
+            v=lambda x: _MANUFACTURED_C * np.exp(x @ _MANUFACTURED_W))
+        sol, report = solver.newton_solve(prob, boundary=bd, grid=65,
+                                          tol=1e-11)
+        monkeypatch.setattr(solver, "_harmonic_lift",
+                            lambda chart, v: spsolve(*reference_lift(chart,
+                                                                     v)))
+        ref, ref_report = solver.newton_solve(prob, boundary=bd, grid=65,
+                                              tol=1e-11)
+        assert report["converged"] and ref_report["converged"]
+        assert report["iterations"] == ref_report["iterations"]
+        assert report["factorizations"] == ref_report["factorizations"]
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-13

@@ -359,3 +359,36 @@ class TestAppendixChecks:
         assert len(spec) == 1
         assert spec[0]["constant"] == 5.0
         assert spec[0]["margin"] >= 0.0
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_array_margins_equal_pointwise_loops(self, seed):
+        # the battery evaluates each field on all samples at once; the
+        # same draws taken one point and one pair at a time must give
+        # bit-identical margins
+        rng = np.random.default_rng(seed)
+        loops = []
+        for _, psi, k, n, C in verify._product_bound_fields():
+            margin = np.inf
+            for x in rng.uniform(0.0, 1.0, (400, n)):
+                margin = min(margin,
+                             C * float(np.prod(x[:k])) - abs(float(psi(x))))
+            loops.append(margin)
+        for _, delta, s, sup_s, sup_ds in verify._holder_fields():
+            M = max(sup_s, delta * sup_s + float(np.sqrt(2.0)) * sup_ds)
+            pairs = rng.uniform(-1.0, 1.0, (2000, 2, 2))
+            t = 10.0 ** rng.uniform(-6, 0, 200)
+            straddle = np.stack([np.column_stack([t, 0.3 * t]),
+                                 np.column_stack([0.0 * t, 0.3 * t])],
+                                axis=1)
+            sem = 0.0
+            for a, b in np.concatenate([pairs, straddle]):
+                gap = np.linalg.norm(a - b)
+                if gap <= 0.0:
+                    continue
+                fa = abs(a[0]) ** delta * float(s(a))
+                fb = abs(b[0]) ** delta * float(s(b))
+                sem = max(sem, abs(fa - fb) / gap ** delta)
+            loops.append(8.0 * M - sem)
+        checks = verify.appendix_checks(np.random.default_rng(seed))
+        margins = [c["margin"] for c in checks if c["id"] != "interpolation"]
+        assert margins == loops
