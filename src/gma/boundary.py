@@ -15,6 +15,7 @@ assembled into a single evaluator with a consistency report.
 
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 from scipy.special import xlogy
 
 from . import geometry, guillemin
@@ -399,27 +400,18 @@ def solve_edge(problem, tol=1e-10):
                        starts, ends, cum0, cum1, q)
 
 
-class _VertexTrace:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+class _VertexTrace(NamedTuple):
+    value: float
 
 
-class _EdgeTrace:
-    __slots__ = ("restriction", "profile")
-
-    def __init__(self, restriction, profile):
-        self.restriction = restriction
-        self.profile = profile
+class _EdgeTrace(NamedTuple):
+    restriction: object
+    profile: object
 
 
-class _FaceTrace:
-    __slots__ = ("restriction", "solution")
-
-    def __init__(self, restriction, solution):
-        self.restriction = restriction
-        self.solution = solution
+class _FaceTrace(NamedTuple):
+    restriction: object
+    solution: object
 
 
 def _eval_trace(trace, x):
@@ -519,8 +511,7 @@ class _SubfaceValues:
                 - guillemin.potential_values(res.problem.polytope, xi))
 
 
-def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
-                        tau_match=None):
+def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     """Assemble boundary traces for all proper faces.
 
     The face lattice is walked once, in increasing dimension, and every
@@ -551,17 +542,14 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     threads : int, optional
         Worker threads for faces of equal dimension; sequential when
         omitted.
-    tau_match : float, optional
-        Tolerance on the face-against-subface gaps; ten times ``tol``
-        when omitted.
 
     Returns
     -------
     BoundaryData
         ``consistency`` holds ``max_mismatch`` (the largest gap),
-        ``tolerance`` and ``pairs`` (the number of points compared: two
-        per edge, and the chart boundary nodes of every face of
-        dimension two or more).
+        ``tolerance`` (ten times ``tol``) and ``pairs`` (the number of
+        points compared: two per edge, and the chart boundary nodes of
+        every face of dimension two or more).
 
     Raises
     ------
@@ -594,7 +582,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None,
     # filled in increasing dimension; a face solve reads only the traces
     # of lower dimension
     bd = BoundaryData(problem, traces, None)
-    tolerance = float(tau_match) if tau_match is not None else 10.0 * tol
+    tolerance = 10.0 * tol
 
     def build_one(key, d):
         res = restrict_problem(problem, key)

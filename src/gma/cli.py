@@ -85,7 +85,6 @@ class RunConfig:
     grid: int = 33
     levels: tuple = (9, 17, 33)
     tol_solve: float = 1e-10
-    tau_match: float = None
     max_iter: int = 30
     chart: str = "global"
     form: str = "z"
@@ -103,8 +102,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol_solve <= 0.0:
             raise ValidationError("--tol must be positive")
-        if self.tau_match is not None and self.tau_match <= 0.0:
-            raise ValidationError("--tau-match must be positive")
         if self.grid < 3:
             raise ValidationError("--grid needs at least 3 nodes per edge")
         if not self.levels or any(int(m) < 3 for m in self.levels):
@@ -256,7 +253,7 @@ def _cmd_boundary(config):
     P = prob.polytope
     threads = config.threads if config.threads > 1 else None
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol_solve,
-                             threads=threads, tau_match=config.tau_match)
+                             threads=threads)
     keys = sorted(bd.traces, key=lambda key: (len(key), key))
     payload = {
         "consistency": bd.consistency,
@@ -336,7 +333,7 @@ def _cmd_solve(config):
             else:
                 sub = build_boundary_data(
                     res.problem, grid=config.grid, tol=config.tol_solve,
-                    threads=threads, tau_match=config.tau_match)
+                    threads=threads)
                 _, rep = solver.newton_solve(
                     res.problem, boundary=sub, grid=config.grid,
                     tol=config.tol_solve, max_iter=config.max_iter)
@@ -352,7 +349,7 @@ def _cmd_solve(config):
         return EXIT_OK
 
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol_solve,
-                             threads=threads, tau_match=config.tau_match)
+                             threads=threads)
     sol, rep = solver.newton_solve(prob, boundary=bd, grid=config.grid,
                                    tol=config.tol_solve,
                                    max_iter=config.max_iter)
@@ -621,8 +618,6 @@ def _add_common(sub, problem="required"):
                      help="comma separated refinement levels")
     sub.add_argument("--tol", dest="tol_solve", type=float, default=1e-10,
                      help="solver and quadrature tolerance")
-    sub.add_argument("--tau-match", type=float, default=None,
-                     help="trace consistency tolerance")
     sub.add_argument("--max-iter", type=int, default=30,
                      help="Newton iteration cap")
     sub.add_argument("--report", dest="report", default=None,
@@ -708,7 +703,6 @@ def _config_from_args(args):
         grid=args.grid,
         levels=_parse_levels(args.levels),
         tol_solve=args.tol_solve,
-        tau_match=args.tau_match,
         max_iter=args.max_iter,
         chart=getattr(args, "chart", "global"),
         form=getattr(args, "form", "z"),

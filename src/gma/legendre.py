@@ -16,7 +16,6 @@ direction, which is the setting every companion check exercises.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
 # not called here; perfbench/tracer.py patches gma.legendre.spsolve by name
 from scipy.sparse.linalg import spsolve  # noqa: F401
 from scipy.spatial import cKDTree
@@ -27,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ValidationError,
 )
-from .solver import damped_newton
+from .solver import Stencil, damped_newton, pivots
 
 __all__ = [
     "PartialLegendrePair",
@@ -115,17 +114,14 @@ class PartialLegendrePair:
         Images (x1, tangential derivative of u).
     ustar : ndarray, shape (K,)
         Transformed values x2 * u_2 - u.
-    u_values : ndarray, shape (K,)
-        Input values at the same nodes.
     hessians : ndarray, shape (K, 2, 2)
         Second derivatives of u used by the transform identities.
     """
 
-    def __init__(self, x_points, y_points, ustar, u_values, hessians):
+    def __init__(self, x_points, y_points, ustar, hessians):
         self.x_points = x_points
         self.y_points = y_points
         self.ustar = ustar
-        self.u_values = u_values
         self.hessians = hessians
 
     def transversal_residual(self, h):
@@ -229,7 +225,7 @@ def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
 
     y = np.column_stack([pts[:, 0], g])
     ustar = pts[:, 1] * g - u
-    return PartialLegendrePair(pts, y, ustar, u, H)
+    return PartialLegendrePair(pts, y, ustar, H)
 
 
 class ModelSolution:
@@ -272,73 +268,57 @@ class ModelSolution:
         return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _model_system(V, data):
-    (I, J, z1I, d1, d2, hq) = data
-    face = I == 0
-    body = ~face
-    Vc = V[I, J]
-    D11 = np.empty(len(I))
-    D11[body] = (V[I[body] + 1, J[body]] + V[I[body] - 1, J[body]]
-                 - 2.0 * Vc[body]) / d1 ** 2
-    D11[face] = 2.0 * (V[1, J[face]] - Vc[face]) / d1 ** 2
-    ratio = np.zeros(len(I))
-    ratio[body] = (V[I[body] + 1, J[body]] - V[I[body] - 1, J[body]]) \
-        / (2.0 * d1 * z1I[body])
-    # at the face the L'Hopital value of w_1/z1 equals w_11, so the two
-    # transversal terms cancel exactly and the entry collapses to 1
-    M11 = np.where(face, 1.0, 1.0 + D11 - ratio)
-    D22 = (V[I, J + 1] + V[I, J - 1] - 2.0 * Vc) / d2 ** 2
-    D12 = np.zeros(len(I))
-    D12[body] = (V[I[body] + 1, J[body] + 1] - V[I[body] + 1, J[body] - 1]
-                 - V[I[body] - 1, J[body] + 1]
-                 + V[I[body] - 1, J[body] - 1]) / (4.0 * d1 * d2)
-    det = M11 * D22 - D12 ** 2
-    ok = (M11 > 0.0) & (det > 0.0)
-    F = np.where(ok, np.sqrt(np.where(ok, det, 1.0)) - hq, np.nan)
-    return F, ok, (M11, D22, D12, det)
+def _model_stencil(z1, z2, mask):
+    """The model operator M(w) = D2 w + (1 - w_1/z1) e1 e1^T as a Stencil.
+
+    Built over the 9-point offsets of the (z1, z2) grid on the unknowns
+    ``mask`` (face row z1 = 0 included, outer rows excluded), with one
+    coefficient table per node and base e1 e1^T.  Body rows carry
+    D2 w - (w_1/z1) e1 e1^T: centred second differences, and the ratio
+    coefficient -+1/(2 d1 z1) on the (+-1, 0) offsets.  On the face row
+    the L'Hopital value of w_1/z1 is w_11, so the two transversal terms
+    cancel, M11 is the base's 1 and the row carries w_22 alone; its
+    unused offsets point at the known corner value (0, 0) with zero
+    coefficient, so the Jacobian drops them.
+    """
+    d1, d2 = z1[1] - z1[0], z2[1] - z2[0]
+    I, J = np.nonzero(mask)
+    di = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1])
+    dj = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])
+    body = I > 0
+    coeffs = np.zeros((len(I), len(di), 2, 2))
+    coeffs[:, :5, 1, 1] = np.array([-2.0, 0.0, 0.0, 1.0, 1.0]) / d2 ** 2
+    coeffs[body, :3, 0, 0] = (np.array([-2.0, 1.0, 1.0]) / d1 ** 2
+                              - di[:3] / (2.0 * d1 * z1[I[body], None]))
+    coeffs[body, 5:, 0, 1] = coeffs[body, 5:, 1, 0] = \
+        di[5:] * dj[5:] / (4.0 * d1 * d2)
+    neighbors = np.ravel_multi_index(
+        (I[:, None] + di, J[:, None] + dj), mask.shape, mode="clip")
+    neighbors[np.ix_(~body, di != 0)] = 0
+    columns = np.full(mask.size, -1, dtype=int)
+    columns[mask.ravel()] = np.arange(len(I))
+    return Stencil(neighbors, columns, coeffs, np.diag([1.0, 0.0]))
 
 
-def _model_jacobian(V, data, idx):
-    (I, J, z1I, d1, d2, hq) = data
-    M11, D22, D12, det = _model_system(V, data)[2]
-    K = len(I)
-    rows_all = np.arange(K)
-    base = 0.5 / np.sqrt(det)
-    body = I >= 1
+def _model_system(V, stencil, hq):
+    """Concave residual det(M)^(1/2) - h^(1/2) and admissibility.
 
-    rows, cols, vals = [], [], []
+    A node is admissible when M is positive definite, M11 > 0 and
+    det M > 0: both pivots of :func:`gma.solver.pivots` positive.
+    """
+    p = pivots(stencil.matrices(V.ravel()))
+    ok = np.all(p > 0, axis=1)
+    det = np.prod(p, axis=1)
+    return np.where(ok, np.sqrt(np.where(ok, det, 1.0)) - hq, np.nan), ok
 
-    def push(di, dj, w, sel):
-        tgt = idx[I[sel] + di, J[sel] + dj]
-        keep = tgt >= 0
-        rows.append(rows_all[sel][keep])
-        cols.append(tgt[keep])
-        vals.append(w[keep])
 
-    every = np.ones(K, dtype=bool)
-    c11_center = np.where(body, -2.0 / d1 ** 2, 0.0)
-    w_center = base * (D22 * c11_center + M11 * (-2.0 / d2 ** 2))
-    push(0, 0, w_center, every)
-
-    inv_z = np.zeros(K)
-    inv_z[body] = 1.0 / (2.0 * d1 * z1I[body])
-    c11_up = np.where(body, 1.0 / d1 ** 2 - inv_z, 0.0)
-    c11_dn = np.where(body, 1.0 / d1 ** 2 + inv_z, 0.0)
-    push(1, 0, (base * D22 * c11_up)[body], body)
-    push(-1, 0, (base * D22 * c11_dn)[body], body)
-
-    w_side = base * M11 / d2 ** 2
-    push(0, 1, w_side, every)
-    push(0, -1, w_side, every)
-
-    w_corner = base * (-2.0 * D12) / (4.0 * d1 * d2)
-    for di, dj, s in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-        push(di, dj, (s * w_corner)[body], body)
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return coo_matrix((vals, (rows, cols)), shape=(K, K)).tocsc()
+def _model_jacobian(V, stencil):
+    """Derivative of the concave residual, tr(adj(M) dM) / (2 sqrt(det M))."""
+    M = stencil.matrices(V.ravel())
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    # the adjugate of a 2 x 2 matrix: swap the diagonal, negate the rest
+    adj = M[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return stencil.jacobian(0.5 * adj / np.sqrt(det)[:, None, None])
 
 
 def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
@@ -427,18 +407,14 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
 
     mask = np.zeros((m1, m2), dtype=bool)
     mask[:m1 - 1, 1:m2 - 1] = True
-    I, J = np.nonzero(mask)
-    idx = np.full((m1, m2), -1, dtype=int)
-    idx[mask] = np.arange(len(I))
-    z1I = z1[I]
+    stencil = _model_stencil(z1, z2, mask)
 
     hvals = np.asarray(h(xpts[mask]), dtype=float)
     if np.min(hvals) <= 0:
         raise ValidationError("density must stay positive on the chart")
     hq = np.sqrt(hvals)
-    data = (I, J, z1I, d1, d2, hq)
 
-    F, okv, _ = _model_system(V, data)
+    F, okv = _model_system(V, stencil, hq)
     if not np.all(okv):
         raise NonEllipticIterate(
             "initial iterate loses ellipticity at %d nodes"
@@ -450,11 +426,11 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         return Vt
 
     def residual(x):
-        Ft, okt, _ = _model_system(full(x), data)
+        Ft, okt = _model_system(full(x), stencil, hq)
         return Ft, bool(np.all(okt))
 
     x, norm, iterations, line_total, factorizations = damped_newton(
-        residual, lambda x: _model_jacobian(full(x), data, idx),
+        residual, lambda x: _model_jacobian(full(x), stencil),
         V[mask], F, tol, max_iter)
     V = full(x)
     converged = norm <= tol
@@ -480,7 +456,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         "line_search_total": line_total,
         "factorizations": factorizations,
         "grid": (m1, m2),
-        "n_unknown": int(len(I)),
+        "n_unknown": int(len(hq)),
         "tol": tol,
         "face_neumann": float(neumann),
         "face_relation_gap": gap,

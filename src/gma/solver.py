@@ -16,6 +16,7 @@ scheme is exact whenever v restricted to the lattice has cubic accuracy.
 
 import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,6 +87,56 @@ def _lattice(kind, n, m):
     return idx, np.nonzero(interior)[0], np.nonzero(~interior)[0]
 
 
+class Stencil(NamedTuple):
+    """Matrix field M(v) = base + sum_o coeffs_o v[neighbors[:, o]].
+
+    Both Newton operators take this form: the chart solver's
+    D2 v + sum_j n_j n_j^t / l_j and the model solver's
+    D2 w + (1 - w_1/z1) e1 e1^T.  Each residual is a function of M at its
+    node, so with G its derivative in M, the derivative in the value at
+    offset o is tr(G coeffs_o).  ``columns`` gives the position among
+    the unknowns of every value index, negative for known values, which
+    the Jacobian drops.
+    """
+
+    neighbors: np.ndarray  # (K, O) value index of offset o at node k
+    columns: np.ndarray
+    coeffs: np.ndarray  # (O, n, n) shared by all nodes, or (K, O, n, n)
+    base: np.ndarray  # (n, n) or (K, n, n)
+
+    def matrices(self, v):
+        """The (K, n, n) stack of matrices M(v)."""
+        return self.base + np.einsum("...o,...oab->...ab",
+                                     v[self.neighbors], self.coeffs)
+
+    def weights(self, G):
+        """tr(G coeffs_o) per node and offset; G is (n, n) or (K, n, n)."""
+        return np.einsum("...ab,...oba->...o", G, self.coeffs)
+
+    def jacobian(self, G):
+        """CSC matrix of the weights of G at the unknown columns."""
+        cols = self.columns[self.neighbors]
+        keep = cols >= 0
+        data = np.broadcast_to(self.weights(G), cols.shape)[keep]
+        return sp.csc_matrix((data, (np.nonzero(keep)[0], cols[keep])),
+                             shape=(len(cols),) * 2)
+
+
+def pivots(H):
+    """Pivots of elimination without row exchanges on a (K, n, n) stack.
+
+    Their partial products are the leading principal minors, the last
+    the determinant; a symmetric matrix is positive definite exactly
+    when all are positive.  A zero pivot makes the later ones inf or NaN.
+    """
+    A = np.array(H, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(A.shape[-1] - 1):
+            lower = A[:, a + 1:, a:a + 1] / A[:, a:a + 1, a:a + 1]
+            A[:, a + 1:, a + 1:] -= lower * A[:, a:a + 1, a + 1:]
+    return np.diagonal(A, axis1=1, axis2=2)
+
+
 class GridChart:
     """Reference finite difference lattice for one global or face problem.
 
@@ -106,6 +157,8 @@ class GridChart:
         Reference coordinates of every lattice node, in a fixed
         lexicographic order.
     interior, boundary : ndarray of node ids
+    stencil : Stencil
+        D2 v + sum_j n_j n_j^t / l_j, the analytic singular part as base.
     ref_problem : GuilleminProblem
         The problem transported to the reference domain; functional
         values agree with the original at corresponding points.
@@ -153,21 +206,14 @@ class GridChart:
         self.nodes = idx * self.delta
         self.interior = interior
         self.boundary = bdry
-        self._int_pos = np.full(len(idx), -1, dtype=int)
-        self._int_pos[interior] = np.arange(len(interior))
 
-        offsets = [np.zeros(n, dtype=int)]
-        for a in range(n):
-            e = np.zeros(n, dtype=int)
-            e[a] = 1
-            offsets.extend([e.copy(), -e])
-        self._pairs = list(itertools.combinations(range(n), 2))
-        for a, c in self._pairs:
-            e = np.zeros(n, dtype=int)
-            e[a] = 1
-            e[c] = -1
-            offsets.extend([e.copy(), -e])
-        self.offsets = np.array(offsets)
+        # second differences run along the axes, then along the diagonals
+        # e_a - e_c; direction s owns the offsets 1 + 2s and 2 + 2s
+        eye = np.eye(n, dtype=int)
+        pairs = list(itertools.combinations(range(n), 2))
+        dirs = list(eye) + [eye[a] - eye[c] for a, c in pairs]
+        self.offsets = np.array([0 * eye[0]] + [s * d for d in dirs
+                                                for s in (1, -1)])
         # interior coordinates lie in [1, m - 2], so unit offsets stay on
         # the dense m^n index box and never wrap around a row
         self.strides = strides = m ** np.arange(n - 1, -1, -1)
@@ -177,14 +223,24 @@ class GridChart:
                  + (self.offsets @ strides)[None, :]]
         if np.any(nb < 0):
             raise GmaError("interior stencil leaves the %s lattice" % kind)
-        self.neighbors = nb
+        second = np.vstack([np.full(len(dirs), -2.0),
+                            np.repeat(np.eye(len(dirs)), 2, axis=0)])
+        coeffs = np.zeros((len(nb[0]), n, n))
+        coeffs[:, range(n), range(n)] = second[:, :n]
+        for p, (a, c) in enumerate(pairs):
+            coeffs[:, a, c] = coeffs[:, c, a] = 0.5 * (
+                second[:, a] + second[:, c] - second[:, n + p])
+        columns = np.full(len(idx), -1, dtype=int)
+        columns[interior] = np.arange(len(interior))
 
         Q = self.ref_problem.polytope
         gvals = Q.evaluate_all(self.nodes[interior])
         if np.min(gvals) <= 0:
             raise ValidationError("interior lattice node on the boundary")
-        self._svals = np.einsum("kj,ja,jb->kab", 1.0 / gvals,
-                                Q.normals, Q.normals)
+        singular = np.einsum("kj,ja,jb->kab", 1.0 / gvals,
+                             Q.normals, Q.normals)
+        self.stencil = Stencil(nb, columns, coeffs / self.delta ** 2,
+                               singular)
         h = np.asarray(self.ref_problem.density(self.nodes[interior]),
                        dtype=float)
         if np.min(h) <= 0:
@@ -199,31 +255,16 @@ class GridChart:
         x = np.asarray(x, dtype=float)
         return (x - self.shift) @ self._inv.T
 
-    def discrete_hessians(self, v):
-        """D2 v + singular part at every interior node, reference frame."""
-        v = np.asarray(v, dtype=float)
-        n = self.nodes.shape[1]
-        nb = self.neighbors
-        d2 = self.delta ** 2
-        vc = v[nb[:, 0]]
-        H = np.array(self._svals, copy=True)
-        diag = np.empty((len(nb), n))
-        for a in range(n):
-            diag[:, a] = (v[nb[:, 1 + 2 * a]] + v[nb[:, 2 + 2 * a]]
-                          - 2 * vc) / d2
-            H[:, a, a] += diag[:, a]
-        base = 1 + 2 * n
-        for p, (a, c) in enumerate(self._pairs):
-            anti = (v[nb[:, base + 2 * p]] + v[nb[:, base + 2 * p + 1]]
-                    - 2 * vc) / d2
-            mixed = 0.5 * (diag[:, a] + diag[:, c] - anti)
-            H[:, a, c] += mixed
-            H[:, c, a] += mixed
-        return H
-
 
 def assemble_residual(v, problem, chart):
     """Interior residual of the discrete equation and the flagged nodes.
+
+    A node is admissible exactly when its discrete Hessian
+    M = D2 v + sum_j n_j n_j^t / l_j is positive definite, tested by the
+    pivots of elimination without row exchanges (:func:`pivots`): all
+    must be positive.  log det M is then the sum of their logs.  A sign
+    test on det M alone would pass a Hessian with an even number of
+    negative eigenvalues.
 
     Parameters
     ----------
@@ -240,91 +281,54 @@ def assemble_residual(v, problem, chart):
         right hand side; NaN where the discrete Hessian is not positive
         definite.
     flagged : ndarray
-        Node ids whose discrete Hessian fails positivity; these are not
-        evaluated.
+        Node ids whose discrete Hessian is not positive definite; these
+        are not evaluated.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (len(chart.nodes),):
         raise ValidationError("value array does not match the lattice")
     if problem is not None and problem is not chart.problem:
         raise ValidationError("chart was built for a different problem")
-    H = chart.discrete_hessians(v)
-    sign, logabs = np.linalg.slogdet(H)
-    bad = sign <= 0
-    R = logabs - chart.rhslog
-    R[bad] = np.nan
-    return R, chart.interior[bad]
+    p = pivots(chart.stencil.matrices(v))
+    ok = np.all(p > 0, axis=1)
+    R = np.full(len(ok), np.nan)
+    R[ok] = np.sum(np.log(p[ok]), axis=1) - chart.rhslog[ok]
+    return R, chart.interior[~ok]
 
 
 def _jacobian_matrix(chart, v):
     """Sparse derivative of the interior residual in the interior values."""
-    H = chart.discrete_hessians(v)
-    Hinv = np.linalg.inv(H)
-    n = chart.nodes.shape[1]
-    d2 = chart.delta ** 2
-    K = len(chart.interior)
-    tr = np.trace(Hinv, axis1=1, axis2=2)
-    offsum = 0.5 * (Hinv.sum(axis=(1, 2)) - tr)
-    weights = [(-2.0 * tr - 2.0 * offsum) / d2]
-    rowsum = Hinv.sum(axis=2)
-    for a in range(n):
-        weights.extend([rowsum[:, a] / d2] * 2)
-    for a, c in chart._pairs:
-        weights.extend([-Hinv[:, a, c] / d2] * 2)
-
-    rows = []
-    cols = []
-    data = []
-    base_rows = np.arange(K)
-    for o, w in enumerate(weights):
-        nbr = chart.neighbors[:, o]
-        cpos = chart._int_pos[nbr]
-        keep = cpos >= 0
-        rows.append(base_rows[keep])
-        cols.append(cpos[keep])
-        data.append(w[keep])
-    J = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(K, K))
-    return J.tocsc()
+    return chart.stencil.jacobian(np.linalg.inv(chart.stencil.matrices(v)))
 
 
 def _harmonic_lift(chart, v):
     """Fill interior values by a discrete Laplace solve from the boundary.
 
-    The Dirichlet (2n+1)-point Laplacian on a box lattice is diagonalised
-    by the type-I discrete sine transform, so box charts and 1-D charts
-    are solved by one forward and one inverse DST.  The 2-D simplex
-    lattice is the half i + j <= m - 1 of the square, and the reflection
+    The Laplacian, the (2n+1)-point one, is the trace of the chart's
+    stencil.  On a box lattice it is diagonalised by the type-I discrete
+    sine transform, so box charts and 1-D charts are solved by one forward
+    and one inverse DST.  The 2-D simplex lattice is the half
+    i + j <= m - 1 of the square, and the reflection
     (i, j) -> (m - 1 - j, m - 1 - i) across the hypotenuse maps the
     stencil onto itself: with the right hand side mirrored with its sign
     flipped, the square solution vanishes on the hypotenuse and its lower
     half is the triangle's.  Simplices with n >= 3 fall back to a sparse
     LU solve.
     """
+    st = chart.stencil
     n = chart.nodes.shape[1]
     d2 = chart.delta ** 2
-    K = len(chart.interior)
-    rhs = np.zeros(K)
-    for o in range(1, 1 + 2 * n):
-        nbr = chart.neighbors[:, o]
-        out = chart._int_pos[nbr] < 0
-        rhs[out] -= v[nbr[out]] / d2
+    eye = np.eye(n)
+    # known boundary values move to the right hand side
+    known = st.columns[st.neighbors] < 0
+    rhs = -np.sum(st.weights(eye) * np.where(known, v[st.neighbors], 0.0),
+                  axis=1)
 
     m = chart.m
     if chart.kind == "simplex" and n >= 3:
-        rows = [np.arange(K)]
-        cols = [np.arange(K)]
-        data = [np.full(K, -2.0 * n / d2)]
-        for o in range(1, 1 + 2 * n):
-            cpos = chart._int_pos[chart.neighbors[:, o]]
-            keep = cpos >= 0
-            rows.append(np.nonzero(keep)[0])
-            cols.append(cpos[keep])
-            data.append(np.full(int(keep.sum()), 1.0 / d2))
-        A = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(K, K)).tocsc()
+        # the diagonal offsets carry zero trace
+        A = st.jacobian(eye)
+        A.eliminate_zeros()
         return spsolve(A, rhs, permc_spec=_PERMC)
 
     # eigenvalues of the Laplacian on the (m-2)^n interior box

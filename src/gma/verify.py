@@ -58,7 +58,7 @@ class LiouvilleData(NamedTuple):
     residual: float
 
 
-def liouville_oracle(x, k, n=None):
+def liouville_oracle(x, k):
     """Explicit quadrant solution and the defect of its equation.
 
     The potential is sum_{a<=k} x_a log x_a plus half the squared norm
@@ -73,8 +73,6 @@ def liouville_oracle(x, k, n=None):
         Evaluation point; the first k coordinates must be positive.
     k : int
         Number of degenerate coordinates.
-    n : int, optional
-        Expected dimension; checked against x when given.
 
     Returns
     -------
@@ -89,8 +87,6 @@ def liouville_oracle(x, k, n=None):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValidationError("oracle expects a single point")
-    if n is not None and x.size != n:
-        raise ValidationError("point dimension does not match n")
     n = x.size
     k = int(k)
     if not 1 <= k <= n:
@@ -409,13 +405,13 @@ def estimate_weighted_hessian(levels):
     return _finish("weighted-hessian", ratios, argmax)
 
 
-def estimate_face_asymptotics(levels, extension=None):
+def estimate_face_asymptotics(levels):
     """Remainder-to-weight ratios near a corner of two vanishing faces.
 
-    The remainder is the field minus its separable extension.  When no
-    extension callable is given the discrete inclusion-exclusion of the
-    two face traces is used: F[i, j] = V[0, j] + V[i, 0] - V[0, 0],
-    which reproduces any separable field exactly.  Three weights are
+    The remainder is the field minus its separable extension, the
+    discrete inclusion-exclusion F[i, j] = V[0, j] + V[i, 0] - V[0, 0]
+    of the two face traces, which reproduces any separable field
+    exactly.  Three weights are
     reported: the square root of the coordinate product, the symmetric
     quadratic sum (identical to the product for two faces), and the
     full product.  Nodes with a vanishing coordinate are excluded.
@@ -424,8 +420,6 @@ def estimate_face_asymptotics(levels, extension=None):
     ----------
     levels : list of (values, (x1_axis, x2_axis))
         Both axes must start at 0.
-    extension : callable, optional
-        Point evaluator x -> float replacing the discrete extension.
 
     Returns
     -------
@@ -436,11 +430,7 @@ def estimate_face_asymptotics(levels, extension=None):
            ("root-product", "quadratic", "full-product")}
     for values, axes in levels:
         V, x1, x2 = _load_level(values, axes, need_corner=True)
-        if extension is None:
-            F = V[0:1, :] + V[:, 0:1] - V[0, 0]
-        else:
-            F = np.array([[float(extension(np.array([a, b])))
-                           for b in x2] for a in x1])
+        F = V[0:1, :] + V[:, 0:1] - V[0, 0]
         R = np.abs(V - F)[1:-1, 1:-1]
         X1, X2 = np.meshgrid(x1[1:-1], x2[1:-1], indexing="ij")
         prod = X1 * X2

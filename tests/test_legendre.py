@@ -364,23 +364,20 @@ class TestModelSolve:
         V = trace(xpts)
         mask = np.zeros((m, m), dtype=bool)
         mask[:m - 1, 1:m - 1] = True
-        I, J = np.nonzero(mask)
-        idx = np.full((m, m), -1, dtype=int)
-        idx[mask] = np.arange(len(I))
-        data = (I, J, z1[I], z1[1] - z1[0], z2[1] - z2[0],
-                np.sqrt(h(xpts[mask])))
-        F, ok, _ = legendre._model_system(V, data)
+        stencil = legendre._model_stencil(z1, z2, mask)
+        hq = np.sqrt(h(xpts[mask]))
+        F, ok = legendre._model_system(V, stencil, hq)
         assert np.all(ok)
         norm = np.max(np.abs(F))
         for _ in range(30):
             if norm <= 1e-12:
                 break
-            step = spsolve(legendre._model_jacobian(V, data, idx), -F)
+            step = spsolve(legendre._model_jacobian(V, stencil), -F)
             lam = 1.0
             while lam >= 2.0 ** -31:
                 Vt = V.copy()
                 Vt[mask] += lam * step
-                Ft, ok, _ = legendre._model_system(Vt, data)
+                Ft, ok = legendre._model_system(Vt, stencil, hq)
                 if np.all(ok) and \
                         np.max(np.abs(Ft)) <= (1.0 - 0.25 * lam) * norm:
                     break
@@ -389,9 +386,42 @@ class TestModelSolve:
         assert norm <= 1e-12
         assert np.max(np.abs(sol.values - V)) <= 1e-11
 
+    def test_model_jacobian_matches_fd(self):
+        # central differences of the residual against the stencil
+        # Jacobian, on face-row unknowns (z1 = 0) and in the body
+        m = 9
+        z1 = np.linspace(0.0, 1.0, m)
+        z2 = np.linspace(-1.0, 1.0, m)
+        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+        mask = np.zeros((m, m), dtype=bool)
+        mask[:m - 1, 1:m - 1] = True
+        stencil = legendre._model_stencil(z1, z2, mask)
+        rng = np.random.default_rng(3)
+        V = 0.5 * Z2 ** 2 + 0.2 * Z1 ** 2 + 1e-3 * rng.standard_normal((m, m))
+        hq = np.ones(int(mask.sum()))
+        F, ok = legendre._model_system(V, stencil, hq)
+        assert np.all(ok)
+        J = legendre._model_jacobian(V, stencil)
+        rows = np.nonzero(mask)[0]
+        face = np.nonzero(rows == 0)[0]
+        body = rng.choice(np.nonzero(rows > 0)[0], size=6, replace=False)
+        eps = 1e-6
+        for k in np.concatenate([face[:3], body]):
+            step = np.zeros(len(rows))
+            step[k] = eps
+            Vp, Vm = V.copy(), V.copy()
+            Vp[mask] += step
+            Vm[mask] -= step
+            col_fd = (legendre._model_system(Vp, stencil, hq)[0]
+                      - legendre._model_system(Vm, stencil, hq)[0]) / (2 * eps)
+            col = J[:, k].toarray().ravel()
+            assert np.count_nonzero(col) >= 3
+            assert np.allclose(col, col_fd, rtol=0,
+                               atol=1e-6 * (1 + np.abs(col).max()))
+
     def test_singular_jacobian_raises(self, monkeypatch):
-        def singular(V, data, idx):
-            K = len(data[0])
+        def singular(V, stencil):
+            K = len(stencil.neighbors)
             return sp.csc_matrix((K, K))
 
         def h(x):

@@ -259,7 +259,7 @@ class TestGridChart:
             assert np.array_equal(chart.interior, interior)
             assert np.array_equal(chart.boundary, bdry)
             assert np.array_equal(chart.offsets, offsets)
-            assert np.array_equal(chart.neighbors, nb)
+            assert np.array_equal(chart.stencil.neighbors, nb)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         def no_lattice(*args):
@@ -330,17 +330,21 @@ class TestAssembleResidual:
             if int(node) in pos:
                 assert np.isnan(R[k])
 
-    def test_jacobian_matches_fd(self):
-        prob = manufactured_problem()
+    @pytest.mark.parametrize("kind,n", [(k, n) for n in (2, 3, 4)
+                                         for k in ("simplex", "box")])
+    def test_jacobian_matches_fd(self, kind, n):
+        # n >= 3 brings the mixed stencils of every axis pair into play
+        prob = unit_problem(kind, n)
         chart = solver.GridChart(prob, m=7)
         rng = np.random.default_rng(7)
         v = np.zeros(len(chart.nodes))
-        v[chart.interior] = 0.01 * rng.standard_normal(len(chart.interior))
+        v[chart.interior] = 0.003 * rng.standard_normal(len(chart.interior))
         R0, flagged = solver.assemble_residual(v, prob, chart)
         assert flagged.size == 0
         J = solver._jacobian_matrix(chart, v)
         eps = 1e-7
-        for k in rng.choice(len(chart.interior), size=8, replace=False):
+        K = len(chart.interior)
+        for k in rng.choice(K, size=min(8, K), replace=False):
             node = chart.interior[k]
             vp = v.copy()
             vp[node] += eps
@@ -351,6 +355,49 @@ class TestAssembleResidual:
             col_fd = (Rp - Rm) / (2 * eps)
             col = np.asarray(J[:, k].todense()).ravel()
             assert np.allclose(col, col_fd, atol=1e-5 * (1 + np.abs(col).max()))
+
+    @staticmethod
+    def quadratic_case(kind, n, m, scale):
+        """Chart, v = -(xi - c)^t B (xi - c)/2 on every node, and S - B.
+
+        Second differences of a quadratic are exact, so the discrete
+        Hessian is S - B with S = sum_j n_j n_j^t / l_j in closed form.
+        """
+        chart = solver.GridChart(unit_problem(kind, n), m=m)
+        xi = chart.nodes
+        c = xi[chart.interior].mean(axis=0)
+        B = scale * np.diag(4.0 ** -np.arange(n))
+        v = -0.5 * np.einsum("ka,ab,kb->k", xi - c, B, xi - c)
+        Q = chart.ref_problem.polytope
+        ell = Q.evaluate_all(xi[chart.interior])
+        S = np.einsum("kj,ja,jb->kab", 1.0 / ell, Q.normals, Q.normals)
+        return chart, v, S - B
+
+    @pytest.mark.parametrize("scale", [5.0, 100.0])
+    @pytest.mark.parametrize("kind,n,m", [
+        ("simplex", 2, 17), ("box", 2, 17), ("simplex", 3, 9), ("box", 3, 9),
+        ("simplex", 4, 9), ("box", 4, 7)])
+    def test_flags_every_non_positive_definite_hessian(self, kind, n, m,
+                                                       scale):
+        # at scale 100 every chart has nodes with an even number of
+        # negative eigenvalues, which a sign test on det alone passes; at
+        # scale 5 definite and indefinite nodes mix
+        chart, v, H = self.quadratic_case(kind, n, m, scale)
+        lowest = np.linalg.eigvalsh(H)[:, 0]
+        assert np.min(np.abs(lowest)) > 1e-3
+        assert np.sum(lowest <= 0) >= 5
+        R, flagged = solver.assemble_residual(v, chart.problem, chart)
+        assert np.array_equal(flagged, chart.interior[lowest <= 0])
+        assert np.array_equal(np.isnan(R), lowest <= 0)
+        assert np.allclose(R[lowest > 0], np.linalg.slogdet(H[lowest > 0])[1]
+                           - chart.rhslog[lowest > 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,n", [(k, n) for n in (2, 3, 4)
+                                         for k in ("simplex", "box")])
+    def test_stencil_reproduces_quadratic_hessians(self, kind, n):
+        chart, v, H = self.quadratic_case(kind, n, 7, 5.0)
+        M = chart.stencil.matrices(v)
+        assert np.max(np.abs(M - H)) <= 1e-9 * np.max(np.abs(H))
 
 
 def unit_problem(kind, n):
