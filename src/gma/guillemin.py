@@ -37,39 +37,6 @@ def potential_values(P, xs):
     return xlogy(np.clip(vals, 0.0, None), np.clip(vals, 0.0, None)).sum(-1)
 
 
-def guillemin_potential(P, x):
-    """Canonical potential, its gradient and Hessian at one point.
-
-    Parameters
-    ----------
-    P : Polytope
-    x : array_like, shape (n,)
-        Point in the closed polytope.
-
-    Returns
-    -------
-    value : float
-        sum_i l_i(x) log l_i(x), with the 0 log 0 = 0 convention.
-    gradient : ndarray or None
-        sum_i (1 + log l_i) n_i; None on the boundary.
-    hessian : ndarray or None
-        sum_i n_i n_i^t / l_i; None on the boundary.
-
-    Raises
-    ------
-    OutsideDomain
-    """
-    x, vals = _require_inside(P, x, "potential")
-    clipped = np.clip(vals, 0.0, None)
-    value = float(xlogy(clipped, clipped).sum())
-    if np.min(vals) <= P.tau:
-        return value, None, None
-    normals = P.normals
-    grad = ((1.0 + np.log(vals))[:, None] * normals).sum(axis=0)
-    hess = np.einsum("i,ia,ib->ab", 1.0 / vals, normals, normals)
-    return value, grad, hess
-
-
 def _distinct_index_terms(P):
     """Cached (complement indices, squared normal determinant) pairs.
 

@@ -39,6 +39,8 @@ __all__ = [
 # enough neighbors for a full quadratic fit in the plane plus slack
 _LSQ_NEIGHBORS = 8
 _LSQ_COEFFS = 6
+# least tangential second derivative the partial Legendre transform accepts
+_U22_FLOOR = 1e-8
 
 
 def local_quadratic_eval(tree, points, values, y):
@@ -149,7 +151,7 @@ class PartialLegendrePair:
         return self.y_points[:, 0] * ustar11 + hvals / u22
 
 
-def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
+def legendre_forward(values, axes, gradient=None, hessian=None):
     """Partial Legendre transform of a grid field, tangential dual only.
 
     The transversal coordinate x1 is kept; the tangential one is
@@ -169,8 +171,6 @@ def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
     hessian : callable, optional
         Analytic Hessian at a single point (2,) -> (2, 2).
         Default: second-order stencils on the grid.
-    c0 : float
-        Lower bound demanded of the tangential second derivative.
 
     Returns
     -------
@@ -179,8 +179,8 @@ def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
     Raises
     ------
     DegenerateTransversalHessian
-        If the tangential Hessian block is not positive definite on the
-        chart.
+        If the tangential second derivative is at most 1e-8 somewhere on
+        the chart.
     """
     values = np.asarray(values, dtype=float)
     if len(axes) != 2 or values.ndim != 2:
@@ -218,7 +218,7 @@ def legendre_forward(values, axes, gradient=None, hessian=None, c0=1e-8):
 
     u22 = H[:, 1, 1]
     worst = int(np.argmin(u22))
-    if u22[worst] <= c0:
+    if u22[worst] <= _U22_FLOOR:
         raise DegenerateTransversalHessian(
             "tangential second derivative %.3e at (%.4f, %.4f)"
             % (u22[worst], pts[worst, 0], pts[worst, 1]))

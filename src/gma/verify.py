@@ -207,17 +207,14 @@ def _check_face_lift(samples, constants, seed, u, h):
         margins[i] = (c0 * float(h(np.array([0.0, b])))
                       - float(h(np.array([a, b])))) / a
 
-    if u is None:
-        boundary = 0.0
-    else:
-        # the lift trace(x2) + C0 x1 log x1 meets u on the face x1 = 0;
-        # it must stay below u on the other sides of [0, depth] x [-1, 1]
-        t = np.linspace(0.0, 1.0, 64)
-        sides = np.column_stack([
-            np.concatenate([np.full(64, depth), depth * t[1:], depth * t[1:]]),
-            np.concatenate([2.0 * t - 1.0, np.full(63, -1.0), np.ones(63)])])
-        boundary = min(float(u(p)) - float(u(np.array([0.0, p[1]])))
-                       - c0 * float(xlogy(p[0], p[0])) for p in sides)
+    # the lift trace(x2) + C0 x1 log x1 meets u on the face x1 = 0; it
+    # must stay below u on the other sides of [0, depth] x [-1, 1]
+    t = np.linspace(0.0, 1.0, 64)
+    sides = np.column_stack([
+        np.concatenate([np.full(64, depth), depth * t[1:], depth * t[1:]]),
+        np.concatenate([2.0 * t - 1.0, np.full(63, -1.0), np.ones(63)])])
+    boundary = min(float(u(p)) - float(u(np.array([0.0, p[1]])))
+                   - c0 * float(xlogy(p[0], p[0])) for p in sides)
     return BarrierCheck(
         "face-lift",
         {"C0": c0, "depth": depth},
@@ -287,9 +284,9 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     seed : int
         Sampling seed.
     u : callable, optional
-        Model potential at one point whose face trace the "face-lift"
-        barrier lifts; the boundary margin is the least of u minus the
-        lift on the sides of the half-strip off the face.
+        Required for "face-lift": the model potential at one point whose
+        face trace the barrier lifts; the boundary margin is the least
+        of u minus the lift on the sides of the half-strip off the face.
     h : callable, optional
         Density for "face-lift"; default is 1.
     k : int
@@ -303,6 +300,8 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     ------
     ConstantSearchFailed
         When no rung of the dyadic constant ladder verifies.
+    ValidationError
+        An unknown id, or a required polytope or u missing.
     """
     constants = dict(constants or {})
     if barrier_id == "product-power":
@@ -310,6 +309,8 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
             raise ValidationError("product-power needs a polytope")
         return _check_product_power(polytope, samples, constants, seed)
     if barrier_id == "face-lift":
+        if u is None:
+            raise ValidationError("face-lift needs a model potential u")
         return _check_face_lift(samples, constants, seed, u, h)
     if barrier_id == "g-concavity":
         return _check_g_concavity(samples, constants, seed, k)
@@ -324,7 +325,7 @@ class EstimateReport(NamedTuple):
     bounded: bool
 
 
-def _load_level(values, axes, need_face=True, need_corner=False):
+def _load_level(values, axes, need_corner=False):
     V = np.asarray(values, dtype=float)
     if V.ndim != 2:
         raise ValidationError("estimator levels must be planar grids")
@@ -337,7 +338,7 @@ def _load_level(values, axes, need_face=True, need_corner=False):
                 steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValidationError(
                 "%s axis must be uniform with at least 4 nodes" % label)
-    if need_face and abs(x1[0]) > 0.0:
+    if abs(x1[0]) > 0.0:
         raise ValidationError("transversal axis must start at the face")
     if need_corner and abs(x2[0]) > 0.0:
         raise ValidationError("both axes must start at the corner")

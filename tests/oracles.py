@@ -88,19 +88,6 @@ def brute_force_vertices(normals, offsets, tol=1e-9):
     return verts[order]
 
 
-def fd_gradient(f, x, h=None):
-    """Fourth order central difference gradient."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = (np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, np.abs(x).max())
-    g = np.zeros_like(x)
-    for a in range(x.size):
-        e = np.zeros_like(x)
-        e[a] = h
-        g[a] = (-f(x + 2 * e) + 8 * f(x + e) - 8 * f(x - e) + f(x - 2 * e)) / (12 * h)
-    return g
-
-
 def fd_hessian(f, x, h=None):
     """Central difference Hessian, second order, off-diagonals by 4 point rule."""
     x = np.asarray(x, dtype=float)

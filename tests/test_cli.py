@@ -1,10 +1,13 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from gma import cli
+import gma.solver
+from gma import boundary, cli
+from gma.problem import load_problem
 
 
 def write_problem(path, body):
@@ -39,6 +42,14 @@ def square_body(density=None):
     if density is not None:
         body["density"] = density
     return body
+
+
+def cube_body(density):
+    facets = []
+    for e in np.eye(3).tolist():
+        facets.append({"normal": e, "offset": 0.0})
+        facets.append({"normal": [-c for c in e], "offset": -1.0})
+    return {"dimension": 3, "facets": facets, "density": density}
 
 
 def octahedron_body():
@@ -216,6 +227,81 @@ class TestSolve:
         assert out["exit_code"] == 2
         assert out["error"]["kind"] == kind
 
+
+    def test_face_chart_reads_the_one_boundary_build(self, tmp_path,
+                                                     monkeypatch):
+        # the unit cube has 12 edges and 6 square facets; one boundary
+        # build solves each once, where a build per facet would solve
+        # every edge once for each of its two facets
+        calls = {"build": 0, "edge": 0, "face": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_boundary_data",
+                            counted("build", cli.build_boundary_data))
+        monkeypatch.setattr(boundary, "solve_edge",
+                            counted("edge", boundary.solve_edge))
+        monkeypatch.setattr(gma.solver, "newton_solve",
+                            counted("face", gma.solver.newton_solve))
+        path = write_problem(
+            tmp_path / "cube.json",
+            cube_body({"type": "perturbed", "amplitude": 0.3}))
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
+                        "--report", str(report)])
+        assert code == 0
+        assert calls == {"build": 1, "edge": 12, "face": 6}
+        out = json.loads(report.read_text())
+        assert [f["face"] for f in out["faces"]] == [str(i) for i in range(6)]
+        assert all(f["dim"] == 2 and f["solver"]["converged"]
+                   for f in out["faces"])
+        consistency = out["boundary_consistency"]
+        assert consistency["max_mismatch"] <= consistency["tolerance"]
+        # each record is the facet solve of the build gma boundary runs
+        bd = boundary.build_boundary_data(load_problem(path), grid=9)
+        for f in out["faces"]:
+            rep = bd.traces[(int(f["face"]),)].solution.report
+            assert f["solver"]["iterations"] == rep["iterations"]
+            assert f["solver"]["residual_norm"] == rep["residual_norm"]
+
+    def test_face_chart_stops_on_a_failed_facet(self, tmp_path,
+                                                monkeypatch):
+        # a facet solve that reports no convergence stops the build with
+        # the SolverError that names the face
+        real = gma.solver.newton_solve
+
+        def unconverged(*args, **kwargs):
+            sol, rep = real(*args, **kwargs)
+            return sol, dict(rep, converged=False)
+
+        monkeypatch.setattr(gma.solver, "newton_solve", unconverged)
+        path = write_problem(
+            tmp_path / "cube.json",
+            cube_body({"type": "perturbed", "amplitude": 0.3}))
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--chart", "face", "--grid", "5",
+                        "--report", str(report)])
+        assert code == 3
+        out = json.loads(report.read_text())
+        assert out["error"]["kind"] == "SolverError"
+        assert re.match(r"face \(\d+,\) did not converge",
+                        out["error"]["message"])
+
+    def test_face_chart_on_segment_is_exit_two(self, tmp_path):
+        # the facets of a segment are its vertices, which have no solve
+        path = write_problem(tmp_path / "seg.json", {
+            "dimension": 1,
+            "facets": [{"normal": [1.0], "offset": 0.0},
+                       {"normal": [-1.0], "offset": -1.0}]})
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
+                        "--report", str(report)])
+        assert code == 2
+        assert json.loads(report.read_text())["exit_code"] == 2
 
     def test_face_chart_on_nonsimple_polytope_is_exit_two(self, tmp_path):
         # every facet of the octahedron is a triangle whose corners lie

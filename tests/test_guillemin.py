@@ -3,8 +3,8 @@ import pytest
 
 from gma import geometry, guillemin
 from gma.errors import MissingTrace, NonSimpleVertex, OutsideDomain
-
-from oracles import fd_gradient, fd_hessian
+from gma.problem import GuilleminProblem
+from gma.solver import GridChart
 
 
 def segment():
@@ -59,44 +59,39 @@ def trapezoid_density_closed_form(P, x):
 
 class TestPotential:
     def test_segment_midpoint(self):
-        P = segment()
-        val, grad, hess = guillemin.guillemin_potential(P, [0.5])
-        assert np.isclose(val, -np.log(2.0))
-        assert np.isclose(grad[0], 0.0)
-        assert np.isclose(hess[0, 0], 4.0)
+        assert np.isclose(guillemin.potential_values(segment(), [0.5]),
+                          -np.log(2.0))
 
     def test_simplex_centroid(self):
-        P = simplex2d()
-        val, grad, hess = guillemin.guillemin_potential(P, [1 / 3, 1 / 3])
-        assert np.isclose(val, -np.log(3.0))
-        expect = 3.0 * np.eye(2) + 3.0 * np.ones((2, 2))
-        assert np.allclose(hess, expect)
+        assert np.isclose(
+            guillemin.potential_values(simplex2d(), [1 / 3, 1 / 3]),
+            -np.log(3.0))
 
     def test_vertex_value_convention(self):
-        P = simplex2d()
-        val, grad, hess = guillemin.guillemin_potential(P, [0.0, 0.0])
-        assert val == 0.0
-        assert grad is None and hess is None
+        assert guillemin.potential_values(simplex2d(), [0.0, 0.0]) == 0.0
 
     def test_matches_finite_differences(self):
-        P = trapezoid()
-        pts = geometry.sample_interior(P, 5, np.random.default_rng(1),
-                                       margin=0.05)
-        f = lambda x: guillemin.guillemin_potential(P, x)[0]
-        for x in pts:
-            val, grad, hess = guillemin.guillemin_potential(P, x)
-            assert np.allclose(grad, fd_gradient(f, x), atol=1e-7)
-            assert np.allclose(hess, fd_hessian(f, x), atol=1e-5)
+        # the chart's singular part sum n n^t / l is the Hessian of the
+        # potential at every interior node
+        for P in (simplex2d(), unit_square()):
+            prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+            chart = GridChart(prob, m=9)
+            Q = chart.ref_problem.polytope
+            f = lambda x: guillemin.potential_values(Q, x)
+            for x, base in zip(chart.nodes[chart.interior],
+                               chart.stencil.base):
+                assert np.allclose(guillemin.fd_hessian(f, x), base,
+                                   rtol=1e-6, atol=1e-5)
 
     def test_outside_raises(self):
         with pytest.raises(OutsideDomain):
-            guillemin.guillemin_potential(simplex2d(), [2.0, 2.0])
+            guillemin.potential_values(simplex2d(), [2.0, 2.0])
 
     def test_values_batched(self):
         P = simplex2d()
         xs = geometry.sample_interior(P, 10, np.random.default_rng(2))
         vals = guillemin.potential_values(P, xs)
-        singles = [guillemin.guillemin_potential(P, x)[0] for x in xs]
+        singles = [guillemin.potential_values(P, x) for x in xs]
         assert np.allclose(vals, singles)
 
 

@@ -16,10 +16,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gma"
 KEPT = {
     ("guillemin", "smooth_extension"):
         "acceptance criterion 09 checks the Whitney extension of traces",
-    ("guillemin", "guillemin_potential"):
-        "closed-form value, gradient and Hessian of sum l log l, the "
-        "reference that tests/test_guillemin.py::TestPotential checks "
-        "potential_values against",
     ("cli", "main"): "console script entry point named in pyproject.toml",
     ("cli", "_Parser.error"): "argparse calls it on a usage error",
 }

@@ -3,7 +3,8 @@ import pytest
 from scipy.special import xlogy
 
 from gma import geometry, guillemin, solver, verify
-from gma.errors import ConstantSearchFailed, OutsideDomain, OutsideQuadrant
+from gma.errors import (ConstantSearchFailed, OutsideDomain, OutsideQuadrant,
+                        ValidationError)
 from gma.problem import GuilleminProblem
 
 from oracles import fd_hessian
@@ -22,6 +23,13 @@ def standard_simplex():
           geometry.AffineFunctional([0.0, 1.0], 0.0),
           geometry.AffineFunctional([-1.0, -1.0], -1.0)]
     return geometry.build_polytope(fs)
+
+
+def calibration_u(x):
+    # x1 log x1 + x2^2 / 2: the face-lift barrier with C0 = 1 meets it
+    # exactly, so both of its margins read 0
+    x = np.asarray(x, dtype=float)
+    return xlogy(x[..., 0], x[..., 0]) + 0.5 * x[..., 1] ** 2
 
 
 class TestLiouvilleOracle:
@@ -118,11 +126,8 @@ class TestVerifyBarrier:
                 constants={"alpha_exp": 0.9})
 
     def test_face_lift_equality_calibration(self):
-        def model_u(x):
-            x = np.asarray(x, dtype=float)
-            return xlogy(x[..., 0], x[..., 0]) + 0.5 * x[..., 1] ** 2
-
-        check = verify.verify_barrier("face-lift", samples=300, u=model_u)
+        check = verify.verify_barrier("face-lift", samples=300,
+                                      u=calibration_u)
         assert abs(check.margin_differential) <= 1e-10
         assert abs(check.margin_boundary) <= 1e-10
         assert check.constants["C0"] == 1.0
@@ -130,11 +135,19 @@ class TestVerifyBarrier:
     def test_face_lift_margin_sign(self):
         ones = None  # default density is h = 1
         surplus = verify.verify_barrier(
-            "face-lift", samples=200, constants={"C0": 2.0}, h=ones)
+            "face-lift", samples=200, constants={"C0": 2.0}, h=ones,
+            u=calibration_u)
         assert surplus.margin_differential > 0.0
         deficit = verify.verify_barrier(
-            "face-lift", samples=200, constants={"C0": 0.5})
+            "face-lift", samples=200, constants={"C0": 0.5},
+            u=calibration_u)
         assert deficit.margin_differential < 0.0
+
+    def test_face_lift_needs_u(self):
+        # without u the boundary margin has nothing to compare the lift
+        # with, so the check refuses to run rather than read 0
+        with pytest.raises(ValidationError, match="face-lift needs"):
+            verify.verify_barrier("face-lift", samples=10)
 
     def test_face_lift_boundary_margin_catches_low_potential(self):
         # same face trace as the calibration potential but 5 x1 lower
