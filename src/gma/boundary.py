@@ -135,8 +135,7 @@ def restrict_problem(problem, gamma):
             vals = vals / g(xi)
         return vals
 
-    density = guillemin.DensitySpec.from_callable(effective_density,
-                                                  tag="restricted")
+    density = guillemin.DensitySpec.from_callable(effective_density)
     name = None
     if problem.name:
         name = "%s|%s" % (problem.name, ",".join(str(i) for i in key))

@@ -17,7 +17,6 @@ import os
 import struct
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +54,10 @@ exit codes:
   4   run completed but a requested check failed and --strict was set
   64  usage error
 
-threads: the orchestrator itself is single-threaded; --threads caps the
-worker pool used for independent face solves.  When the flag is absent
-the GMA_THREADS environment variable supplies the default (1 if unset).
+threads: the orchestrator itself is single-threaded; the --threads flag
+of boundary and solve caps the worker pool used for independent face
+solves.  When the flag is absent the GMA_THREADS environment variable
+supplies the default (1 if unset).
 """
 
 
@@ -68,52 +68,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command line invocation.
-
-    Instances are immutable and embedded verbatim in every report, so a
-    report always names the configuration that produced it.  Validation
-    happens on construction; invalid settings raise ValidationError
-    before any file is read or any solve starts.
-    """
-
-    subcommand: str
-    problem: str = None
-    grid: int = 33
-    levels: tuple = (9, 17, 33)
-    tol_solve: float = 1e-10
-    max_iter: int = 30
-    chart: str = "global"
-    form: str = "z"
-    suite: str = "all"
-    point: tuple = ()
-    k: int = None
-    depth: float = 0.25
-    report_path: str = None
-    dump_path: str = None
-    deterministic: bool = False
-    seed: int = 0
-    threads: int = 1
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.tol_solve <= 0.0:
-            raise ValidationError("--tol must be positive")
-        if self.grid < 3:
-            raise ValidationError("--grid needs at least 3 nodes per edge")
-        if not self.levels or any(int(m) < 3 for m in self.levels):
-            raise ValidationError("--levels needs entries of at least 3")
-        if self.max_iter < 1:
-            raise ValidationError("--max-iter must be at least 1")
-        if self.threads < 1:
-            raise ValidationError("--threads must be at least 1")
-        if self.seed < 0:
-            raise ValidationError("--seed must be nonnegative")
-        if not (0.0 < self.depth):
-            raise ValidationError("--depth must be positive")
 
 
 def _resolve_threads(flag):
@@ -167,15 +121,13 @@ def _emit_report(config, payload, started=None):
     # the embedded config names everything that shaped the results;
     # output locations do not, and skipping them keeps deterministic
     # reruns byte-identical wherever they are written
-    cfg = asdict(config)
-    cfg.pop("report_path")
-    cfg.pop("dump_path")
-    payload["config"] = cfg
+    payload["config"] = {name: value for name, value in vars(config).items()
+                         if name not in ("report", "dump")}
     if started is not None and not config.deterministic:
         payload["elapsed_s"] = round(time.monotonic() - started, 3)
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    if config.report_path:
-        Path(config.report_path).write_text(text + "\n", encoding="ascii")
+    if config.report:
+        Path(config.report).write_text(text + "\n", encoding="ascii")
     else:
         print(text)
 
@@ -217,7 +169,7 @@ def _cmd_check(config):
     started = time.monotonic()
     prob = load_problem(config.problem)
     P = prob.polytope
-    simple, rows = geometry.is_simple(P)
+    simple, bad = geometry.is_simple(P)
     payload = {
         "dimension": P.dimension,
         "facets": len(P.facets),
@@ -225,7 +177,6 @@ def _cmd_check(config):
         "simple": bool(simple),
     }
     if not simple:
-        bad = sorted(int(r["index"]) for r in rows if not r["simple"])
         payload["nonsimple_vertices"] = bad
         payload["compatibility"] = None
         payload["message"] = "polytope is not simple at vertices %s" % (bad,)
@@ -252,14 +203,14 @@ def _cmd_boundary(config):
     prob = load_problem(config.problem)
     P = prob.polytope
     threads = config.threads if config.threads > 1 else None
-    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol_solve,
+    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
                              threads=threads)
     keys = sorted(bd.traces, key=lambda key: (len(key), key))
     payload = {
         "consistency": bd.consistency,
         "faces": [_face_label(key) for key in keys],
     }
-    if config.dump_path:
+    if config.dump:
         n = P.dimension
         header = ["face", "t"] + ["x%d" % (i + 1) for i in range(n)] \
             + ["u", "v"]
@@ -284,7 +235,7 @@ def _cmd_boundary(config):
         rows = [[label, float(t)] + [float(c) for c in x]
                 + [float(a), float(b)]
                 for label, t, x, a, b in zip(labels, ts, pts, u, v)]
-        _write_csv(config.dump_path, header, rows)
+        _write_csv(config.dump, header, rows)
     _emit_report(config, payload, started)
     return EXIT_OK
 
@@ -313,13 +264,16 @@ def _reference_error(prob, sol):
 
 def _cmd_solve(config):
     started = time.monotonic()
+    if config.chart == "face" and config.dump:
+        raise ValidationError("--chart face tabulates nothing: --dump needs "
+                              "the global chart")
     prob = load_problem(config.problem)
     P = prob.polytope
     if config.chart == "face" and P.dimension < 2:
         raise ValidationError("--chart face needs dimension 2 or more: the "
                               "facets of a segment are its vertices")
     threads = config.threads if config.threads > 1 else None
-    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol_solve,
+    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
                              threads=threads)
 
     if config.chart == "face":
@@ -340,7 +294,7 @@ def _cmd_solve(config):
         return EXIT_OK
 
     sol, rep = solver.newton_solve(prob, boundary=bd, grid=config.grid,
-                                   tol=config.tol_solve,
+                                   tol=config.tol,
                                    max_iter=config.max_iter)
     chart = sol.chart
     pts = chart.to_problem(chart.nodes)
@@ -352,7 +306,7 @@ def _cmd_solve(config):
         "boundary_consistency": bd.consistency,
         "max_error_vs_oracle": _reference_error(prob, sol),
     }
-    if config.dump_path:
+    if config.dump:
         R, _ = solver.assemble_residual(sol.values, prob, chart)
         residual = np.full(len(sol.values), np.nan)
         residual[chart.interior] = R
@@ -360,7 +314,7 @@ def _cmd_solve(config):
         header = ["x%d" % (i + 1) for i in range(P.dimension)] \
             + ["v", "u", "residual"]
         table = np.column_stack([pts, sol.values, u, residual])
-        _write_matrix(config.dump_path, header, table)
+        _write_matrix(config.dump, header, table)
     _emit_report(config, payload, started)
     if config.strict and not rep["converged"]:
         return EXIT_CHECKS
@@ -380,12 +334,12 @@ def _cmd_model(config):
 
     msol, rep = legendre.model_solve_z(
         density, trace, x_depth=config.depth, lateral=(-1.0, 1.0),
-        grid=config.grid, tol=config.tol_solve, max_iter=config.max_iter)
+        grid=config.grid, tol=config.tol, max_iter=config.max_iter)
     payload = {"form": config.form, "solver": rep,
                "z1_range": [float(msol.z1_axis[0]), float(msol.z1_axis[-1])],
                "z2_range": [float(msol.z2_axis[0]), float(msol.z2_axis[-1])]}
 
-    if config.dump_path:
+    if config.dump:
         if config.form in ("z", "x"):
             Z1, Z2 = np.meshgrid(msol.z1_axis, msol.z2_axis, indexing="ij")
             first = Z1 if config.form == "z" else Z1 ** 2 / 4.0
@@ -393,7 +347,7 @@ def _cmd_model(config):
                                      msol.values.ravel()])
             header = ["z1", "z2", "w"] if config.form == "z" \
                 else ["x1", "x2", "v"]
-            _write_csv(config.dump_path, header, table.tolist())
+            _write_csv(config.dump, header, table.tolist())
         else:
             # push the chart solution through the forward transform on
             # an x-grid strictly inside the chart and report the dual
@@ -413,7 +367,7 @@ def _cmd_model(config):
                 "max_abs_residual": float(np.max(np.abs(resid))),
             }
             rows = np.column_stack([pair.y_points, pair.ustar, resid])
-            _write_matrix(config.dump_path,
+            _write_matrix(config.dump,
                           ["y1", "y2", "ustar", "residual"], rows)
 
     _emit_report(config, payload, started)
@@ -487,7 +441,7 @@ def _suite_barriers(config):
 
 
 def _suite_asymptotics(config):
-    edge, corner = verify.estimator_levels(config.levels, config.tol_solve,
+    edge, corner = verify.estimator_levels(config.levels, config.tol,
                                            config.max_iter)
     asym = verify.estimate_face_asymptotics(corner)
     reports = [("lipschitz-simplex-edge", verify.estimate_lipschitz(edge)),
@@ -530,7 +484,7 @@ def _cmd_verify(config):
     all_pass = all(c["pass"] for c in checks)
     payload = {"suite": config.suite, "checks": checks,
                "all_pass": bool(all_pass)}
-    if config.dump_path:
+    if config.dump:
         if config.suite == "asymptotics":
             # one row per refinement level, one ratio column per check
             header = ["level"] + [c["id"] for c in checks]
@@ -538,12 +492,12 @@ def _cmd_verify(config):
             for idx, m in enumerate(config.levels):
                 rows.append([int(m)] + [float(c["ratios"][idx])
                                         for c in checks])
-            _write_csv(config.dump_path, header, rows)
+            _write_csv(config.dump, header, rows)
         else:
             rows = [[c["id"],
                      float(c["value"]) if c["value"] is not None else "",
                      c["pass"]] for c in checks]
-            _write_csv(config.dump_path, ["id", "value", "pass"], rows)
+            _write_csv(config.dump, ["id", "value", "pass"], rows)
     _emit_report(config, payload, started)
     if config.strict and not all_pass:
         return EXIT_CHECKS
@@ -585,43 +539,82 @@ def _cmd_oracle(config):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "boundary": _cmd_boundary,
-    "solve": _cmd_solve,
-    "model": _cmd_model,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
+# add_argument arguments of every option a subcommand can take, by the
+# name the command table uses; "problem?" is the optional positional
+_OPTIONS = {
+    "problem": (("problem",), {"help": "problem description JSON file"}),
+    "problem?": (("problem",), {"nargs": "?", "default": None,
+                                "help": "problem description JSON file"}),
+    "grid": (("--grid",), {"type": int, "default": 33,
+                           "help": "nodes per edge of the solver lattice"}),
+    "levels": (("--levels",), {"default": "9,17,33",
+                               "help": "comma separated refinement levels"}),
+    "tol": (("--tol",), {"type": float, "default": 1e-10,
+                         "help": "solver and quadrature tolerance"}),
+    "max_iter": (("--max-iter",), {"type": int, "default": 30,
+                                   "help": "Newton iteration cap"}),
+    "dump": (("--dump",), {"help": "write tabulated values here (.csv, or "
+                                   ".bin for the packed float64 layout)"}),
+    "seed": (("--seed",), {"type": int, "default": 0,
+                           "help": "sampling seed"}),
+    "threads": (("--threads",), {
+        "type": int, "help": "worker thread cap; default from GMA_THREADS"}),
+    "strict": (("--strict",), {"action": "store_true",
+                               "help": "exit 4 when a requested check fails"}),
+    "chart": (("--chart",), {
+        "choices": ("global", "face"), "default": "global",
+        "help": "one global chart, or the facet solves of the boundary "
+                "build"}),
+    "form": (("--form",), {"choices": ("z", "x", "legendre"), "default": "z",
+                           "help": "output coordinates for the dump"}),
+    "depth": (("--depth",), {
+        "type": float, "default": 0.25,
+        "help": "chart extent in the transversal coordinate"}),
+    "suite": (("--suite",), {
+        "choices": ("oracles", "barriers", "asymptotics", "appendix", "all"),
+        "default": "all", "help": "which suite to run"}),
+    "point": (("--point",), {"help": "comma separated coordinates"}),
+    "k": (("--k",), {"type": int,
+                     "help": "number of degenerate coordinates for the "
+                             "quadrant reference solution"}),
+    "report": (("--report",), {
+        "help": "write the JSON report here instead of stdout"}),
+    "deterministic": (("--deterministic",), {
+        "action": "store_true",
+        "help": "drop timing fields so reruns are byte-identical"}),
 }
 
+# each subcommand's handler, help line and the options the handler
+# reads; its parser registers these, --report and --deterministic and
+# nothing else, so a flag the command would ignore is a usage error
+_COMMANDS = {
+    "check": (_cmd_check, "validate geometry and density admissibility",
+              ("problem",)),
+    "boundary": (_cmd_boundary, "assemble and cross-check face traces",
+                 ("problem", "grid", "tol", "dump", "threads")),
+    "solve": (_cmd_solve, "solve the interior problem on a lattice chart",
+              ("problem", "grid", "tol", "max_iter", "dump", "threads",
+               "strict", "chart")),
+    "model": (_cmd_model, "solve the flat half-space model problem",
+              ("grid", "tol", "max_iter", "dump", "strict", "form",
+               "depth")),
+    "verify": (_cmd_verify, "run certificate and estimator suites",
+               ("levels", "tol", "max_iter", "dump", "seed", "strict",
+                "suite")),
+    "oracle": (_cmd_oracle, "closed-form reference values at a point",
+               ("problem?", "point", "k")),
+}
 
-def _add_common(sub, problem="required"):
-    if problem == "required":
-        sub.add_argument("problem", help="problem description JSON file")
-    elif problem == "optional":
-        sub.add_argument("problem", nargs="?", default=None,
-                         help="problem description JSON file")
-    sub.add_argument("--grid", type=int, default=33,
-                     help="nodes per edge of the solver lattice")
-    sub.add_argument("--levels", default="9,17,33",
-                     help="comma separated refinement levels")
-    sub.add_argument("--tol", dest="tol_solve", type=float, default=1e-10,
-                     help="solver and quadrature tolerance")
-    sub.add_argument("--max-iter", type=int, default=30,
-                     help="Newton iteration cap")
-    sub.add_argument("--report", dest="report", default=None,
-                     help="write the JSON report here instead of stdout")
-    sub.add_argument("--dump", dest="dump", default=None,
-                     help="write tabulated values here (.csv, or .bin for "
-                          "the packed float64 layout)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="sampling seed")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker thread cap; default from GMA_THREADS")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="drop timing fields so reruns are byte-identical")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 4 when a requested check fails")
+# the bound each numeric option must meet, in the order they are checked
+_BOUNDS = (
+    ("tol", lambda v: v > 0.0, "--tol must be positive"),
+    ("grid", lambda v: v >= 3, "--grid needs at least 3 nodes per edge"),
+    ("levels", lambda v: min(v) >= 3, "--levels needs entries of at least 3"),
+    ("max_iter", lambda v: v >= 1, "--max-iter must be at least 1"),
+    ("threads", lambda v: v >= 1, "--threads must be at least 1"),
+    ("seed", lambda v: v >= 0, "--seed must be nonnegative"),
+    ("depth", lambda v: v > 0.0, "--depth must be positive"),
+)
 
 
 def _build_parser():
@@ -633,48 +626,11 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="subcommand", metavar="command",
                                      required=True)
-
-    check = commands.add_parser(
-        "check", help="validate geometry and density admissibility")
-    _add_common(check)
-
-    boundary = commands.add_parser(
-        "boundary", help="assemble and cross-check face traces")
-    _add_common(boundary)
-
-    solve = commands.add_parser(
-        "solve", help="solve the interior problem on a lattice chart")
-    _add_common(solve)
-    solve.add_argument("--chart", choices=("global", "face"),
-                       default="global",
-                       help="one global chart, or the facet solves of "
-                            "the boundary build")
-
-    model = commands.add_parser(
-        "model", help="solve the flat half-space model problem")
-    _add_common(model, problem="none")
-    model.add_argument("--form", choices=("z", "x", "legendre"), default="z",
-                       help="output coordinates for the dump")
-    model.add_argument("--depth", type=float, default=0.25,
-                       help="chart extent in the transversal coordinate")
-
-    verify_cmd = commands.add_parser(
-        "verify", help="run certificate and estimator suites")
-    _add_common(verify_cmd, problem="none")
-    verify_cmd.add_argument(
-        "--suite", default="all",
-        choices=("oracles", "barriers", "asymptotics", "appendix", "all"),
-        help="which suite to run")
-
-    oracle = commands.add_parser(
-        "oracle", help="closed-form reference values at a point")
-    _add_common(oracle, problem="optional")
-    oracle.add_argument("--point", default=None,
-                        help="comma separated coordinates")
-    oracle.add_argument("--k", type=int, default=None,
-                        help="number of degenerate coordinates for the "
-                             "quadrant reference solution")
-
+    for name, (_, help_line, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        for option in options + ("report", "deterministic"):
+            flags, kwargs = _OPTIONS[option]
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -687,25 +643,23 @@ def _classify(exc):
 
 
 def _config_from_args(args):
-    return RunConfig(
-        subcommand=args.subcommand,
-        problem=getattr(args, "problem", None),
-        grid=args.grid,
-        levels=_parse_levels(args.levels),
-        tol_solve=args.tol_solve,
-        max_iter=args.max_iter,
-        chart=getattr(args, "chart", "global"),
-        form=getattr(args, "form", "z"),
-        suite=getattr(args, "suite", "all"),
-        point=_parse_point(getattr(args, "point", None)),
-        k=getattr(args, "k", None),
-        depth=getattr(args, "depth", 0.25),
-        report_path=args.report,
-        dump_path=args.dump,
-        deterministic=args.deterministic,
-        seed=args.seed,
-        threads=_resolve_threads(args.threads),
-        strict=args.strict)
+    """The run configuration: the parsed options of the subcommand, with
+    --levels, --point and --threads resolved.
+
+    A setting out of bounds raises ValidationError before any file is
+    read or any solve starts.  The configuration, output paths aside, is
+    embedded in the report, so a report names what produced it.
+    """
+    if "levels" in args:
+        args.levels = _parse_levels(args.levels)
+    if "point" in args:
+        args.point = _parse_point(args.point)
+    if "threads" in args:
+        args.threads = _resolve_threads(args.threads)
+    for name, ok, message in _BOUNDS:
+        if name in args and not ok(getattr(args, name)):
+            raise ValidationError(message)
+    return args
 
 
 def run(argv=None):
@@ -748,10 +702,10 @@ def run(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return _classify(exc)
     try:
-        return _HANDLERS[config.subcommand](config)
+        return _COMMANDS[config.subcommand][0](config)
     except GmaError as exc:
         code = _classify(exc)
-        if config.report_path:
+        if config.report:
             _emit_report(config, {
                 "error": {"kind": type(exc).__name__, "message": str(exc)},
                 "exit_code": code})

@@ -344,30 +344,13 @@ def is_simple(P):
     Returns
     -------
     ok : bool
-    report : list of dict
-        One entry per vertex with keys ``index``, ``point``, ``active``,
-        ``n_active``, ``simple`` and ``conditioning`` (the ratio of extreme
-        singular values of the active normal matrix, a warning signal for
-        nearly degenerate vertices).
+    bad : list of int
+        Ids of the vertices that do not lie on exactly n facets, in
+        ascending order; empty when ``ok``.
     """
-    n = P.dimension
-    report = []
-    ok = True
-    for k, active in enumerate(P.vertex_active):
-        A = P.normals[list(active)]
-        sv = np.linalg.svd(A, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        simple = len(active) == n
-        ok = ok and simple
-        report.append({
-            "index": k,
-            "point": P.vertices[k].copy(),
-            "active": tuple(active),
-            "n_active": len(active),
-            "simple": simple,
-            "conditioning": cond,
-        })
-    return ok, report
+    bad = [k for k, active in enumerate(P.vertex_active)
+           if len(active) != P.dimension]
+    return not bad, bad
 
 
 def face_frame(P, key):

@@ -120,13 +120,13 @@ def check_vertex_compatibility(P, h, vertex_id):
 class DensitySpec:
     """Positive density on the closed polytope.
 
-    Wraps a vectorized evaluator together with a family tag
-    ("analytic", "guillemin-induced" or "perturbed").
+    Wraps a vectorized evaluator together with its family: a tuple whose
+    first entry names it ("constant", "polynomial", "guillemin",
+    "perturbed" or "callable") followed by its parameters.
     """
 
-    def __init__(self, fn, tag="analytic", family=("callable",)):
+    def __init__(self, fn, family=("callable",)):
         self._fn = fn
-        self.tag = tag
         self.family = family
 
     def __call__(self, x):
@@ -136,7 +136,7 @@ class DensitySpec:
     def constant(cls, c):
         c = float(c)
         return cls(lambda x: (np.full(x.shape[:-1], c)
-                              if x.ndim > 1 else c), tag="analytic",
+                              if x.ndim > 1 else c),
                    family=("constant", c))
 
     @classmethod
@@ -155,13 +155,12 @@ class DensitySpec:
                 acc = acc + c * np.prod(x ** alpha, axis=-1)
             return acc if acc.ndim else float(acc)
 
-        return cls(fn, tag="analytic", family=("polynomial", dict(coeffs)))
+        return cls(fn, family=("polynomial", dict(coeffs)))
 
     @classmethod
     def guillemin(cls, P):
         """The induced density of the canonical potential of P."""
-        return cls(lambda x: guillemin_density(P, x), tag="guillemin-induced",
-                   family=("guillemin",))
+        return cls(lambda x: guillemin_density(P, x), family=("guillemin",))
 
     @classmethod
     def perturbed(cls, P, c):
@@ -172,11 +171,11 @@ class DensitySpec:
             l = P.evaluate_all(x)
             return guillemin_density(P, x) * (1.0 + c * np.prod(l, axis=-1))
 
-        return cls(fn, tag="perturbed", family=("perturbed", c))
+        return cls(fn, family=("perturbed", c))
 
     @classmethod
-    def from_callable(cls, fn, tag="analytic"):
-        return cls(fn, tag=tag)
+    def from_callable(cls, fn):
+        return cls(fn)
 
 
 def smooth_extension(trace_fn, x, k):

@@ -322,7 +322,7 @@ def _model_jacobian(V, stencil):
 
 
 def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
-                  tol=1e-10, max_iter=30, init=None):
+                  tol=1e-10, max_iter=30):
     """Solve det D2u = h/x1 near the face x1 = 0 in z-coordinates.
 
     The substitution z1 = 2 sqrt(x1), u = x1 log x1 + w turns the model
@@ -347,23 +347,21 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         Extent of the chart in x1; the z1 axis runs to 2 sqrt(x_depth).
     lateral : tuple of float
         (lo, hi) range of the tangential coordinate.
-    grid : int or (int, int)
-        Nodes along (z1, z2).
+    grid : int
+        Nodes along each of z1 and z2.
     tol : float
         Convergence threshold on the sup norm of the concave residual
         det(M)^(1/2) - h^(1/2).
     max_iter : int
-        Cap on accepted steps, chord and Newton alike; exceeding it sets
-        the nonconvergence flag instead of raising.
-    init : ndarray, optional
-        Full-grid starting values overriding the trace fill.
+        Cap on accepted steps, chord and Newton alike; exceeding it is
+        reported, not raised.
 
     Returns
     -------
     (ModelSolution, dict)
         The report carries iterations, converged, residual_norm,
         line_search_total, factorizations (LU factorizations of the
-        Jacobian), nonconvergence, error_estimate and the face checks.
+        Jacobian), error_estimate and the face checks.
 
     Raises
     ------
@@ -381,11 +379,8 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     lo, hi = float(lateral[0]), float(lateral[1])
     if hi <= lo:
         raise ValidationError("lateral range must be increasing")
-    if np.isscalar(grid):
-        m1 = m2 = int(grid)
-    else:
-        m1, m2 = (int(g) for g in grid)
-    if m1 < 5 or m2 < 5:
+    m1 = m2 = int(grid)
+    if m1 < 5:
         raise ValidationError("model grid needs at least 5 nodes per axis")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -398,12 +393,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
     xpts = np.stack([Z1 ** 2 / 4.0, Z2], axis=-1)
 
-    if init is not None:
-        V = np.array(init, dtype=float)
-        if V.shape != (m1, m2):
-            raise ValidationError("init shape must match the grid")
-    else:
-        V = np.asarray(trace(xpts.reshape(-1, 2)), dtype=float).reshape(m1, m2)
+    V = np.asarray(trace(xpts.reshape(-1, 2)), dtype=float).reshape(m1, m2)
 
     mask = np.zeros((m1, m2), dtype=bool)
     mask[:m1 - 1, 1:m2 - 1] = True
@@ -451,7 +441,6 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     report = {
         "iterations": iterations,
         "converged": bool(converged),
-        "nonconvergence": bool(not converged),
         "residual_norm": norm,
         "line_search_total": line_total,
         "factorizations": factorizations,

@@ -87,8 +87,7 @@ class GuilleminProblem:
         else:
             h = self.density
             dens = DensitySpec.from_callable(
-                lambda xi: h(np.asarray(xi) @ M.T + b) * det2,
-                tag=h.tag)
+                lambda xi: h(np.asarray(xi) @ M.T + b) * det2)
         return GuilleminProblem(Q, dens, self.vertex_values.copy(),
                                 name=self.name)
 

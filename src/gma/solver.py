@@ -505,8 +505,8 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         Built on demand when omitted.  Any object whose ``v`` maps an
         array of k points (shape (k, n)) to their k regular-part values
         will do; it is called once, on all boundary nodes of the chart.
-    grid : GridChart, int, or None
-        A prebuilt chart, or nodes per edge (default 17).
+    grid : int, optional
+        Nodes per edge (default 17).
     tol : float
         Convergence threshold on the sup norm of the residual.
     max_iter : int
@@ -519,19 +519,14 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         The report carries iterations (accepted chord and Newton steps),
         converged, residual_norm, line_search_total (residual
         evaluations of trial steps, chord trials included),
-        factorizations (LU factorizations of the Jacobian),
-        nonconvergence, and error_estimate.
+        factorizations (LU factorizations of the Jacobian) and
+        error_estimate.
 
     Raises
     ------
     ChartTooLarge, NonConvexIterate, SingularJacobian, LineSearchStall
     """
-    if isinstance(grid, GridChart):
-        chart = grid
-        if chart.problem is not problem:
-            raise ValidationError("chart was built for a different problem")
-    else:
-        chart = GridChart(problem, m=17 if grid is None else int(grid))
+    chart = GridChart(problem, m=17 if grid is None else int(grid))
     if boundary is None:
         boundary = build_boundary_data(problem, grid=chart.m,
                                        tol=min(tol, 1e-10))
@@ -575,7 +570,6 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     report = {
         "iterations": iterations,
         "converged": bool(converged),
-        "nonconvergence": bool(not converged),
         "residual_norm": norm,
         "line_search_total": ls_total,
         "factorizations": factorizations,

@@ -189,23 +189,18 @@ def _check_product_power(P, samples, constants, seed):
         pts, float(margin), -float(np.max(boundary)))
 
 
-def _check_face_lift(samples, constants, seed, u, h):
+def _check_face_lift(samples, constants, seed, u):
     c0 = float(constants.get("C0", 1.0))
     depth = float(constants.get("depth", 0.5))
-    if h is None:
-        h = lambda x: 1.0
     rng = np.random.default_rng(seed)
     x1 = 10.0 ** rng.uniform(-3, 0, samples) * depth
     x2 = rng.uniform(-1.0, 1.0, samples)
     pts = np.column_stack([x1, x2])
 
-    # the lift of the face trace by C0 x1 log x1 has Hessian
-    # determinant C0 h(0, x2) / x1 through the trace equation, so the
+    # for the unit density the lift of the face trace by C0 x1 log x1
+    # has Hessian determinant C0 / x1 through the trace equation, so the
     # differential comparison reduces to one closed-form quotient
-    margins = np.empty(samples)
-    for i, (a, b) in enumerate(pts):
-        margins[i] = (c0 * float(h(np.array([0.0, b])))
-                      - float(h(np.array([a, b])))) / a
+    margins = (c0 - 1.0) / x1
 
     # the lift trace(x2) + C0 x1 log x1 meets u on the face x1 = 0; it
     # must stay below u on the other sides of [0, depth] x [-1, 1]
@@ -258,7 +253,7 @@ def _check_g_concavity(samples, constants, seed, k):
 
 
 def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
-                   seed=0, u=None, h=None, k=2):
+                   seed=0, u=None, k=2):
     """Evaluate one comparison-function certificate on a sample set.
 
     Margins come from closed-form derivative expressions of the barrier
@@ -271,7 +266,8 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     barrier_id : str
         One of "product-power" (curvature lower bound for a power of
         the facet product on a polytope), "face-lift" (trace lifted by
-        a transversal x log x term on the model half-strip), or
+        a transversal x log x term on the model half-strip with unit
+        density), or
         "g-concavity" (determinant versus trace transfer for the k-th
         root of the coordinate product on the quadrant).
     polytope : Polytope, optional
@@ -287,8 +283,6 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
         Required for "face-lift": the model potential at one point whose
         face trace the barrier lifts; the boundary margin is the least
         of u minus the lift on the sides of the half-strip off the face.
-    h : callable, optional
-        Density for "face-lift"; default is 1.
     k : int
         Number of degenerate coordinates for "g-concavity".
 
@@ -311,7 +305,7 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     if barrier_id == "face-lift":
         if u is None:
             raise ValidationError("face-lift needs a model potential u")
-        return _check_face_lift(samples, constants, seed, u, h)
+        return _check_face_lift(samples, constants, seed, u)
     if barrier_id == "g-concavity":
         return _check_g_concavity(samples, constants, seed, k)
     raise ValidationError("unknown barrier id %r" % (barrier_id,))
@@ -532,7 +526,7 @@ def _interpolation_fields():
     ]
 
 
-def appendix_checks(rng=None):
+def appendix_checks():
     """Battery of closed-form inequality checks on sampled fields.
 
     Runs three families: pointwise product bounds for fields vanishing
@@ -548,7 +542,7 @@ def appendix_checks(rng=None):
     list of dict
         One entry per field with id, label, constant, margin, pass.
     """
-    rng = np.random.default_rng(7) if rng is None else rng
+    rng = np.random.default_rng(7)
     out = []
 
     for label, psi, k, n, C in _product_bound_fields():

@@ -554,8 +554,7 @@ def _report_unconverged(monkeypatch):
 
     def unconverged(*args, **kwargs):
         sol, rep = real(*args, **kwargs)
-        return sol, dict(rep, converged=False, nonconvergence=True,
-                         residual_norm=0.125)
+        return sol, dict(rep, converged=False, residual_norm=0.125)
 
     monkeypatch.setattr(gma.solver, "newton_solve", unconverged)
 

@@ -61,6 +61,55 @@ def octahedron_body():
     return {"dimension": 3, "facets": facets}
 
 
+# the options each subcommand reads, each with a value for a quick run
+# (None for a switch); every subcommand also takes --report and
+# --deterministic, and all but model and verify take a problem file
+COMMAND_OPTIONS = {
+    "check": {},
+    "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv",
+                 "--threads": "1"},
+    "solve": {"--grid": "5", "--tol": "1e-10", "--max-iter": "30",
+              "--dump": "d.csv", "--threads": "1", "--strict": None,
+              "--chart": "global"},
+    "model": {"--grid": "9", "--tol": "1e-10", "--max-iter": "30",
+              "--dump": "d.csv", "--strict": None, "--form": "z",
+              "--depth": "0.25"},
+    "verify": {"--levels": "9,17,33", "--tol": "1e-10", "--max-iter": "30",
+               "--dump": "d.csv", "--seed": "0", "--strict": None,
+               "--suite": "oracles"},
+    "oracle": {"--point": "0.5,0.25", "--k": "1"},
+}
+
+# the flags every subcommand used to take, whether it read them or not
+FORMER_COMMON = ("--grid", "--levels", "--tol", "--max-iter", "--dump",
+                 "--seed", "--threads", "--strict")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_options_follow_the_command_table(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    head = [command]
+    if command in ("check", "boundary", "solve"):
+        head.append(write_problem(tmp_path / "p.json", simplex_body()))
+    options = COMMAND_OPTIONS[command]
+    argv = list(head)
+    for flag, value in options.items():
+        argv += [flag] if value is None else [flag, value]
+    assert cli.run(argv + ["--deterministic", "--report", "r.json"]) == 0
+    # the report's config names exactly what the command read; the dump
+    # path, like the report path, is an output location and stays out
+    expect = {"subcommand", "deterministic"} | {
+        flag[2:].replace("-", "_") for flag in options if flag != "--dump"}
+    if command not in ("model", "verify"):
+        expect.add("problem")
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert set(config) == expect
+    for flag in FORMER_COMMON:
+        if flag not in options:
+            extra = [flag] if flag == "--strict" else [flag, "5"]
+            assert cli.run(head + extra) == 64, flag
+
+
 class TestCheck:
     def test_simplex_passes(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", simplex_body())
@@ -146,7 +195,7 @@ class TestParsing:
 
     def test_invalid_tolerance(self, tmp_path):
         path = write_problem(tmp_path / "p.json", simplex_body())
-        assert cli.run(["check", path, "--tol", "0"]) == 2
+        assert cli.run(["solve", path, "--tol", "0"]) == 2
 
     def test_usage_error(self):
         assert cli.run(["frobnicate"]) == 64
@@ -290,6 +339,19 @@ class TestSolve:
         assert out["error"]["kind"] == "SolverError"
         assert re.match(r"face \(\d+,\) did not converge",
                         out["error"]["message"])
+
+    def test_face_chart_with_dump_is_exit_two(self, tmp_path):
+        # the face chart tabulates no field, so a dump request is refused
+        # before the boundary build rather than left unwritten
+        path = write_problem(tmp_path / "sq.json", square_body())
+        report = tmp_path / "r.json"
+        dump = tmp_path / "f.csv"
+        code = cli.run(["solve", path, "--chart", "face", "--dump", str(dump),
+                        "--report", str(report)])
+        assert code == 2
+        assert json.loads(report.read_text())["error"]["kind"] == \
+            "ValidationError"
+        assert not dump.exists()
 
     def test_face_chart_on_segment_is_exit_two(self, tmp_path):
         # the facets of a segment are its vertices, which have no solve
@@ -450,7 +512,7 @@ class TestThreads:
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GMA_THREADS", "4")
         path = write_problem(tmp_path / "p.json", simplex_body())
-        code = cli.run(["check", path, "--threads", "2"])
+        code = cli.run(["boundary", path, "--threads", "2"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["config"]["threads"] == 2
@@ -458,10 +520,20 @@ class TestThreads:
     def test_env_alone(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GMA_THREADS", "4")
         path = write_problem(tmp_path / "p.json", simplex_body())
-        code = cli.run(["check", path])
+        code = cli.run(["boundary", path])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["config"]["threads"] == 4
+
+    def test_env_unread_without_threads_option(self, tmp_path, monkeypatch,
+                                               capsys):
+        # check runs no face solves, so it never reads GMA_THREADS
+        monkeypatch.setenv("GMA_THREADS", "two")
+        path = write_problem(tmp_path / "p.json", simplex_body())
+        code = cli.run(["check", path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "threads" not in out["config"]
 
     def test_exit_codes_documented(self, capsys):
         with pytest.raises(SystemExit):

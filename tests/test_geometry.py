@@ -373,26 +373,22 @@ class TestPullBack:
 
 class TestIsSimple:
     def test_simplex_simple(self):
-        ok, report = geometry.is_simple(simplex2d())
+        ok, bad = geometry.is_simple(simplex2d())
         assert ok is True
-        assert all(r["n_active"] == 2 for r in report)
+        assert bad == []
 
     def test_cube_simple(self):
-        ok, report = geometry.is_simple(unit_cube())
+        ok, bad = geometry.is_simple(unit_cube())
         assert ok is True
+        assert bad == []
 
     def test_octahedron_not_simple(self):
-        ok, report = geometry.is_simple(octahedron())
+        # each of the six vertices lies on four of the eight facets
+        P = octahedron()
+        ok, bad = geometry.is_simple(P)
         assert ok is False
-        bad = [r for r in report if not r["simple"]]
-        assert len(bad) == 6
-        assert all(r["n_active"] == 4 for r in bad)
-
-    def test_report_has_conditioning(self):
-        _, report = geometry.is_simple(unit_cube())
-        for r in report:
-            assert np.isfinite(r["conditioning"])
-            assert r["conditioning"] >= 1.0
+        assert bad == list(range(6))
+        assert all(len(P.vertex_active[k]) == 4 for k in bad)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

@@ -222,18 +222,18 @@ class TestVertexCompatibility:
 class TestDensitySpec:
     def test_constant(self):
         h = guillemin.DensitySpec.constant(3.0)
-        assert h.tag == "analytic"
+        assert h.family[0] == "constant"
         assert h([0.2, 0.7]) == 3.0
 
     def test_polynomial(self):
         h = guillemin.DensitySpec.polynomial({(0, 0): 1.0, (2, 1): 4.0}, 2)
         assert np.isclose(h([0.5, 2.0]), 1.0 + 4.0 * 0.25 * 2.0)
-        assert h.tag == "analytic"
+        assert h.family[0] == "polynomial"
 
     def test_guillemin_tag(self):
         P = simplex2d()
         h = guillemin.DensitySpec.guillemin(P)
-        assert h.tag == "guillemin-induced"
+        assert h.family[0] == "guillemin"
         assert np.isclose(h([0.2, 0.3]), 1.0)
 
     def test_perturbed_formula(self):
@@ -242,7 +242,7 @@ class TestDensitySpec:
         x = np.array([0.25, 0.5])
         prod_l = np.prod(P.evaluate_all(x))
         assert np.isclose(h(x), 1.0 * (1.0 + 0.5 * prod_l))
-        assert h.tag == "perturbed"
+        assert h.family[0] == "perturbed"
 
 
 class TestSmoothExtension:

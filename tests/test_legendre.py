@@ -223,13 +223,20 @@ class TestModelSolve:
         assert report["face_neumann"] <= 1e-8
         assert report["face_relation_gap"] <= 1e-9
         # Newton must also find the quadratic from a perturbed start,
-        # not just recognize it in the initial iterate; the bump is
-        # quadratically flat at the face so w_1/z1 stays bounded
-        bump = 0.05 * Z1 ** 2 * (1.0 - Z1) * np.sin(np.pi * (Z2 + 1.0) / 2.0)
+        # not just recognize it in the initial iterate; the start is the
+        # trace fill, so the bump rides on the trace.  In z it reads
+        # 0.05 z1^2 (1 - z1) sin(pi (z2 + 1) / 2): quadratically flat at
+        # the face so w_1/z1 stays bounded, and zero on the outer
+        # Dirichlet rows z1 = 1 and z2 = +-1, so the solution is unchanged
+        def bumped(x):
+            x = np.asarray(x, dtype=float)
+            x1 = x[..., 0]
+            return trace(x) + 0.2 * x1 * (1.0 - 2.0 * np.sqrt(x1)) \
+                * np.sin(np.pi * (x[..., 1] + 1.0) / 2.0)
+
         sol2, report2 = legendre.model_solve_z(
             lambda x: np.ones(np.asarray(x, dtype=float).shape[:-1]),
-            trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
-            init=expect + bump)
+            bumped, x_depth=0.25, lateral=(-1.0, 1.0), grid=17)
         assert report2["iterations"] >= 1
         assert np.max(np.abs(sol2.values - expect)) <= 1e-10
 
@@ -339,7 +346,6 @@ class TestModelSolve:
             h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
             tol=1e-13, max_iter=1)
         assert not report["converged"]
-        assert report["nonconvergence"]
         assert sol is not None
 
     def test_model_factor_reuse_matches_plain_newton(self):

@@ -564,7 +564,6 @@ class TestNewtonSolve:
         sol, report = solver.newton_solve(prob, grid=17, tol=1e-13,
                                           max_iter=1)
         assert not report["converged"]
-        assert report["nonconvergence"]
         assert sol is not None
 
     def test_factor_reuse_matches_plain_newton(self):

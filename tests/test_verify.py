@@ -133,9 +133,8 @@ class TestVerifyBarrier:
         assert check.constants["C0"] == 1.0
 
     def test_face_lift_margin_sign(self):
-        ones = None  # default density is h = 1
         surplus = verify.verify_barrier(
-            "face-lift", samples=200, constants={"C0": 2.0}, h=ones,
+            "face-lift", samples=200, constants={"C0": 2.0},
             u=calibration_u)
         assert surplus.margin_differential > 0.0
         deficit = verify.verify_barrier(
@@ -374,7 +373,7 @@ class TestAppendixChecks:
         assert spec[0]["margin"] >= 0.0
 
     @pytest.mark.parametrize("seed", [7, 11])
-    def test_array_margins_equal_pointwise_loops(self, seed):
+    def test_array_margins_equal_pointwise_loops(self, seed, monkeypatch):
         # the battery evaluates each field on all samples at once; the
         # same draws taken one point and one pair at a time must give
         # bit-identical margins
@@ -402,6 +401,10 @@ class TestAppendixChecks:
                 fb = abs(b[0]) ** delta * float(s(b))
                 sem = max(sem, abs(fa - fb) / gap ** delta)
             loops.append(8.0 * M - sem)
-        checks = verify.appendix_checks(np.random.default_rng(seed))
+        # the battery draws from a fixed seed; hand it this case's seed
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda _: default_rng(seed))
+        checks = verify.appendix_checks()
         margins = [c["margin"] for c in checks if c["id"] != "interpolation"]
         assert margins == loops
