@@ -12,7 +12,6 @@ code.
 
 import argparse
 import json
-import math
 import os
 import struct
 import sys
@@ -84,10 +83,9 @@ def _resolve_threads(flag):
 
 def _parse_levels(text):
     try:
-        levels = tuple(int(part) for part in str(text).split(","))
+        return tuple(int(part) for part in str(text).split(","))
     except ValueError:
         raise ValidationError("--levels expects comma separated integers")
-    return levels
 
 
 def _parse_point(text):
@@ -106,12 +104,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -133,17 +127,12 @@ def _emit_report(config, payload, started=None):
 
 
 def _format_cell(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
+    lines = [",".join(header)] + [",".join(map(_format_cell, row))
+                                  for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -202,9 +191,8 @@ def _cmd_boundary(config):
     started = time.monotonic()
     prob = load_problem(config.problem)
     P = prob.polytope
-    threads = config.threads if config.threads > 1 else None
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
-                             threads=threads)
+                             threads=config.threads)
     keys = sorted(bd.traces, key=lambda key: (len(key), key))
     payload = {
         "consistency": bd.consistency,
@@ -272,9 +260,8 @@ def _cmd_solve(config):
     if config.chart == "face" and P.dimension < 2:
         raise ValidationError("--chart face needs dimension 2 or more: the "
                               "facets of a segment are its vertices")
-    threads = config.threads if config.threads > 1 else None
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
-                             threads=threads)
+                             threads=config.threads)
 
     if config.chart == "face":
         # the build solved every facet once and stopped on any facet that
@@ -316,9 +303,7 @@ def _cmd_solve(config):
         table = np.column_stack([pts, sol.values, u, residual])
         _write_matrix(config.dump, header, table)
     _emit_report(config, payload, started)
-    if config.strict and not rep["converged"]:
-        return EXIT_CHECKS
-    return EXIT_OK
+    return EXIT_CHECKS if config.strict and not rep["converged"] else EXIT_OK
 
 
 def _cmd_model(config):
@@ -371,9 +356,7 @@ def _cmd_model(config):
                           ["y1", "y2", "ustar", "residual"], rows)
 
     _emit_report(config, payload, started)
-    if config.strict and not rep.get("converged", False):
-        return EXIT_CHECKS
-    return EXIT_OK
+    return EXIT_CHECKS if config.strict and not rep["converged"] else EXIT_OK
 
 
 def _suite_oracles(config):
@@ -474,10 +457,7 @@ def _cmd_verify(config):
     started = time.monotonic()
     suites = {"oracles": _suite_oracles, "barriers": _suite_barriers,
               "asymptotics": _suite_asymptotics, "appendix": _suite_appendix}
-    if config.suite == "all":
-        selected = list(suites)
-    else:
-        selected = [config.suite]
+    selected = list(suites) if config.suite == "all" else [config.suite]
     checks = []
     for name in selected:
         checks.extend(suites[name](config))
@@ -488,10 +468,8 @@ def _cmd_verify(config):
         if config.suite == "asymptotics":
             # one row per refinement level, one ratio column per check
             header = ["level"] + [c["id"] for c in checks]
-            rows = []
-            for idx, m in enumerate(config.levels):
-                rows.append([int(m)] + [float(c["ratios"][idx])
-                                        for c in checks])
+            rows = [[int(m)] + [float(c["ratios"][idx]) for c in checks]
+                    for idx, m in enumerate(config.levels)]
             _write_csv(config.dump, header, rows)
         else:
             rows = [[c["id"],
@@ -499,9 +477,7 @@ def _cmd_verify(config):
                      c["pass"]] for c in checks]
             _write_csv(config.dump, ["id", "value", "pass"], rows)
     _emit_report(config, payload, started)
-    if config.strict and not all_pass:
-        return EXIT_CHECKS
-    return EXIT_OK
+    return EXIT_CHECKS if config.strict and not all_pass else EXIT_OK
 
 
 def _cmd_oracle(config):

@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ValidationError,
 )
-from .solver import Stencil, damped_newton, pivots
+from .solver import Stencil, damped_newton, dissection_order, pivots
 
 __all__ = [
     "PartialLegendrePair",
@@ -268,21 +268,20 @@ class ModelSolution:
         return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _model_stencil(z1, z2, mask):
+def _model_stencil(z1, z2, I, J):
     """The model operator M(w) = D2 w + (1 - w_1/z1) e1 e1^T as a Stencil.
 
     Built over the 9-point offsets of the (z1, z2) grid on the unknowns
-    ``mask`` (face row z1 = 0 included, outer rows excluded), with one
-    coefficient table per node and base e1 e1^T.  Body rows carry
-    D2 w - (w_1/z1) e1 e1^T: centred second differences, and the ratio
-    coefficient -+1/(2 d1 z1) on the (+-1, 0) offsets.  On the face row
-    the L'Hopital value of w_1/z1 is w_11, so the two transversal terms
-    cancel, M11 is the base's 1 and the row carries w_22 alone; its
-    unused offsets point at the known corner value (0, 0) with zero
-    coefficient, so the Jacobian drops them.
+    at the nodes (I, J), in that order (face row z1 = 0 included, outer
+    rows excluded), with one coefficient table per node and base
+    e1 e1^T.  Body rows carry D2 w - (w_1/z1) e1 e1^T: centred second
+    differences, and the ratio coefficient -+1/(2 d1 z1) on the (+-1, 0)
+    offsets.  On the face row the L'Hopital value of w_1/z1 is w_11, so
+    the two transversal terms cancel, M11 is the base's 1 and the row
+    carries w_22 alone; its unused offsets point at the known corner
+    value (0, 0) with zero coefficient, so the Jacobian drops them.
     """
     d1, d2 = z1[1] - z1[0], z2[1] - z2[0]
-    I, J = np.nonzero(mask)
     di = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1])
     dj = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])
     body = I > 0
@@ -293,10 +292,10 @@ def _model_stencil(z1, z2, mask):
     coeffs[body, 5:, 0, 1] = coeffs[body, 5:, 1, 0] = \
         di[5:] * dj[5:] / (4.0 * d1 * d2)
     neighbors = np.ravel_multi_index(
-        (I[:, None] + di, J[:, None] + dj), mask.shape, mode="clip")
+        (I[:, None] + di, J[:, None] + dj), (len(z1), len(z2)), mode="clip")
     neighbors[np.ix_(~body, di != 0)] = 0
-    columns = np.full(mask.size, -1, dtype=int)
-    columns[mask.ravel()] = np.arange(len(I))
+    columns = np.full(len(z1) * len(z2), -1)
+    columns[I * len(z2) + J] = np.arange(len(I))
     return Stencil(neighbors, columns, coeffs, np.diag([1.0, 0.0]))
 
 
@@ -333,7 +332,8 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     tangential trace equation.  Dirichlet data from `trace` is imposed
     on the outer boundary only; the face values are unknowns.  The
     iteration is :func:`gma.solver.damped_newton`, the chart solver's
-    driver, so LU factors are reused for chord steps.
+    driver, so LU factors are reused for chord steps; the unknowns are
+    numbered in nested-dissection order, which ``splu`` factors as given.
 
     Parameters
     ----------
@@ -395,11 +395,12 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
 
     V = np.asarray(trace(xpts.reshape(-1, 2)), dtype=float).reshape(m1, m2)
 
-    mask = np.zeros((m1, m2), dtype=bool)
-    mask[:m1 - 1, 1:m2 - 1] = True
-    stencil = _model_stencil(z1, z2, mask)
+    # unknowns in nested-dissection order, face row in, outer rows out
+    nodes = np.indices((m1 - 1, m2 - 2)).reshape(2, -1).T + (0, 1)
+    I, J = nodes[dissection_order(nodes)].T
+    stencil = _model_stencil(z1, z2, I, J)
 
-    hvals = np.asarray(h(xpts[mask]), dtype=float)
+    hvals = np.asarray(h(xpts[I, J]), dtype=float)
     if np.min(hvals) <= 0:
         raise ValidationError("density must stay positive on the chart")
     hq = np.sqrt(hvals)
@@ -412,7 +413,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
 
     def full(x):
         Vt = V.copy()
-        Vt[mask] = x
+        Vt[I, J] = x
         return Vt
 
     def residual(x):
@@ -421,9 +422,8 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
 
     x, norm, iterations, line_total, factorizations = damped_newton(
         residual, lambda x: _model_jacobian(full(x), stencil),
-        V[mask], F, tol, max_iter)
+        V[I, J], F, tol, max_iter)
     V = full(x)
-    converged = norm <= tol
 
     # a posteriori face checks: one-sided Neumann derivative (even
     # reflection demands zero) and the tangential trace equation
@@ -440,7 +440,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
 
     report = {
         "iterations": iterations,
-        "converged": bool(converged),
+        "converged": bool(norm <= tol),
         "residual_norm": norm,
         "line_search_total": line_total,
         "factorizations": factorizations,

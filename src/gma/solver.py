@@ -37,41 +37,28 @@ _MAX_LATTICE = 2 ** 22
 # a chord step on kept LU factors is accepted only if it divides the sup
 # norm residual by at least 1/_CHORD_CONTRACTION
 _CHORD_CONTRACTION = 0.25
-_PERMC = "MMD_AT_PLUS_A"
-
-
-def _lex_sorted(vertices):
-    order = np.lexsort(vertices.T[::-1])
-    return vertices[order]
 
 
 def _simplex_map(P):
-    verts = _lex_sorted(P.vertices)
-    b = verts[0]
-    M = (verts[1:] - b).T
-    return M, b
+    verts = P.vertices[np.lexsort(P.vertices.T[::-1])]
+    return (verts[1:] - verts[0]).T, verts[0]
 
 
 def _box_map(P):
     n = P.dimension
     if len(P.vertices) != 2 ** n:
         return None
-    order = np.lexsort(P.vertices.T[::-1])
-    v0_id = order[0]
+    v0_id = np.lexsort(P.vertices.T[::-1])[0]
     b = P.vertices[v0_id]
     a0 = set(P.vertex_active[v0_id])
-    edges = []
-    for j, a in enumerate(P.vertex_active):
-        if j != v0_id and len(a0 & set(a)) == n - 1:
-            edges.append(P.vertices[j] - b)
+    edges = [P.vertices[j] - b for j, a in enumerate(P.vertex_active)
+             if j != v0_id and len(a0 & set(a)) == n - 1]
     if len(edges) != n:
         return None
-    edges.sort(key=lambda e: tuple(e))
-    M = np.array(edges).T
+    M = np.array(sorted(edges, key=tuple)).T
     ref = np.linalg.solve(M, (P.vertices - b).T).T
-    if np.max(np.abs(ref - np.round(ref))) > 1e-9:
-        return None
-    if not np.all((np.round(ref) >= 0) & (np.round(ref) <= 1)):
+    if np.max(np.abs(ref - np.round(ref))) > 1e-9 or \
+            not np.all((np.round(ref) >= 0) & (np.round(ref) <= 1)):
         return None
     return M, b
 
@@ -85,6 +72,37 @@ def _lattice(kind, n, m):
     else:
         interior = np.all((idx >= 1) & (idx <= m - 2), axis=1)
     return idx, np.nonzero(interior)[0], np.nonzero(~interior)[0]
+
+
+def dissection_order(idx):
+    """Nested-dissection permutation of integer lattice rows (K, n).
+
+    Recursive coordinate bisection of the index box (George, SIAM J.
+    Numer. Anal. 10, 1973): the middle hyperplanes of the axes in turn
+    cut every box, separators included, into two halves and a separator,
+    down to single nodes, and each half comes before its separator.  The
+    cuts a coordinate meets on its own axis depend on it alone, so each
+    axis is a small table of digits (0 below the middle, 1 above, 2 on
+    it) and the order is one sort of the interleaved base-3 keys.
+    """
+    cols = (idx - np.min(idx, axis=0)).T
+    tables = []
+    for size in np.max(cols, axis=1) + 1:
+        t = np.arange(size)
+        lo, hi, table = np.zeros_like(t), np.full_like(t, size - 1), []
+        while np.any(lo < hi):
+            # a single value is not cut: its middle is itself
+            mid = np.where(lo < hi, (lo + hi) // 2, t)
+            table.append(np.where(lo < hi, (t > mid) + 2 * (t == mid), 0))
+            lo = np.where(t > mid, mid + 1, np.where(t == mid, t, lo))
+            hi = np.where(t < mid, mid - 1, np.where(t == mid, t, hi))
+        tables.append(table)
+    key = np.zeros(len(idx), dtype=np.int64)
+    for d in range(max(map(len, tables))):
+        for col, table in zip(cols, tables):
+            if d < len(table):
+                key = 3 * key + table[d][col]
+    return np.argsort(key, kind="stable")
 
 
 class Stencil(NamedTuple):
@@ -157,6 +175,8 @@ class GridChart:
         Reference coordinates of every lattice node, in a fixed
         lexicographic order.
     interior, boundary : ndarray of node ids
+        ``interior`` in nested-dissection order, which numbers the
+        unknowns of the residual and the Jacobian.
     stencil : Stencil
         D2 v + sum_j n_j n_j^t / l_j, the analytic singular part as base.
     ref_problem : GuilleminProblem
@@ -204,7 +224,7 @@ class GridChart:
                 "grid %d leaves no interior node on the reference %s"
                 % (m, kind))
         self.nodes = idx * self.delta
-        self.interior = interior
+        self.interior = interior = interior[dissection_order(idx[interior])]
         self.boundary = bdry
 
         # second differences run along the axes, then along the diagonals
@@ -307,7 +327,8 @@ def _harmonic_lift(chart, v):
     The Laplacian, the (2n+1)-point one, is the trace of the chart's
     stencil.  On a box lattice it is diagonalised by the type-I discrete
     sine transform, so box charts and 1-D charts are solved by one forward
-    and one inverse DST.  The 2-D simplex lattice is the half
+    and one inverse DST of the values placed by their lattice
+    coordinates.  The 2-D simplex lattice is the half
     i + j <= m - 1 of the square, and the reflection
     (i, j) -> (m - 1 - j, m - 1 - i) across the hypotenuse maps the
     stencil onto itself: with the right hand side mirrored with its sign
@@ -329,20 +350,18 @@ def _harmonic_lift(chart, v):
         # the diagonal offsets carry zero trace
         A = st.jacobian(eye)
         A.eliminate_zeros()
-        return spsolve(A, rhs, permc_spec=_PERMC)
+        return spsolve(A, rhs, permc_spec="NATURAL")
 
     # eigenvalues of the Laplacian on the (m-2)^n interior box
     lam1 = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / d2
     lam = functools.reduce(np.add.outer, [lam1] * n)
-    if chart.kind == "box" or n == 1:
-        # interior nodes in C order fill the (m-2)^n array
-        F = rhs.reshape((m - 2,) * n)
-        return idstn(dstn(F, type=1) / lam, type=1).ravel()
-    a, b = np.round(chart.nodes[chart.interior] * (m - 1)).astype(int).T - 1
-    F = np.zeros((m - 2, m - 2))
-    F[a, b] = rhs
-    F -= F.T[::-1, ::-1]
-    return idstn(dstn(F, type=1) / lam, type=1)[a, b]
+    ref = np.round(chart.nodes[chart.interior] * (m - 1)).astype(int)
+    at = tuple(ref.T - 1)
+    F = np.zeros((m - 2,) * n)
+    F[at] = rhs
+    if chart.kind == "simplex" and n == 2:
+        F -= F.T[::-1, ::-1]
+    return idstn(dstn(F, type=1) / lam, type=1)[at]
 
 
 class RegularizedSolution:
@@ -403,11 +422,13 @@ class RegularizedSolution:
 def damped_newton(residual, jacobian, x, R, tol, max_iter):
     """Damped Newton iteration on a vector of unknowns, reusing LU factors.
 
-    The Jacobian is factored with ``splu``.  While a chord step on the
-    kept factors keeps every node admissible and cuts the sup norm
-    residual at least fourfold, the iteration reuses them; otherwise it
-    refactors at the current iterate and backtracks along the Newton
-    step, halving lambda down to 2^-31 until the Armijo rule
+    ``splu`` factors the Jacobian as numbered (``permc_spec="NATURAL"``);
+    both solvers number their unknowns by :func:`dissection_order`.
+    While a chord step on the kept factors keeps every node admissible
+    and cuts the sup norm residual at least fourfold, the iteration
+    reuses them; otherwise it refactors at the current iterate and
+    backtracks along the Newton step, halving lambda down to 2^-31
+    until the Armijo rule
     |R(x + lambda s)| <= (1 - lambda/4) |R(x)| holds.
 
     Parameters
@@ -457,7 +478,7 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
             # free the old factors first: two live LUs double peak memory
             lu = None
         try:
-            lu = splu(jacobian(x), permc_spec=_PERMC)
+            lu = splu(jacobian(x), permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularJacobian(
                 "linearized system failed at iteration %d: %s"
@@ -496,7 +517,8 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     boundary values, solved by a type-I discrete sine transform on box
     and 2-D simplex charts and by ``spsolve`` on simplices of dimension
     3 and up, and are iterated by :func:`damped_newton`, which reuses LU
-    factors of the Jacobian for chord steps.
+    factors of the Jacobian for chord steps.  The unknowns are numbered
+    in the chart's nested-dissection order, and nothing is permuted.
 
     Parameters
     ----------
@@ -564,12 +586,9 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         residual, lambda x: _jacobian_matrix(chart, full(x)),
         v[chart.interior], R, tol, max_iter)
     v = full(x)
-    converged = norm <= tol
-
-    vrange = float(np.ptp(v)) if len(v) else 0.0
     report = {
         "iterations": iterations,
-        "converged": bool(converged),
+        "converged": bool(norm <= tol),
         "residual_norm": norm,
         "line_search_total": ls_total,
         "factorizations": factorizations,
@@ -577,8 +596,7 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         "kind": chart.kind,
         "n_interior": int(len(chart.interior)),
         "tol": float(tol),
-        "error_estimate": float(max(norm,
-                                    chart.delta ** 2 * max(1.0, vrange))),
+        "error_estimate": float(max(
+            norm, chart.delta ** 2 * max(1.0, float(np.ptp(v))))),
     }
-    solution = RegularizedSolution(problem, chart, v, report)
-    return solution, report
+    return RegularizedSolution(problem, chart, v, report), report

@@ -75,10 +75,12 @@ def test_01_full_pipeline_reproduces_potential_on_simplex():
                   np.log2(errors[33] / errors[65]))
         order_note = "orders %.2f/%.2f >= 1.5" % orders
         order_ok = min(orders) >= 1.5
+    # the wall time is checked but not printed, so the line is the same
+    # on every run of the same code
     ok = errors[33] <= 5e-3 and order_ok and elapsed <= 60.0
     _report(1, "simplex unit-density pipeline", ok,
-            "err 17/33/65 = %.2g/%.2g/%.2g <= 5e-3, %s, %.1fs <= 60s"
-            % (errors[17], errors[33], errors[65], order_note, elapsed))
+            "err 17/33/65 = %.2g/%.2g/%.2g <= 5e-3, %s, wall time <= 60s"
+            % (errors[17], errors[33], errors[65], order_note))
 
 
 def test_02_edge_profile_matches_double_quadrature():

@@ -13,6 +13,12 @@ from gma.errors import (DegenerateTransversalHessian, OutsideDomain,
 from gma.problem import GuilleminProblem
 
 
+def model_unknowns(m):
+    """The model's unknown nodes (I, J) in its nested-dissection order."""
+    nodes = np.indices((m - 1, m - 2)).reshape(2, -1).T + (0, 1)
+    return nodes[solver.dissection_order(nodes)].T
+
+
 def grid_field(fn, x1, x2):
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     return fn(X1, X2)
@@ -368,10 +374,9 @@ class TestModelSolve:
         Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
         xpts = np.stack([Z1 ** 2 / 4.0, Z2], axis=-1)
         V = trace(xpts)
-        mask = np.zeros((m, m), dtype=bool)
-        mask[:m - 1, 1:m - 1] = True
-        stencil = legendre._model_stencil(z1, z2, mask)
-        hq = np.sqrt(h(xpts[mask]))
+        I, J = model_unknowns(m)
+        stencil = legendre._model_stencil(z1, z2, I, J)
+        hq = np.sqrt(h(xpts[I, J]))
         F, ok = legendre._model_system(V, stencil, hq)
         assert np.all(ok)
         norm = np.max(np.abs(F))
@@ -382,7 +387,7 @@ class TestModelSolve:
             lam = 1.0
             while lam >= 2.0 ** -31:
                 Vt = V.copy()
-                Vt[mask] += lam * step
+                Vt[I, J] += lam * step
                 Ft, ok = legendre._model_system(Vt, stencil, hq)
                 if np.all(ok) and \
                         np.max(np.abs(Ft)) <= (1.0 - 0.25 * lam) * norm:
@@ -399,16 +404,14 @@ class TestModelSolve:
         z1 = np.linspace(0.0, 1.0, m)
         z2 = np.linspace(-1.0, 1.0, m)
         Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
-        mask = np.zeros((m, m), dtype=bool)
-        mask[:m - 1, 1:m - 1] = True
-        stencil = legendre._model_stencil(z1, z2, mask)
+        rows, cols = model_unknowns(m)
+        stencil = legendre._model_stencil(z1, z2, rows, cols)
         rng = np.random.default_rng(3)
         V = 0.5 * Z2 ** 2 + 0.2 * Z1 ** 2 + 1e-3 * rng.standard_normal((m, m))
-        hq = np.ones(int(mask.sum()))
+        hq = np.ones(len(rows))
         F, ok = legendre._model_system(V, stencil, hq)
         assert np.all(ok)
         J = legendre._model_jacobian(V, stencil)
-        rows = np.nonzero(mask)[0]
         face = np.nonzero(rows == 0)[0]
         body = rng.choice(np.nonzero(rows > 0)[0], size=6, replace=False)
         eps = 1e-6
@@ -416,8 +419,8 @@ class TestModelSolve:
             step = np.zeros(len(rows))
             step[k] = eps
             Vp, Vm = V.copy(), V.copy()
-            Vp[mask] += step
-            Vm[mask] -= step
+            Vp[rows, cols] += step
+            Vm[rows, cols] -= step
             col_fd = (legendre._model_system(Vp, stencil, hq)[0]
                       - legendre._model_system(Vm, stencil, hq)[0]) / (2 * eps)
             col = J[:, k].toarray().ravel()

@@ -4,9 +4,9 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
-from gma import boundary, geometry, guillemin, solver
+from gma import boundary, geometry, guillemin, legendre, solver
 from gma.errors import (ChartTooLarge, LineSearchStall, OutsideDomain,
                         SingularJacobian, ValidationError)
 from gma.problem import GuilleminProblem
@@ -256,10 +256,13 @@ class TestGridChart:
             chart = solver.GridChart(prob, m=m)
             assert chart.kind == kind
             assert np.array_equal(np.rint(chart.nodes * (m - 1)), idx)
-            assert np.array_equal(chart.interior, interior)
+            # interior nodes come in nested-dissection order; back in
+            # product order they and their stencils are the reference's
+            lex = np.argsort(chart.interior)
+            assert np.array_equal(chart.interior[lex], interior)
             assert np.array_equal(chart.boundary, bdry)
             assert np.array_equal(chart.offsets, offsets)
-            assert np.array_equal(chart.stencil.neighbors, nb)
+            assert np.array_equal(chart.stencil.neighbors[lex], nb)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         def no_lattice(*args):
@@ -726,3 +729,107 @@ class TestHarmonicLift:
         assert report["iterations"] == ref_report["iterations"]
         assert report["factorizations"] == ref_report["factorizations"]
         assert np.max(np.abs(sol.values - ref.values)) <= 1e-13
+
+
+def lex_mmd_splu(perm):
+    """``splu`` stand-in that factors in the order ``perm`` with MMD.
+
+    With ``perm`` the lexicographic order of the unknowns, this is the
+    reference for the nested-dissection factor: minimum degree on
+    A + A^T of the lexicographically ordered matrix.
+    """
+    inv = np.argsort(perm)
+
+    def factor(A, permc_spec):
+        lu = splu(sp.csc_matrix(A[perm][:, perm]),
+                  permc_spec="MMD_AT_PLUS_A")
+        return types.SimpleNamespace(solve=lambda b: lu.solve(b[perm])[inv])
+    return factor
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("kind, n, m", [
+        (kind, n, m) for kind in ("simplex", "box") for n in (1, 2, 3, 4)
+        for m in (3, 4, 5, 8, 9, 17)])
+    def test_permutation(self, kind, n, m):
+        idx, interior, _ = solver._lattice(kind, n, m)
+        for rows in (idx, idx[interior]):
+            if len(rows) == 0:
+                continue
+            order = solver.dissection_order(rows)
+            assert np.array_equal(np.sort(order), np.arange(len(rows)))
+
+    @pytest.mark.parametrize("n, m", [(1, 9), (2, 17), (3, 9), (4, 5)])
+    def test_halves_before_their_separator(self, n, m):
+        # the middle hyperplane of axis 0 comes last, after the nodes
+        # below it and then the nodes above it; recursively, the middle
+        # hyperplane of axis 1 closes the lower half
+        rows = solver._lattice("box", n, m)[0]
+        ordered = rows[solver.dissection_order(rows)]
+        mid, half = (m - 1) // 2, (m - 1) // 2 * m ** (n - 1)
+        assert np.all(ordered[:half, 0] < mid)
+        assert np.all(ordered[half:, 0] >= mid)
+        assert np.all(ordered[len(rows) - m ** (n - 1):, 0] == mid)
+        if n > 1:
+            assert np.all(ordered[half - mid * m ** (n - 2):half, 1] == mid)
+
+    @pytest.mark.parametrize("kind, n, m", [("box", 2, 65), ("box", 3, 17),
+                                            ("simplex", 3, 17),
+                                            ("box", 4, 9)])
+    def test_fill_at_most_minimum_degree(self, kind, n, m):
+        # a quadratic field with a full Hessian gives every stencil
+        # offset a nonzero weight, as on the iterates of a solve
+        chart = solver.GridChart(unit_problem(kind, n), m=m)
+        B = np.eye(n) + 0.5
+        v = 0.5 * np.einsum("ka,ab,kb->k", chart.nodes, B, chart.nodes)
+        J = solver._jacobian_matrix(chart, v)
+        lu = splu(J, permc_spec="NATURAL")
+        lex = np.argsort(chart.interior)
+        ref = splu(sp.csc_matrix(J[lex][:, lex]), permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz
+
+    @pytest.mark.parametrize("kind, n, m", [("box", 2, 65),
+                                            ("simplex", 2, 65),
+                                            ("box", 3, 17)])
+    def test_newton_matches_minimum_degree_factors(self, kind, n, m,
+                                                   monkeypatch):
+        a = 3.0
+        coeffs = {(0,) * n: 1.0}
+        for e in np.eye(n, dtype=int):
+            coeffs[tuple(e)], coeffs[tuple(2 * e)] = a, -a
+        prob = GuilleminProblem(
+            unit_problem(kind, n).polytope,
+            guillemin.DensitySpec.polynomial(coeffs, n), 0.0)
+        w = np.linspace(1.0, 2.0, n)
+        bd = types.SimpleNamespace(v=lambda x: 0.04 * np.exp(x @ w))
+        sol, report = solver.newton_solve(prob, boundary=bd, grid=m,
+                                          tol=1e-11)
+        lex = np.argsort(solver.GridChart(prob, m=m).interior)
+        monkeypatch.setattr(solver, "splu", lex_mmd_splu(lex))
+        ref, ref_report = solver.newton_solve(prob, boundary=bd, grid=m,
+                                              tol=1e-11)
+        assert report["converged"] and ref_report["converged"]
+        for key in ("iterations", "line_search_total", "factorizations"):
+            assert report[key] == ref_report[key]
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
+
+    def test_model_matches_minimum_degree_factors(self, monkeypatch):
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            return 1.0 + 3.0 * x[..., 0] + 0.75 * x[..., 1] ** 2
+
+        def trace(x):
+            x = np.asarray(x, dtype=float)
+            return 0.5 * x[..., 1] ** 2
+
+        m = 65
+        sol, report = legendre.model_solve_z(h, trace, grid=m, tol=1e-12)
+        nodes = np.indices((m - 1, m - 2)).reshape(2, -1).T + (0, 1)
+        I, J = nodes[solver.dissection_order(nodes)].T
+        monkeypatch.setattr(solver, "splu", lex_mmd_splu(np.argsort(
+            I * m + J)))
+        ref, ref_report = legendre.model_solve_z(h, trace, grid=m, tol=1e-12)
+        assert report["converged"] and ref_report["converged"]
+        for key in ("iterations", "line_search_total", "factorizations"):
+            assert report[key] == ref_report[key]
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
