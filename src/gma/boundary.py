@@ -31,7 +31,13 @@ from .errors import (
 )
 from .problem import GuilleminProblem
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_LEG = np.polynomial.legendre
+_GL_NODES, _GL_WEIGHTS = _LEG.leggauss(15)
+# q at a panel's Gauss nodes -> Legendre coefficients in tau in [-1, 1] of
+# the second antiderivative of its interpolant, 0 with its slope at -1
+_SECOND_INTEGRAL = _LEG.legint(
+    (np.arange(15)[:, None] + 0.5) * _LEG.legvander(_GL_NODES, 14).T
+    * _GL_WEIGHTS, m=2, lbnd=-1)
 _ENDPOINT_LEVELS = 45
 _MAX_DEPTH = 40
 
@@ -149,16 +155,18 @@ class EdgeProfile:
     The substitution u = w + a log a + b log b turns u'' = h/(ab) into
     w'' = q with q = (h - a'^2 b - b'^2 a)/(ab), which extends
     continuously to the closed interval exactly when the endpoint
-    matching condition holds.  The profile stores cumulative moments of q
-    on an adaptive panel decomposition and reconstructs w and u anywhere
-    on the interval.
+    matching condition holds.  The profile keeps the panels that
+    :func:`solve_edge` accepted: the moments of q up to each panel start,
+    and the second antiderivative of the panel's Legendre interpolant of
+    the q samples the quadrature took.  w and u are read back in closed
+    form, with no density call and no quadrature.
     """
 
     __slots__ = ("t_lo", "t_hi", "a_slope", "b_slope", "w0", "c", "n_panels",
-                 "_starts", "_ends", "_cum0", "_cum1", "_q")
+                 "_starts", "_ends", "_cum0", "_cum1", "_coef")
 
     def __init__(self, t_lo, t_hi, a_slope, b_slope, w0, c, starts, ends,
-                 cum0, cum1, q):
+                 cum0, cum1, coef):
         self.t_lo = t_lo
         self.t_hi = t_hi
         self.a_slope = a_slope
@@ -169,69 +177,58 @@ class EdgeProfile:
         self._ends = ends
         self._cum0 = cum0
         self._cum1 = cum1
-        self._q = q
+        self._coef = coef
         self.n_panels = len(starts)
-
-    def _moments(self, ts):
-        idx = np.clip(np.searchsorted(self._starts, ts, side="right") - 1,
-                      0, self.n_panels - 1)
-        I0 = self._cum0[idx].copy()
-        I1 = self._cum1[idx].copy()
-        lo = self._starts[idx]
-        part = ts > lo
-        if np.any(part):
-            # every partial panel of the query in one integrand call
-            p0, p1 = _gauss_panels(self._q, lo[part],
-                                   np.minimum(ts[part],
-                                              self._ends[idx[part]]))[:2]
-            I0[part] += p0
-            I1[part] += p1
-        return I0, I1
-
-    def _check_range(self, ts):
-        pad = 1e-9 * (self.t_hi - self.t_lo)
-        if np.min(ts) < self.t_lo - pad or np.max(ts) > self.t_hi + pad:
-            raise OutsideDomain("edge profile evaluated outside the interval")
 
     def w(self, ts):
         """The regular part at ts (scalar or 1d array)."""
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
         tt = np.atleast_1d(ts)
-        self._check_range(tt)
-        I0, I1 = self._moments(tt)
-        out = self.w0 + self.c * (tt - self.t_lo) + tt * I0 - I1
+        pad = 1e-9 * (self.t_hi - self.t_lo)
+        if np.min(tt) < self.t_lo - pad or np.max(tt) > self.t_hi + pad:
+            raise OutsideDomain("edge profile evaluated outside the interval")
+        idx = np.clip(np.searchsorted(self._starts, tt, side="right") - 1,
+                      0, self.n_panels - 1)
+        lo = self._starts[idx]
+        half = 0.5 * (self._ends[idx] - lo)
+        # int_lo^t (t - s) q(s) ds = half^2 g(tau); a zero-width panel,
+        # left by bisection at the resolution of t, contributes 0
+        tau = np.divide(tt - lo, half, out=np.zeros_like(tt),
+                        where=half > 0.0) - 1.0
+        g = _LEG.legval(np.clip(tau, -1.0, 1.0), self._coef[idx].T,
+                        tensor=False)
+        out = (self.w0 + self.c * (tt - self.t_lo) + tt * self._cum0[idx]
+               - self._cum1[idx] + half * half * g)
         return float(out[0]) if scalar else out
 
     def u(self, ts):
         """The full trace w + a log a + b log b."""
         ts = np.asarray(ts, dtype=float)
-        scalar = ts.ndim == 0
-        tt = np.atleast_1d(ts)
-        av = np.maximum(self.a_slope * (tt - self.t_lo), 0.0)
-        bv = np.maximum(self.b_slope * (tt - self.t_hi), 0.0)
-        out = self.w(tt) + xlogy(av, av) + xlogy(bv, bv)
-        return float(out[0]) if scalar else out
+        av = np.maximum(self.a_slope * (ts - self.t_lo), 0.0)
+        bv = np.maximum(self.b_slope * (ts - self.t_hi), 0.0)
+        out = self.w(ts) + xlogy(av, av) + xlogy(bv, bv)
+        return float(out) if ts.ndim == 0 else out
 
 
 def _gauss_panels(q, lo, hi):
     """15 point Gauss-Legendre moments of q on the panels [lo, hi].
 
     ``lo`` and ``hi`` are arrays of panel ends; the integrand is
-    evaluated at the nodes of all panels in one call.  Returns the
-    moments I0 = int q and I1 = int t q, each panel's smallest |ab| over
-    the nodes where ab > 0 (1 when there is none) and its largest |h|.
+    evaluated at the nodes of all panels in one call.  Returns one row
+    per panel: the moments I0 = int q and I1 = int t q, the smallest |ab|
+    over the nodes where ab > 0 (1 when there is none), the largest |h|
+    and the 15 samples of q.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     s = mid[:, None] + half[:, None] * _GL_NODES
     qs, den, hs = q(s)
-    I0 = half * (qs @ _GL_WEIGHTS)
-    I1 = half * ((s * qs) @ _GL_WEIGHTS)
     dmin = np.min(np.where(den <= 0.0, np.inf, np.abs(den)), axis=1)
     dmin[np.isinf(dmin)] = 1.0
-    hmax = np.max(np.abs(hs), axis=1)
-    return I0, I1, dmin, hmax
+    return np.column_stack([half * (qs @ _GL_WEIGHTS),
+                            half * ((s * qs) @ _GL_WEIGHTS), dmin,
+                            np.max(np.abs(hs), axis=1), qs])
 
 
 def solve_edge(problem, tol=1e-10):
@@ -248,7 +245,9 @@ def solve_edge(problem, tol=1e-10):
     call covers the halves of every pending panel, and a child takes its
     parent's half-panel result as its whole-panel estimate.  Requested
     tolerances below about 1e-11 are limited by rounding in the
-    integrand.
+    integrand.  The q samples of each accepted panel are kept as the
+    second antiderivative of their Legendre interpolant, so the profile
+    reads w back without calling the density again.
 
     Parameters
     ----------
@@ -281,21 +280,17 @@ def solve_edge(problem, tol=1e-10):
     t_hi = float(coords[i_hi])
     L = t_hi - t_lo
     f0, f1 = P.facets
-    if abs(float(f0(P.vertices[i_lo]))) <= P.tau:
-        a, b = f0, f1
-    else:
-        a, b = f1, f0
+    a, b = (f0, f1) if abs(float(f0(P.vertices[i_lo]))) <= P.tau \
+        else (f1, f0)
     a_slope = float(a.normal[0])
     b_slope = float(b.normal[0])
     alpha_lo = float(problem.vertex_values[i_lo])
     alpha_hi = float(problem.vertex_values[i_hi])
 
-    density = problem.density
-
     def hfun(ts):
         # one density call on the flattened points, whatever their shape
         ts = np.asarray(ts, dtype=float)
-        hs = np.asarray(density(ts.reshape(-1, 1)), dtype=float)
+        hs = np.asarray(problem.density(ts.reshape(-1, 1)), dtype=float)
         return np.broadcast_to(hs, (ts.size,)).reshape(ts.shape)
 
     # endpoint matching: h(t_lo) = b(t_lo) a'^2 and h(t_hi) = a(t_hi) b'^2
@@ -338,26 +333,21 @@ def solve_edge(problem, tol=1e-10):
     k = len(lo)
     first = _gauss_panels(q, np.concatenate([lo, lo, mid]),
                           np.concatenate([hi, mid, hi]))
-    whole = [part[:k] for part in first]
-    halves = [part[k:] for part in first]
+    whole, halves = first[:k], first[k:]
     accepted = []
     depth = 0
     while True:
-        whole0, whole1, dmin_w, hmax_w = whole
-        l0, l1, dmin_l, hmax_l = (part[:k] for part in halves)
-        r0, r1, dmin_r, hmax_r = (part[k:] for part in halves)
-        err = np.abs(whole0 - l0 - r0) + np.abs(whole1 - l1 - r1)
-        dmin = np.minimum(np.minimum(dmin_w, dmin_l), dmin_r)
-        hmax = np.maximum(np.maximum(np.maximum(hmax_w, hmax_l), hmax_r),
-                          1e-30)
+        left, right = halves[:k], halves[k:]
+        err = np.abs(whole[:, 0] - left[:, 0] - right[:, 0]) \
+            + np.abs(whole[:, 1] - left[:, 1] - right[:, 1])
+        dmin = np.minimum(np.minimum(whole[:, 2], left[:, 2]), right[:, 2])
+        hmax = np.maximum(np.maximum(np.maximum(whole[:, 3], left[:, 3]),
+                                     right[:, 3]), 1e-30)
         noise = 64.0 * eps * (hmax / np.maximum(dmin, 1e-300)) * (hi - lo) \
             * tscale
         ok = err <= np.maximum(0.01 * tol * (hi - lo) / L, noise)
-        accepted.append(np.stack([
-            np.concatenate([lo[ok], mid[ok]]),
-            np.concatenate([mid[ok], hi[ok]]),
-            np.concatenate([l0[ok], r0[ok]]),
-            np.concatenate([l1[ok], r1[ok]])]))
+        accepted += [np.column_stack([lo, mid, left])[ok],
+                     np.column_stack([mid, hi, right])[ok]]
         if np.all(ok):
             break
         if depth >= _MAX_DEPTH:
@@ -370,21 +360,21 @@ def solve_edge(problem, tol=1e-10):
         fail = ~ok
         lo = np.column_stack([lo[fail], mid[fail]]).ravel()
         hi = np.column_stack([mid[fail], hi[fail]]).ravel()
-        whole = [np.column_stack([left[fail], right[fail]]).ravel()
-                 for left, right in zip((l0, l1, dmin_l, hmax_l),
-                                        (r0, r1, dmin_r, hmax_r))]
+        whole = np.stack([left[fail], right[fail]], axis=1).reshape(
+            -1, left.shape[1])
         mid = 0.5 * (lo + hi)
         k = len(lo)
         halves = _gauss_panels(q, np.concatenate([lo, mid]),
                                np.concatenate([mid, hi]))
         depth += 1
 
-    panels = np.concatenate(accepted, axis=1)
-    starts, ends, mom0, mom1 = panels[:, np.argsort(panels[0])]
+    # rows of start, end and _gauss_panels, sorted by start; a zero-width
+    # panel sorts before the panel that shares its start
+    panels = np.concatenate(accepted)
+    panels = panels[np.lexsort((panels[:, 1], panels[:, 0]))]
+    starts, ends, mom0, mom1 = panels[:, :4].T.copy()
     cum0 = np.concatenate([[0.0], np.cumsum(mom0)])[:-1]
     cum1 = np.concatenate([[0.0], np.cumsum(mom1)])[:-1]
-    I0_tot = float(np.sum(mom0))
-    I1_tot = float(np.sum(mom1))
 
     # w(t_lo) and w(t_hi) from the vertex values; a log a and b log b
     # vanish at their own endpoints
@@ -392,43 +382,41 @@ def solve_edge(problem, tol=1e-10):
     a_at_hi = a_slope * (t_hi - t_lo)
     w0 = alpha_lo - b_at_lo * np.log(b_at_lo)
     w1 = alpha_hi - a_at_hi * np.log(a_at_hi)
-    G1 = t_hi * I0_tot - I1_tot
+    G1 = t_hi * float(np.sum(mom0)) - float(np.sum(mom1))
     c = (w1 - w0 - G1) / L
 
     return EdgeProfile(t_lo, t_hi, a_slope, b_slope, float(w0), float(c),
-                       starts, ends, cum0, cum1, q)
+                       starts, ends, cum0, cum1,
+                       panels[:, 6:] @ _SECOND_INTEGRAL.T)
 
 
 class _VertexTrace(NamedTuple):
     value: float
+
+    def u(self, x):
+        return np.full(len(x), self.value)
 
 
 class _EdgeTrace(NamedTuple):
     restriction: object
     profile: object
 
+    def u(self, x):
+        return self.profile.u(self.restriction.from_face(x)[:, 0])
+
 
 class _FaceTrace(NamedTuple):
+    """A face of dimension two or more, read through its interior
+    solution; :meth:`BoundaryData.u` hands the points on its relative
+    boundary to the subface traces instead."""
+
     restriction: object
     solution: object
 
-
-def _eval_trace(trace, x):
-    """Trace values u(x) at ambient points (shape (k, n)) on its face.
-
-    A face of dimension two or more is evaluated through its interior
-    solution; :meth:`BoundaryData.u` hands the points on its relative
-    boundary to the subface traces instead.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(trace, _VertexTrace):
-        return np.full(len(x), trace.value)
-    res = trace.restriction
-    xi = res.from_face(x)
-    if isinstance(trace, _EdgeTrace):
-        return trace.profile.u(xi[:, 0])
-    return (trace.solution.v(xi)
-            + guillemin.potential_values(res.problem.polytope, xi))
+    def u(self, x):
+        xi = self.restriction.from_face(x)
+        return (self.solution.v(xi) + guillemin.potential_values(
+            self.restriction.problem.polytope, xi))
 
 
 class BoundaryData:
@@ -470,15 +458,19 @@ class BoundaryData:
         if not np.all(np.any(active, axis=1)):
             raise OutsideDomain("point is interior; the trace lives on the "
                                 "boundary")
-        patterns, group = np.unique(active, axis=0, return_inverse=True)
+        # an integer code per active set, in Python integers past 62 facets
+        N = active.shape[1]
+        codes = active @ (1 << np.arange(N, dtype=object if N > 62 else int))
+        _, first, group = np.unique(codes, return_index=True,
+                                    return_inverse=True)
         out = np.empty(len(X))
-        for g, pattern in enumerate(patterns):
-            gamma = tuple(int(i) for i in np.nonzero(pattern)[0])
+        for g, row in enumerate(first):
+            gamma = tuple(int(i) for i in np.nonzero(active[row])[0])
             key = P.canonical_active(gamma)
             if key is None or key not in self.traces:
                 raise MissingTrace("no face with active set %s" % (gamma,))
             rows = group == g
-            out[rows] = _eval_trace(self.traces[key], X[rows])
+            out[rows] = self.traces[key].u(X[rows])
         return float(out[0]) if x.ndim == 1 else out
 
     def v(self, x):
@@ -489,7 +481,7 @@ class BoundaryData:
         return float(out) if x.ndim == 1 else out
 
 
-class _SubfaceValues:
+class _SubfaceValues(NamedTuple):
     """Boundary values of a face problem, read off the ambient traces.
 
     ``v`` maps face coordinates to ambient points, evaluates the ambient
@@ -498,11 +490,8 @@ class _SubfaceValues:
     trace refers back to the ambient :class:`BoundaryData`.
     """
 
-    __slots__ = ("ambient", "restriction")
-
-    def __init__(self, ambient, restriction):
-        self.ambient = ambient
-        self.restriction = restriction
+    ambient: object
+    restriction: object
 
     def v(self, xi):
         res = self.restriction
@@ -589,7 +578,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
             trace = _EdgeTrace(res, solve_edge(res.problem, tol=tol))
             ids = list(P.faces[key].vertex_ids)
             x = P.vertices[ids]
-            gaps = np.abs(_eval_trace(trace, x) - problem.vertex_values[ids])
+            gaps = np.abs(trace.u(x) - problem.vertex_values[ids])
         else:
             subfaces = _SubfaceValues(bd, res)
             sol, rep = newton_solve(res.problem, boundary=subfaces,

@@ -205,14 +205,10 @@ def _cmd_boundary(config):
         labels, ts, pts = [], [], []
         for key in keys:
             face = P.faces[key]
-            if face.dim == 0:
-                labels.append(_face_label(key))
-                ts.append([0.0])
-                pts.append(P.vertices[list(face.vertex_ids)])
-            elif face.dim == 1:
-                p = P.vertices[face.vertex_ids[0]]
-                q = P.vertices[face.vertex_ids[1]]
-                t = np.linspace(0.0, 1.0, 33)
+            if face.dim < 2:
+                # a vertex is tabulated once, at t = 0
+                p, q = P.vertices[[face.vertex_ids[0], face.vertex_ids[-1]]]
+                t = np.linspace(0.0, 1.0, 33 if face.dim else 1)
                 labels.extend([_face_label(key)] * len(t))
                 ts.append(t)
                 pts.append((1.0 - t)[:, None] * p + t[:, None] * q)
@@ -308,17 +304,10 @@ def _cmd_solve(config):
 
 def _cmd_model(config):
     started = time.monotonic()
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
-
-    def trace(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * x[..., 1] ** 2
-
     msol, rep = legendre.model_solve_z(
-        density, trace, x_depth=config.depth, lateral=(-1.0, 1.0),
+        lambda x: np.ones(np.shape(x)[:-1]),
+        lambda x: 0.5 * np.asarray(x, dtype=float)[..., 1] ** 2,
+        x_depth=config.depth, lateral=(-1.0, 1.0),
         grid=config.grid, tol=config.tol, max_iter=config.max_iter)
     payload = {"form": config.form, "solver": rep,
                "z1_range": [float(msol.z1_axis[0]), float(msol.z1_axis[-1])],
@@ -453,14 +442,19 @@ def _suite_appendix(config):
     return checks
 
 
+# each verify suite and the options it reads besides --dump and --strict
+_SUITES = {"oracles": (_suite_oracles, ("seed",)),
+           "barriers": (_suite_barriers, ("seed",)),
+           "asymptotics": (_suite_asymptotics, ("levels", "tol", "max_iter")),
+           "appendix": (_suite_appendix, ())}
+
+
 def _cmd_verify(config):
     started = time.monotonic()
-    suites = {"oracles": _suite_oracles, "barriers": _suite_barriers,
-              "asymptotics": _suite_asymptotics, "appendix": _suite_appendix}
-    selected = list(suites) if config.suite == "all" else [config.suite]
+    selected = list(_SUITES) if config.suite == "all" else [config.suite]
     checks = []
     for name in selected:
-        checks.extend(suites[name](config))
+        checks.extend(_SUITES[name][0](config))
     all_pass = all(c["pass"] for c in checks)
     payload = {"suite": config.suite, "checks": checks,
                "all_pass": bool(all_pass)}
@@ -535,7 +529,7 @@ _OPTIONS = {
                            "help": "sampling seed"}),
     "threads": (("--threads",), {
         "type": int, "help": "worker thread cap; default from GMA_THREADS"}),
-    "strict": (("--strict",), {"action": "store_true",
+    "strict": (("--strict",), {"action": "store_true", "default": False,
                                "help": "exit 4 when a requested check fails"}),
     "chart": (("--chart",), {
         "choices": ("global", "face"), "default": "global",
@@ -556,12 +550,12 @@ _OPTIONS = {
     "report": (("--report",), {
         "help": "write the JSON report here instead of stdout"}),
     "deterministic": (("--deterministic",), {
-        "action": "store_true",
+        "action": "store_true", "default": False,
         "help": "drop timing fields so reruns are byte-identical"}),
 }
 
-# each subcommand's handler, help line and the options the handler
-# reads; its parser registers these, --report and --deterministic and
+# each subcommand's handler, help line and the options the handler can
+# read; its parser registers these, --report and --deterministic and
 # nothing else, so a flag the command would ignore is a usage error
 _COMMANDS = {
     "check": (_cmd_check, "validate geometry and density admissibility",
@@ -603,10 +597,13 @@ def _build_parser():
     commands = parser.add_subparsers(dest="subcommand", metavar="command",
                                      required=True)
     for name, (_, help_line, options) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=help_line)
+        # options not given stay unset until _config_from_args reads them
+        sub = commands.add_parser(name, help=help_line,
+                                  argument_default=argparse.SUPPRESS)
         for option in options + ("report", "deterministic"):
             flags, kwargs = _OPTIONS[option]
-            sub.add_argument(*flags, **kwargs)
+            sub.add_argument(*flags, **{key: value for key, value
+                                        in kwargs.items() if key != "default"})
     return parser
 
 
@@ -619,13 +616,27 @@ def _classify(exc):
 
 
 def _config_from_args(args):
-    """The run configuration: the parsed options of the subcommand, with
-    --levels, --point and --threads resolved.
-
-    A setting out of bounds raises ValidationError before any file is
-    read or any solve starts.  The configuration, output paths aside, is
-    embedded in the report, so a report names what produced it.
+    """The options the run reads, defaults filled in and --levels, --point
+    and --threads resolved, or a usage error for a given option it does
+    not read (``--k`` with a problem file, an option of a verify suite
+    not run).  A setting out of bounds raises ValidationError, before
+    any file is read.  The report embeds this configuration.
     """
+    options = set(_COMMANDS[args.subcommand][2]) | {"report", "deterministic"}
+    if args.subcommand == "oracle" and "problem" in args:
+        options.discard("k")
+    if getattr(args, "suite", "all") != "all":
+        options -= {option for _, reads in _SUITES.values()
+                    for option in reads} - set(_SUITES[args.suite][1])
+    dests = {option.rstrip("?"): option for option in options}
+    unread = sorted(set(vars(args)) - set(dests) - {"subcommand"})
+    if unread:
+        raise _UsageError("%s with %s does not read --%s" % (
+            args.subcommand, "--suite " + args.suite if "suite" in args
+            else "a problem file", ", --".join(unread).replace("_", "-")))
+    for dest, option in dests.items():
+        if dest not in args:
+            setattr(args, dest, _OPTIONS[option][1].get("default"))
     if "levels" in args:
         args.levels = _parse_levels(args.levels)
     if "point" in args:
@@ -668,12 +679,10 @@ def run(argv=None):
             joined.append(argv[i])
             i += 1
     try:
-        args = parser.parse_args(joined)
+        config = _config_from_args(parser.parse_args(joined))
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    try:
-        config = _config_from_args(args)
     except GmaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _classify(exc)

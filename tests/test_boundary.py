@@ -8,8 +8,8 @@ from scipy import integrate
 import gma.solver
 from gma import boundary, cli, geometry, guillemin
 from gma.errors import (IncompatibleEndpoint, InconsistentTraces,
-                        NonSimpleVertex, NotAFace, QuadratureFailure,
-                        SolverError)
+                        MissingTrace, NonSimpleVertex, NotAFace,
+                        OutsideDomain, QuadratureFailure, SolverError)
 from gma.problem import GuilleminProblem
 
 
@@ -54,28 +54,20 @@ def interval_problem(hhat, lo=0.0, hi=1.0, alpha=(0.0, 0.0)):
     return GuilleminProblem(P, guillemin.DensitySpec.from_callable(hhat), vals)
 
 
-def recursive_edge_panels(problem, tol):
-    """Depth-first panel refinement of solve_edge, kept as the reference.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
-    Each panel is integrated whole and in halves with its own density
-    call, and a rejected panel recurses into its left half before its
-    right one.  Returns starts, ends and the cumulative moments.
-    """
+
+def edge_integrand(problem):
+    """The interval ends and q of w'' = q, at points s: (q, ab, h)."""
     P = problem.polytope
     coords = P.vertices[:, 0]
     i_lo, i_hi = int(np.argmin(coords)), int(np.argmax(coords))
     t_lo, t_hi = float(coords[i_lo]), float(coords[i_hi])
-    L = t_hi - t_lo
     f0, f1 = P.facets
     a, b = (f0, f1) if abs(float(f0(P.vertices[i_lo]))) <= P.tau else (f1, f0)
     a_slope, b_slope = float(a.normal[0]), float(b.normal[0])
-    eps = np.finfo(float).eps
-    nodes, weights = np.polynomial.legendre.leggauss(15)
 
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        s = mid + half * nodes
+    def q(s):
         av = a_slope * (s - t_lo)
         bv = b_slope * (s - t_hi)
         den = av * bv
@@ -83,8 +75,30 @@ def recursive_edge_panels(problem, tol):
         bad = den <= 0.0
         qs = np.where(bad, 0.0, (hs - a_slope ** 2 * bv - b_slope ** 2 * av)
                       / np.where(bad, 1.0, den))
+        return qs, den, hs
+
+    return t_lo, t_hi, q
+
+
+def recursive_edge_panels(problem, tol):
+    """Depth-first panel refinement of solve_edge, kept as the reference.
+
+    Each panel is integrated whole and in halves with its own density
+    call, and a rejected panel recurses into its left half before its
+    right one.  Returns starts, ends and the cumulative moments.
+    """
+    t_lo, t_hi, q = edge_integrand(problem)
+    L = t_hi - t_lo
+    eps = np.finfo(float).eps
+
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        s = mid + half * _NODES
+        qs, den, hs = q(s)
+        bad = den <= 0.0
         dmin = float(np.min(np.abs(den[~bad]))) if np.any(~bad) else 1.0
-        return (half * (qs @ weights), half * ((s * qs) @ weights), dmin,
+        return (half * (qs @ _WEIGHTS), half * ((s * qs) @ _WEIGHTS), dmin,
                 float(np.max(np.abs(hs))))
 
     out = []
@@ -118,6 +132,37 @@ def recursive_edge_panels(problem, tol):
     cum0 = np.concatenate([[0.0], np.cumsum(mom0)])[:-1]
     cum1 = np.concatenate([[0.0], np.cumsum(mom1)])[:-1]
     return starts, ends, cum0, cum1
+
+
+def quadrature_w(problem, profile, ts):
+    """w read back by the rule the profile replaced: its panels' moments
+    up to the panel start, plus 15 point Gauss-Legendre moments of q
+    from the panel start to t."""
+    t_lo, _, q = edge_integrand(problem)
+    idx = np.clip(np.searchsorted(profile._starts, ts, side="right") - 1,
+                  0, profile.n_panels - 1)
+    lo = profile._starts[idx]
+    hi = np.minimum(ts, profile._ends[idx])
+    s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+    qs = q(s.ravel())[0].reshape(s.shape)
+    I0 = profile._cum0[idx] + 0.5 * (hi - lo) * (qs @ _WEIGHTS)
+    I1 = profile._cum1[idx] + 0.5 * (hi - lo) * ((s * qs) @ _WEIGHTS)
+    return profile.w0 + profile.c * (ts - t_lo) + ts * I0 - I1
+
+
+def _triangle_edge(leg):
+    # the hypotenuse of the triangle with legs ``leg``, its density off the
+    # compatible constant by 1e-9 relative, within the vertex rule; q grows
+    # like 1e-9 / (ab) at both ends, so bisection halves panels down to
+    # zero width
+    P = geometry.build_polytope([
+        geometry.AffineFunctional([1.0, 0.0], 0.0),
+        geometry.AffineFunctional([0.0, 1.0], 0.0),
+        geometry.AffineFunctional([-1.0, -1.0], -leg),
+    ])
+    prob = GuilleminProblem(
+        P, guillemin.DensitySpec.constant(leg * (1.0 + 1e-9)), 0.0)
+    return boundary.restrict_problem(prob, (2,)).problem
 
 
 def _perturbed_edge():
@@ -340,6 +385,48 @@ class TestSolveEdge:
             boundary.solve_edge(prob, tol=1e-10)
         assert str(batched.value) == str(recursive.value)
 
+    @pytest.mark.parametrize("make, tol", [
+        (_perturbed_edge, 1e-10),
+        (_polynomial_edge, 1e-12),
+        (lambda: _triangle_edge(1e-3), 1e-10),
+    ], ids=["perturbed", "polynomial", "triangle"])
+    def test_closed_form_read_matches_panel_quadrature(self, make, tol):
+        prob = make()
+        profile = boundary.solve_edge(prob, tol=tol)
+        rng = np.random.default_rng(9)
+        ts = np.concatenate([rng.uniform(profile.t_lo, profile.t_hi, 500),
+                             profile._starts, profile._ends])
+        got = profile.w(ts)
+        expect = quadrature_w(prob, profile, ts)
+        assert np.all(np.abs(got - expect)
+                      <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+
+    def test_reads_call_no_density(self):
+        calls = []
+        h = _polynomial_edge().density
+
+        def counted(t):
+            calls.append(len(t))
+            return h(t)
+
+        prob = interval_problem(counted, alpha=(0.3, -0.2))
+        profile = boundary.solve_edge(prob, tol=1e-12)
+        assert calls
+        del calls[:]
+        ts = np.linspace(0.0, 1.0, 257)
+        profile.w(ts)
+        profile.u(ts)
+        profile.u(0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("leg", [1.0, 1e-3])
+    def test_zero_width_panels_read_finite(self, leg):
+        profile = boundary.solve_edge(_triangle_edge(leg))
+        assert np.any(profile._ends == profile._starts)
+        ts = np.concatenate([profile._starts, profile._ends,
+                             np.linspace(profile.t_lo, profile.t_hi, 101)])
+        assert np.all(np.isfinite(profile.u(ts)))
+
     def test_vector_evaluation_matches_scalar(self):
         profile = boundary.solve_edge(_polynomial_edge(), tol=1e-12)
         ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37) ** 3])
@@ -442,6 +529,31 @@ class TestBuildBoundaryData:
             assert batch.shape == (len(X),)
             assert all(isinstance(fn(x), float) for x in X[:3])
             assert np.max(np.abs(batch - single)) <= 1e-14
+
+    def test_grouped_batch_equals_pointwise_exactly(self):
+        # one batch over vertices, edges and 2-faces of the cube, grouped
+        # by the integer code of each point's active set
+        prob = _solid3d_problem("cube")
+        P = prob.polytope
+        bd = boundary.build_boundary_data(prob, grid=9)
+        rng = np.random.default_rng(10)
+        pts = [P.vertices]
+        for key, face in P.faces.items():
+            if face.dim in (1, 2):
+                verts = P.vertices[list(face.vertex_ids)]
+                pts.append(rng.dirichlet(np.full(len(verts), 2.0), 4)
+                           @ verts)
+        X = np.vstack(pts)[rng.permutation(8 + 4 * (12 + 6))]
+        assert np.array_equal(bd.u(X), [bd.u(x) for x in X])
+        with pytest.raises(OutsideDomain):
+            bd.u(np.vstack([X, [[0.5, 0.5, 1.5]]]))
+        with pytest.raises(OutsideDomain):
+            bd.u(np.vstack([X, [[0.5, 0.5, 0.5]]]))
+        edge = next(k for k, f in P.faces.items() if f.dim == 1)
+        x = P.vertices[list(P.faces[edge].vertex_ids)].mean(axis=0)
+        del bd.traces[edge]
+        with pytest.raises(MissingTrace):
+            bd.u(np.vstack([X, [x]]))
 
     def test_unconverged_face_raises(self, monkeypatch):
         _report_unconverged(monkeypatch)

@@ -63,7 +63,8 @@ def octahedron_body():
 
 # the options each subcommand reads, each with a value for a quick run
 # (None for a switch); every subcommand also takes --report and
-# --deterministic, and all but model and verify take a problem file
+# --deterministic, all but model and verify take a problem file, and
+# verify runs its oracle suite, which reads --seed of the suite options
 COMMAND_OPTIONS = {
     "check": {},
     "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv",
@@ -74,9 +75,7 @@ COMMAND_OPTIONS = {
     "model": {"--grid": "9", "--tol": "1e-10", "--max-iter": "30",
               "--dump": "d.csv", "--strict": None, "--form": "z",
               "--depth": "0.25"},
-    "verify": {"--levels": "9,17,33", "--tol": "1e-10", "--max-iter": "30",
-               "--dump": "d.csv", "--seed": "0", "--strict": None,
-               "--suite": "oracles"},
+    "verify": {"--dump": "d.csv", "--seed": "0", "--strict": None},
     "oracle": {"--point": "0.5,0.25", "--k": "1"},
 }
 
@@ -91,6 +90,8 @@ def test_options_follow_the_command_table(tmp_path, monkeypatch, command):
     head = [command]
     if command in ("check", "boundary", "solve"):
         head.append(write_problem(tmp_path / "p.json", simplex_body()))
+    if command == "verify":
+        head += ["--suite", "oracles"]
     options = COMMAND_OPTIONS[command]
     argv = list(head)
     for flag, value in options.items():
@@ -102,6 +103,8 @@ def test_options_follow_the_command_table(tmp_path, monkeypatch, command):
         flag[2:].replace("-", "_") for flag in options if flag != "--dump"}
     if command not in ("model", "verify"):
         expect.add("problem")
+    if command == "verify":
+        expect.add("suite")
     config = json.loads((tmp_path / "r.json").read_text())["config"]
     assert set(config) == expect
     for flag in FORMER_COMMON:
@@ -461,6 +464,32 @@ class TestVerify:
             blobs.append(dump.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("suite, reads", [
+        ("oracles", ("--seed",)), ("barriers", ("--seed",)),
+        ("asymptotics", ("--levels", "--tol", "--max-iter")),
+        ("appendix", ())])
+    def test_suite_options_read_by_the_suite_only(self, suite, reads,
+                                                  capsys):
+        for flag in ("--levels", "--tol", "--max-iter", "--seed"):
+            if flag not in reads:
+                assert cli.run(["verify", "--suite", suite, flag, "9"]) \
+                    == 64, flag
+                assert "does not read %s" % flag in capsys.readouterr().err
+
+    def test_appendix_config_names_what_it_read(self, capsys):
+        assert cli.run(["verify", "--suite", "appendix",
+                        "--deterministic"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"subcommand": "verify", "deterministic": True,
+                          "suite": "appendix", "strict": False}
+
+    def test_all_suites_read_every_suite_option(self):
+        args = cli._config_from_args(cli._build_parser().parse_args(
+            ["verify", "--levels=9,17", "--tol", "1e-9", "--max-iter", "5",
+             "--seed", "3"]))
+        assert (args.suite, args.levels, args.tol, args.max_iter,
+                args.seed) == ("all", (9, 17), 1e-9, 5, 3)
+
     def test_asymptotics_ratio_table(self, tmp_path):
         report = tmp_path / "r.json"
         dump = tmp_path / "ratios.csv"
@@ -493,6 +522,20 @@ class TestOracle:
         assert out["density"] == pytest.approx(1.0, abs=1e-10)
         assert out["potential"] == pytest.approx(4 * 0.5 * np.log(0.5),
                                                  rel=1e-12)
+
+    def test_problem_file_reads_no_k(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", square_body())
+        report = tmp_path / "r.json"
+        code = cli.run(["oracle", path, "--k", "7", "--point", "0.5,0.5",
+                        "--report", str(report)])
+        assert code == 64
+        assert "does not read --k" in capsys.readouterr().err
+        assert not report.exists()
+        assert cli.run(["oracle", path, "--point", "0.5,0.5",
+                        "--report", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert set(config) == {"subcommand", "deterministic", "problem",
+                               "point"}
 
     def test_outside_quadrant_is_validation_error(self, tmp_path):
         code = cli.run(["oracle", "--k", "1", "--point", "-1.0,0.0",
