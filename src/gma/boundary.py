@@ -38,7 +38,6 @@ _GL_NODES, _GL_WEIGHTS = _LEG.leggauss(15)
 _SECOND_INTEGRAL = _LEG.legint(
     (np.arange(15)[:, None] + 0.5) * _LEG.legvander(_GL_NODES, 14).T
     * _GL_WEIGHTS, m=2, lbnd=-1)
-_ENDPOINT_LEVELS = 45
 _MAX_DEPTH = 40
 
 
@@ -152,25 +151,32 @@ def restrict_problem(problem, gamma):
 class EdgeProfile:
     """Solution of a one dimensional problem on an interval.
 
-    The substitution u = w + a log a + b log b turns u'' = h/(ab) into
-    w'' = q with q = (h - a'^2 b - b'^2 a)/(ab), which extends
-    continuously to the closed interval exactly when the endpoint
-    matching condition holds.  The profile keeps the panels that
-    :func:`solve_edge` accepted: the moments of q up to each panel start,
-    and the second antiderivative of the panel's Legendre interpolant of
-    the q samples the quadrature took.  w and u are read back in closed
-    form, with no density call and no quadrature.
+    The substitution u = w + c_a a log a + c_b b log b turns u'' = h/(ab)
+    into w'' = q with q = (h - c_a a'^2 b - c_b b'^2 a)/(ab).  The
+    endpoint split c_a = h/(a'^2 b) at the left end and c_b = h/(b'^2 a)
+    at the right takes the endpoint singularity of h/(ab) in closed form:
+    the numerator of q vanishes at both ends, so q is bounded and w is
+    the regular part.  c_a and c_b are 1 when the endpoint matching
+    condition holds exactly, and within the vertex rule's 1e-8 of it.
+    The profile keeps the panels that :func:`solve_edge` accepted: the
+    moments of q up to each panel start, and the second antiderivative
+    of the panel's Legendre interpolant of the q samples the quadrature
+    took.  w and u are read back in closed form, with no density call
+    and no quadrature.
     """
 
-    __slots__ = ("t_lo", "t_hi", "a_slope", "b_slope", "w0", "c", "n_panels",
-                 "_starts", "_ends", "_cum0", "_cum1", "_coef")
+    __slots__ = ("t_lo", "t_hi", "a_slope", "b_slope", "c_a", "c_b", "w0",
+                 "c", "n_panels", "_starts", "_ends", "_cum0", "_cum1",
+                 "_coef")
 
-    def __init__(self, t_lo, t_hi, a_slope, b_slope, w0, c, starts, ends,
-                 cum0, cum1, coef):
+    def __init__(self, t_lo, t_hi, a_slope, b_slope, c_a, c_b, w0, c, starts,
+                 ends, cum0, cum1, coef):
         self.t_lo = t_lo
         self.t_hi = t_hi
         self.a_slope = a_slope
         self.b_slope = b_slope
+        self.c_a = c_a
+        self.c_b = c_b
         self.w0 = w0
         self.c = c
         self._starts = starts
@@ -203,11 +209,11 @@ class EdgeProfile:
         return float(out[0]) if scalar else out
 
     def u(self, ts):
-        """The full trace w + a log a + b log b."""
+        """The full trace w + c_a a log a + c_b b log b."""
         ts = np.asarray(ts, dtype=float)
         av = np.maximum(self.a_slope * (ts - self.t_lo), 0.0)
         bv = np.maximum(self.b_slope * (ts - self.t_hi), 0.0)
-        out = self.w(ts) + xlogy(av, av) + xlogy(bv, bv)
+        out = self.w(ts) + self.c_a * xlogy(av, av) + self.c_b * xlogy(bv, bv)
         return float(out) if ts.ndim == 0 else out
 
 
@@ -236,13 +242,15 @@ def solve_edge(problem, tol=1e-10):
 
     With facet functionals a (vanishing at the left endpoint) and b
     (vanishing at the right), the equation u'' = h/(ab) with u = alpha at
-    the endpoints is solved in the split form u = w + a log a + b log b.
-    The regular part satisfies w'' = q with bounded q, integrated by
-    composite 15 point Gauss-Legendre panels: a geometric ladder of
-    forced breakpoints toward each endpoint absorbs the cancellation in
-    q, and panels are bisected until the two-half estimate agrees with
-    the whole-panel one.  Bisection runs level by level: one density
-    call covers the halves of every pending panel, and a child takes its
+    the endpoints is solved in the split form
+    u = w + c_a a log a + c_b b log b of :class:`EdgeProfile`.  The
+    endpoint split reads c_a and c_b off the density at the two vertices,
+    so the regular part satisfies w'' = q with q bounded even where the
+    density misses its compatible vertex value within the vertex rule.
+    q is integrated by composite 15 point Gauss-Legendre panels, bisected
+    from the whole edge until the two-half estimate agrees with the
+    whole-panel one.  Bisection runs level by level: one density call
+    covers the halves of every pending panel, and a child takes its
     parent's half-panel result as its whole-panel estimate.  Requested
     tolerances below about 1e-11 are limited by rounding in the
     integrand.  The q samples of each accepted panel are kept as the
@@ -294,17 +302,17 @@ def solve_edge(problem, tol=1e-10):
         return np.broadcast_to(hs, (ts.size,)).reshape(ts.shape)
 
     # endpoint matching: h(t_lo) = b(t_lo) a'^2 and h(t_hi) = a(t_hi) b'^2
-    h_ends = hfun(np.array([t_lo, t_hi]))
-    for t_end, got, other_val, slope in (
-            (t_lo, h_ends[0], b_slope * (t_lo - t_hi), a_slope),
-            (t_hi, h_ends[1], a_slope * (t_hi - t_lo), b_slope)):
-        required = other_val * slope ** 2
-        got = float(got)
-        if abs(got - required) > 1e-8 * max(abs(required), abs(got)):
+    b_at_lo = b_slope * (t_lo - t_hi)
+    a_at_hi = a_slope * (t_hi - t_lo)
+    required = np.array([b_at_lo * a_slope ** 2, a_at_hi * b_slope ** 2])
+    got = hfun(np.array([t_lo, t_hi]))
+    for t_end, h_end, req in zip((t_lo, t_hi), got, required):
+        if abs(h_end - req) > 1e-8 * max(abs(req), abs(h_end)):
             raise IncompatibleEndpoint(
                 "density %.17g at t=%.17g, endpoint structure needs %.17g"
-                % (got, t_end, required))
-
+                % (h_end, t_end, req))
+    # the endpoint split: the numerator of q vanishes at both ends
+    c_a, c_b = got / required
     eps = np.finfo(float).eps
 
     def q(s):
@@ -315,25 +323,18 @@ def solve_edge(problem, tol=1e-10):
         hs = hfun(s)
         bad = den <= 0.0
         qs = np.where(bad, 0.0,
-                      (hs - a_slope ** 2 * bv - b_slope ** 2 * av)
+                      (hs - c_a * a_slope ** 2 * bv - c_b * b_slope ** 2 * av)
                       / np.where(bad, 1.0, den))
         return qs, den, hs
 
     tscale = max(1.0, abs(t_lo), abs(t_hi))
-    ladder = 0.5 ** np.arange(1, _ENDPOINT_LEVELS + 1)
-    pts = np.unique(np.concatenate([[t_lo, t_hi],
-                                    t_lo + L * ladder,
-                                    t_hi - L * ladder]))
-
     # breadth-first bisection over the pending panels of one level, in
-    # order; level 0 integrates each ladder panel whole and in halves in
-    # one call, later levels only the halves
-    lo, hi = pts[:-1], pts[1:]
-    mid = 0.5 * (lo + hi)
-    k = len(lo)
-    first = _gauss_panels(q, np.concatenate([lo, lo, mid]),
-                          np.concatenate([hi, mid, hi]))
-    whole, halves = first[:k], first[k:]
+    # order; level 0 integrates the edge whole and in halves in one call,
+    # later levels only the halves
+    lo, hi = np.array([t_lo]), np.array([t_hi])
+    mid, k = 0.5 * (lo + hi), 1
+    whole, halves = np.split(_gauss_panels(q, np.r_[lo, lo, mid],
+                                           np.r_[hi, mid, hi]), [k])
     accepted = []
     depth = 0
     while True:
@@ -378,15 +379,13 @@ def solve_edge(problem, tol=1e-10):
 
     # w(t_lo) and w(t_hi) from the vertex values; a log a and b log b
     # vanish at their own endpoints
-    b_at_lo = b_slope * (t_lo - t_hi)
-    a_at_hi = a_slope * (t_hi - t_lo)
-    w0 = alpha_lo - b_at_lo * np.log(b_at_lo)
-    w1 = alpha_hi - a_at_hi * np.log(a_at_hi)
+    w0 = alpha_lo - c_b * b_at_lo * np.log(b_at_lo)
+    w1 = alpha_hi - c_a * a_at_hi * np.log(a_at_hi)
     G1 = t_hi * float(np.sum(mom0)) - float(np.sum(mom1))
     c = (w1 - w0 - G1) / L
 
-    return EdgeProfile(t_lo, t_hi, a_slope, b_slope, float(w0), float(c),
-                       starts, ends, cum0, cum1,
+    return EdgeProfile(t_lo, t_hi, a_slope, b_slope, float(c_a), float(c_b),
+                       float(w0), float(c), starts, ends, cum0, cum1,
                        panels[:, 6:] @ _SECOND_INTEGRAL.T)
 
 

@@ -58,7 +58,12 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def edge_integrand(problem):
-    """The interval ends and q of w'' = q, at points s: (q, ab, h)."""
+    """The interval ends and q of w'' = q, at points s: (q, ab, h).
+
+    q is split at the endpoints: u = w + c_a a log a + c_b b log b, with
+    c_a and c_b the density at each vertex over its compatible value, so
+    the numerator of q vanishes at both ends.
+    """
     P = problem.polytope
     coords = P.vertices[:, 0]
     i_lo, i_hi = int(np.argmin(coords)), int(np.argmax(coords))
@@ -66,6 +71,10 @@ def edge_integrand(problem):
     f0, f1 = P.facets
     a, b = (f0, f1) if abs(float(f0(P.vertices[i_lo]))) <= P.tau else (f1, f0)
     a_slope, b_slope = float(a.normal[0]), float(b.normal[0])
+    h_lo, h_hi = np.broadcast_to(
+        problem.density(np.array([[t_lo], [t_hi]])), (2,))
+    c_a = h_lo / (b_slope * (t_lo - t_hi) * a_slope ** 2)
+    c_b = h_hi / (a_slope * (t_hi - t_lo) * b_slope ** 2)
 
     def q(s):
         av = a_slope * (s - t_lo)
@@ -73,7 +82,8 @@ def edge_integrand(problem):
         den = av * bv
         hs = np.asarray(problem.density(s[:, None]), dtype=float)
         bad = den <= 0.0
-        qs = np.where(bad, 0.0, (hs - a_slope ** 2 * bv - b_slope ** 2 * av)
+        qs = np.where(bad, 0.0,
+                      (hs - c_a * a_slope ** 2 * bv - c_b * b_slope ** 2 * av)
                       / np.where(bad, 1.0, den))
         return qs, den, hs
 
@@ -83,9 +93,10 @@ def edge_integrand(problem):
 def recursive_edge_panels(problem, tol):
     """Depth-first panel refinement of solve_edge, kept as the reference.
 
-    Each panel is integrated whole and in halves with its own density
-    call, and a rejected panel recurses into its left half before its
-    right one.  Returns starts, ends and the cumulative moments.
+    Starting from the whole edge, each panel is integrated whole and in
+    halves with its own density call, and a rejected panel recurses into
+    its left half before its right one.  Returns starts, ends and the
+    cumulative moments.
     """
     t_lo, t_hi, q = edge_integrand(problem)
     L = t_hi - t_lo
@@ -123,11 +134,7 @@ def recursive_edge_panels(problem, tol):
         refine(lo, mid, depth + 1)
         refine(mid, hi, depth + 1)
 
-    ladder = 0.5 ** np.arange(1, 46)
-    pts = np.unique(np.concatenate([[t_lo, t_hi], t_lo + L * ladder,
-                                    t_hi - L * ladder]))
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        refine(float(lo), float(hi), 0)
+    refine(t_lo, t_hi, 0)
     starts, ends, mom0, mom1 = (np.array(c) for c in zip(*out))
     cum0 = np.concatenate([[0.0], np.cumsum(mom0)])[:-1]
     cum1 = np.concatenate([[0.0], np.cumsum(mom1)])[:-1]
@@ -150,11 +157,12 @@ def quadrature_w(problem, profile, ts):
     return profile.w0 + profile.c * (ts - t_lo) + ts * I0 - I1
 
 
-def _triangle_edge(leg):
-    # the hypotenuse of the triangle with legs ``leg``, its density off the
-    # compatible constant by 1e-9 relative, within the vertex rule; q grows
-    # like 1e-9 / (ab) at both ends, so bisection halves panels down to
-    # zero width
+def _triangle_edge(leg, facet=2):
+    # an edge (the hypotenuse by default) of the triangle with legs
+    # ``leg``, its density off the compatible constant by 1e-9 relative,
+    # within the vertex rule; without the endpoint split q would grow like
+    # 1e-9 / (ab) at both ends, and bisection halved panels down to zero
+    # width (670 of 2,468 on the hypotenuse of the unit triangle)
     P = geometry.build_polytope([
         geometry.AffineFunctional([1.0, 0.0], 0.0),
         geometry.AffineFunctional([0.0, 1.0], 0.0),
@@ -162,7 +170,7 @@ def _triangle_edge(leg):
     ])
     prob = GuilleminProblem(
         P, guillemin.DensitySpec.constant(leg * (1.0 + 1e-9)), 0.0)
-    return boundary.restrict_problem(prob, (2,)).problem
+    return boundary.restrict_problem(prob, (facet,)).problem
 
 
 def _perturbed_edge():
@@ -182,7 +190,7 @@ def _polynomial_edge():
 
 def _kink_edge(power):
     # 1 + t (1 - t) |t - 0.3137|^power: bisection goes deep at the kink
-    # (27 levels for power 1, the depth limit for power 1/2)
+    # (29 levels for power 1, the depth limit for power 1/2)
     def h(t):
         s = np.asarray(t, dtype=float)[..., 0]
         return 1.0 + s * (1.0 - s) * np.abs(s - 0.3137) ** power
@@ -420,12 +428,14 @@ class TestSolveEdge:
         assert calls == []
 
     @pytest.mark.parametrize("leg", [1.0, 1e-3])
-    def test_zero_width_panels_read_finite(self, leg):
-        profile = boundary.solve_edge(_triangle_edge(leg))
-        assert np.any(profile._ends == profile._starts)
-        ts = np.concatenate([profile._starts, profile._ends,
-                             np.linspace(profile.t_lo, profile.t_hi, 101)])
-        assert np.all(np.isfinite(profile.u(ts)))
+    def test_off_vertex_density_keeps_few_panels(self, leg):
+        for facet in range(3):
+            profile = boundary.solve_edge(_triangle_edge(leg, facet))
+            assert profile.n_panels <= 4
+            assert np.all(profile._ends > profile._starts)
+            ts = np.concatenate([profile._starts, profile._ends,
+                                 np.linspace(profile.t_lo, profile.t_hi, 101)])
+            assert np.all(np.isfinite(profile.u(ts)))
 
     def test_vector_evaluation_matches_scalar(self):
         profile = boundary.solve_edge(_polynomial_edge(), tol=1e-12)
@@ -490,6 +500,22 @@ class TestBuildBoundaryData:
         prob = square_problem()
         bd = boundary.build_boundary_data(prob)
         assert bd.consistency["max_mismatch"] <= bd.consistency["tolerance"]
+
+    def test_many_facets_keep_few_panels_per_edge(self):
+        # rounding alone leaves the induced density of a 32-gon up to
+        # 3e-13 off its compatible vertex values; bisection that chased
+        # that miss toward the vertices did not finish
+        theta = 2.0 * np.pi * np.arange(32) / 32
+        P = geometry.build_polytope([
+            geometry.AffineFunctional([-np.cos(t), -np.sin(t)], -1.0)
+            for t in theta])
+        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+        bd = boundary.build_boundary_data(prob, grid=17)
+        edges = [tr for tr in bd.traces.values()
+                 if isinstance(tr, boundary._EdgeTrace)]
+        assert len(edges) == 32
+        assert max(tr.profile.n_panels for tr in edges) <= 4
+        assert bd.consistency["max_mismatch"] <= 1e-14
 
     def test_midpoint_convexity_along_edges(self):
         prob = trapezoid_problem()

@@ -86,7 +86,7 @@ def manufactured_problem():
     prod l for v = c exp(w.x); the rank one Hessian of v kills the det A
     term and the cross terms are polynomial in the functionals:
 
-        h = h_G + c e^{w.x} sum_i (|w|^2 |n_i|^2 - (w.n_i)^2)/?
+        h = h_G + c e^{w.x} sum_i (|w|^2 |n_i|^2 - (w.n_i)^2) prod_{j!=i} l_j
 
     Written out with trace A = c e (1 + 4) and n^t A n = c e (w.n)^2.
     """
