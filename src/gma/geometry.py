@@ -14,7 +14,6 @@ not invariant under rescaling them.
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateNormals,
@@ -126,6 +125,12 @@ class Polytope:
     def __repr__(self):
         return "Polytope(n=%d, facets=%d, vertices=%d)" % (
             self.dimension, len(self.facets), len(self.vertices))
+
+
+def linprog(*args, **kwargs):
+    """scipy's linprog, imported on first call; the tracer counts LPs here."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def _chebyshev(normals, offsets):

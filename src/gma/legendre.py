@@ -18,7 +18,6 @@ direction, which is the setting every companion check exercises.
 import numpy as np
 # not called here; perfbench/tracer.py patches gma.legendre.spsolve by name
 from scipy.sparse.linalg import spsolve  # noqa: F401
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateTransversalHessian,
@@ -252,6 +251,7 @@ class ModelSolution:
         Z1, Z2 = np.meshgrid(z1_axis, z2_axis, indexing="ij")
         self._points = np.column_stack([Z1.ravel(), Z2.ravel()])
         self._flat = np.asarray(values, dtype=float).ravel()
+        from scipy.spatial import cKDTree
         self._tree = cKDTree(self._points)
 
     def v(self, x):

@@ -20,10 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dstn, idstn
-# not called here; perfbench/tracer.py patches
-# gma.solver.LinearNDInterpolator by name
-from scipy.interpolate import LinearNDInterpolator  # noqa: F401
 from scipy.sparse.linalg import splu, spsolve
 
 from .boundary import build_boundary_data
@@ -37,6 +33,12 @@ _MAX_LATTICE = 2 ** 22
 # a chord step on kept LU factors is accepted only if it divides the sup
 # norm residual by at least 1/_CHORD_CONTRACTION
 _CHORD_CONTRACTION = 0.25
+
+
+def LinearNDInterpolator(*args, **kwargs):
+    """scipy's LinearNDInterpolator on first call; only the tracer binds it."""
+    from scipy.interpolate import LinearNDInterpolator
+    return LinearNDInterpolator(*args, **kwargs)
 
 
 def _simplex_map(P):
@@ -352,6 +354,7 @@ def _harmonic_lift(chart, v):
         A.eliminate_zeros()
         return spsolve(A, rhs, permc_spec="NATURAL")
 
+    from scipy.fft import dstn, idstn
     # eigenvalues of the Laplacian on the (m-2)^n interior box
     lam1 = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / d2
     lam = functools.reduce(np.add.outer, [lam1] * n)

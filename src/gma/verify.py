@@ -19,7 +19,6 @@ all reductions run over sorted sample order.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import xlogy
 
 from . import geometry
@@ -69,37 +68,37 @@ def liouville_oracle(x, k):
 
     Parameters
     ----------
-    x : ndarray, shape (n,)
-        Evaluation point; the first k coordinates must be positive.
+    x : ndarray, shape (n,) or (m, n)
+        One point or m rows; the first k coordinates must be positive.
     k : int
         Number of degenerate coordinates.
 
     Returns
     -------
     LiouvilleData
-        value, gradient, hessian, residual.
+        value, gradient, hessian, residual; rows add a leading axis m.
 
     Raises
     ------
     OutsideQuadrant
         When any of the first k coordinates is not strictly positive.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("oracle expects a single point")
-    n = x.size
-    k = int(k)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n, k = x.shape[-1], int(k)
     if not 1 <= k <= n:
         raise ValidationError("need 1 <= k <= n")
-    head = x[:k]
+    head, tail = x[..., :k], x[..., k:]
     if np.any(head <= 0.0):
         raise OutsideQuadrant(
             "oracle needs the first %d coordinates positive" % k)
-    tail = x[k:]
-    value = float(np.sum(head * np.log(head)) + 0.5 * np.sum(tail ** 2))
-    gradient = np.concatenate([1.0 + np.log(head), tail])
-    hessian = np.diag(np.concatenate([1.0 / head, np.ones(n - k)]))
-    residual = float(np.prod(head) * np.linalg.det(hessian) - 1.0)
+    value = np.sum(head * np.log(head), -1) + 0.5 * np.sum(tail ** 2, -1)
+    gradient = np.concatenate([1.0 + np.log(head), tail], axis=-1)
+    hessian = np.zeros(x.shape + (n,))
+    hessian[..., range(n), range(n)] = np.concatenate(
+        [1.0 / head, np.ones_like(tail)], axis=-1)
+    residual = np.prod(head, -1) * np.linalg.det(hessian) - 1.0
+    if x.ndim == 1:
+        value, residual = float(value), float(residual)
     return LiouvilleData(value, gradient, hessian, residual)
 
 
@@ -611,6 +610,7 @@ def solution_probe(solution):
     pts = chart.to_problem(chart.nodes)
     if pts.shape[1] != 2:
         raise ValidationError("probe supports planar charts")
+    from scipy.spatial import cKDTree
     tree = cKDTree(pts)
     values = np.asarray(solution.values, dtype=float)
     P = solution.problem.polytope

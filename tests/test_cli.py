@@ -1,12 +1,18 @@
 import json
+import os
+import pathlib
 import re
 import struct
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
+from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli
+from gma import boundary, cli, geometry
 from gma.problem import load_problem
 
 
@@ -505,14 +511,18 @@ class TestVerify:
 
 
 class TestOracle:
-    def test_quadrant_point(self, tmp_path):
-        report = tmp_path / "r.json"
-        code = cli.run(["oracle", "--k", "2", "--point", "0.5,0.25,0.7",
-                        "--report", str(report)])
-        assert code == 0
-        out = json.loads(report.read_text())
-        assert abs(out["residual"]) <= 1e-12
-        assert out["k"] == 2
+    def test_quadrant_point(self, capsys):
+        # the report fields as the one-point oracle wrote them
+        assert cli.run(["oracle", "--k", "2", "--point", "0.5,0.25,0.7",
+                        "--deterministic"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        del out["config"], out["schema_version"]
+        assert out == {
+            "point": [0.5, 0.25, 0.7], "k": 2, "n": 3,
+            "value": -0.4481471805599453,
+            "gradient": [0.3068528194400547, -0.3862943611198906, 0.7],
+            "hessian": [[2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+            "residual": -2.220446049250313e-16}
 
     def test_problem_point(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", square_body())
@@ -585,3 +595,66 @@ class TestThreads:
         for token in ("0", "1", "2", "3", "4", "64"):
             assert token in text
         assert "GMA_THREADS" in text
+
+
+# scipy subpackages a gma process loads on first use only
+LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.spatial", "scipy.fft")
+
+
+def loaded_after(code):
+    """The LAZY modules in sys.modules after running code in a new process."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = "%s\nimport sys\nprint(*[m for m in %r if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe % (code, LAZY)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_lazy_subpackage(self):
+        assert loaded_after("import gma.cli") == set()
+
+    def test_model_solve_loads_no_optimize_or_interpolate(self):
+        loaded = loaded_after(
+            "import numpy as np\n"
+            "from gma import legendre\n"
+            "legendre.model_solve_z(lambda x: np.ones(np.shape(x)[:-1]),\n"
+            "    lambda x: 0.5 * np.asarray(x)[..., 1] ** 2, grid=9)")
+        # the model solution's quadratic fits need the KD-tree
+        assert loaded == {"scipy.spatial"}
+
+
+class TestLazyBindings:
+    """perfbench/tracer.py patches these module globals by name."""
+
+    @pytest.mark.parametrize("module, name", [
+        (geometry, "linprog"), (gma.solver, "LinearNDInterpolator")])
+    def test_plain_module_function(self, module, name):
+        fn = vars(module)[name]
+        assert isinstance(fn, types.FunctionType)
+        assert fn.__module__ == module.__name__
+
+    def test_every_lp_goes_through_the_module_global(self, monkeypatch):
+        calls = []
+        original = geometry.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "linprog", counting)
+        square = [geometry.AffineFunctional(a, b) for a, b in (
+            ([1.0, 0.0], 0.0), ([-1.0, 0.0], -1.0),
+            ([0.0, 1.0], 0.0), ([0.0, -1.0], -1.0))]
+        for builds in (1, 2):
+            geometry.build_polytope(square)
+            assert len(calls) == 2 * builds
+
+    def test_interpolator_evaluates_like_scipy(self):
+        rng = np.random.default_rng(5)
+        points, values = rng.random((30, 2)), rng.random(30)
+        query = 0.25 + 0.5 * rng.random((20, 2))
+        ours = gma.solver.LinearNDInterpolator(points, values)(query)
+        assert np.array_equal(ours,
+                              LinearNDInterpolator(points, values)(query))

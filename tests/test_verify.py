@@ -78,10 +78,33 @@ class TestLiouvilleOracle:
                 x = np.empty((1000, n))
                 x[:, :k] = 10.0 ** rng.uniform(-2, 1, (1000, k))
                 x[:, k:] = rng.normal(0.0, 2.0, (1000, n - k))
-                for row in x:
-                    out = verify.liouville_oracle(row, k)
-                    worst = max(worst, abs(out.residual))
+                out = verify.liouville_oracle(x, k)
+                worst = max(worst, float(np.max(np.abs(out.residual))))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3)
+                                      for n in range(k, 5)])
+    def test_batch_equals_rows(self, k, n):
+        rng = np.random.default_rng([k, n])
+        x = np.hstack([10.0 ** rng.uniform(-3.0, 0.5, (50, k)),
+                       rng.normal(0.0, 1.0, (50, n - k))])
+        batch = verify.liouville_oracle(x, k)
+        rows = [verify.liouville_oracle(row, k) for row in x]
+        assert type(rows[0].value) is float
+        assert type(rows[0].residual) is float
+        for field, got in zip(verify.LiouvilleData._fields, batch):
+            want = np.array([getattr(r, field) for r in rows])
+            assert got.shape == want.shape, field
+            assert np.array_equal(got, want), field
+
+    def test_batch_with_one_bad_head_is_outside(self):
+        x = np.tile([0.5, 0.25, 0.7], (10, 1))
+        x[7, 1] = 0.0
+        with pytest.raises(OutsideQuadrant):
+            verify.liouville_oracle(x, 2)
+        # the tangential coordinate may be negative in any row
+        x[7, 1], x[3, 2] = 0.25, -0.7
+        assert verify.liouville_oracle(x, 2).residual.shape == (10,)
 
 
 class TestVerifyBarrier:
