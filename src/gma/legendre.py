@@ -25,7 +25,7 @@ from .errors import (
     OutsideDomain,
     ValidationError,
 )
-from .solver import Stencil, damped_newton, dissection_order, pivots
+from .solver import Stencil, damped_newton, dissection_order, inverses, pivots
 
 __all__ = [
     "PartialLegendrePair",
@@ -199,12 +199,10 @@ def legendre_forward(values, axes, gradient=None, hessian=None):
     else:
         g = ((values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * d2)).ravel()
 
-    K = len(pts)
-    H = np.empty((K, 2, 2))
     if hessian is not None:
-        for k in range(K):
-            H[k] = np.asarray(hessian(pts[k]), dtype=float)
+        H = np.array([hessian(p) for p in pts], dtype=float)
     else:
+        H = np.empty((len(pts), 2, 2))
         core = values[1:-1, 1:-1]
         H[:, 0, 0] = ((values[2:, 1:-1] + values[:-2, 1:-1] - 2.0 * core)
                       / d1 ** 2).ravel()
@@ -285,15 +283,15 @@ def _model_stencil(z1, z2, I, J):
     di = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1])
     dj = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])
     body = I > 0
-    coeffs = np.zeros((len(I), len(di), 2, 2))
-    coeffs[:, :5, 1, 1] = np.array([-2.0, 0.0, 0.0, 1.0, 1.0]) / d2 ** 2
-    coeffs[body, :3, 0, 0] = (np.array([-2.0, 1.0, 1.0]) / d1 ** 2
+    coeffs = np.zeros((2, 2, len(di), len(I)))
+    coeffs[1, 1, :5] = np.array([[-2.0], [0.0], [0.0], [1.0], [1.0]]) / d2 ** 2
+    coeffs[0, 0, :3, body] = (np.array([-2.0, 1.0, 1.0]) / d1 ** 2
                               - di[:3] / (2.0 * d1 * z1[I[body], None]))
-    coeffs[body, 5:, 0, 1] = coeffs[body, 5:, 1, 0] = \
+    coeffs[0, 1, 5:, body] = coeffs[1, 0, 5:, body] = \
         di[5:] * dj[5:] / (4.0 * d1 * d2)
     neighbors = np.ravel_multi_index(
-        (I[:, None] + di, J[:, None] + dj), (len(z1), len(z2)), mode="clip")
-    neighbors[np.ix_(~body, di != 0)] = 0
+        (I + di[:, None], J + dj[:, None]), (len(z1), len(z2)), mode="clip")
+    neighbors[np.ix_(di != 0, ~body)] = 0
     columns = np.full(len(z1) * len(z2), -1)
     columns[I * len(z2) + J] = np.arange(len(I))
     return Stencil(neighbors, columns, coeffs, np.diag([1.0, 0.0]))
@@ -306,18 +304,16 @@ def _model_system(V, stencil, hq):
     det M > 0: both pivots of :func:`gma.solver.pivots` positive.
     """
     p = pivots(stencil.matrices(V.ravel()))
-    ok = np.all(p > 0, axis=1)
-    det = np.prod(p, axis=1)
+    ok = np.all(p > 0, axis=0)
+    det = np.prod(p, axis=0)
     return np.where(ok, np.sqrt(np.where(ok, det, 1.0)) - hq, np.nan), ok
 
 
 def _model_jacobian(V, stencil):
-    """Derivative of the concave residual, tr(adj(M) dM) / (2 sqrt(det M))."""
+    """Derivative of the concave residual, tr(M^-1 dM) sqrt(det M) / 2."""
     M = stencil.matrices(V.ravel())
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    # the adjugate of a 2 x 2 matrix: swap the diagonal, negate the rest
-    adj = M[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return stencil.jacobian(0.5 * adj / np.sqrt(det)[:, None, None])
+    det = np.prod(pivots(M), axis=0)
+    return stencil.jacobian(0.5 * np.sqrt(det) * inverses(M))
 
 
 def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,

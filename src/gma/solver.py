@@ -16,7 +16,6 @@ scheme is exact whenever v restricted to the lattice has cubic accuracy.
 
 import functools
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,43 +106,54 @@ def dissection_order(idx):
     return np.argsort(key, kind="stable")
 
 
-class Stencil(NamedTuple):
-    """Matrix field M(v) = base + sum_o coeffs_o v[neighbors[:, o]].
+class Stencil:
+    """Matrix field M(v) = base + sum_o coeffs_o v[neighbors[o]].
 
-    Both Newton operators take this form: the chart solver's
-    D2 v + sum_j n_j n_j^t / l_j and the model solver's
-    D2 w + (1 - w_1/z1) e1 e1^T.  Each residual is a function of M at its
-    node, so with G its derivative in M, the derivative in the value at
-    offset o is tr(G coeffs_o).  ``columns`` gives the position among
-    the unknowns of every value index, negative for known values, which
-    the Jacobian drops.
+    The chart solver's D2 v + sum_j n_j n_j^t / l_j and the model
+    solver's D2 w + (1 - w_1/z1) e1 e1^T take this form.  Arrays are
+    component-major, nodes last: ``neighbors`` (O, K), ``coeffs``
+    (n, n, O) shared or (n, n, O, K), ``base`` (n, n) or (n, n, K).
+    With G a node's residual derivative in M, the derivative in the
+    value at offset o is tr(G coeffs_o).  ``columns`` numbers the
+    unknowns among the value indices, negative for known values, which
+    the Jacobian drops; its CSC ``pattern`` is built once, holding the
+    offset of every entry as data, its node as row, read-only indices.
     """
 
-    neighbors: np.ndarray  # (K, O) value index of offset o at node k
-    columns: np.ndarray
-    coeffs: np.ndarray  # (O, n, n) shared by all nodes, or (K, O, n, n)
-    base: np.ndarray  # (n, n) or (K, n, n)
+    def __init__(self, neighbors, columns, coeffs, base):
+        self.neighbors, self.columns, self.coeffs = neighbors, columns, coeffs
+        self.base = np.reshape(base, coeffs.shape[:2] + (-1,))
+        O, K = neighbors.shape
+        cols = columns[neighbors].T
+        keep = cols >= 0
+        # scipy's CSR-to-CSC transpose sorts the entries in one linear pass
+        p = self.pattern = sp.csr_matrix(
+            (np.broadcast_to(np.arange(O, dtype=np.int16), cols.shape)[keep],
+             cols[keep], np.r_[0, np.cumsum(keep.sum(1))]), (K, K)).tocsc()
+        p.indices.flags.writeable = p.indptr.flags.writeable = False
 
     def matrices(self, v):
-        """The (K, n, n) stack of matrices M(v)."""
-        return self.base + np.einsum("...o,...oab->...ab",
-                                     v[self.neighbors], self.coeffs)
+        """The (n, n, K) stack of matrices M(v)."""
+        c, values = self.coeffs, v[self.neighbors]
+        return self.base + (c @ values if c.ndim == 3
+                            else np.sum(c * values, axis=2))
 
     def weights(self, G):
-        """tr(G coeffs_o) per node and offset; G is (n, n) or (K, n, n)."""
-        return np.einsum("...ab,...oba->...o", G, self.coeffs)
+        """tr(G coeffs_o) as (O, K); G is (n, n, K) or (n, n, 1)."""
+        c = self.coeffs
+        w = np.tensordot(c, G, ([0, 1], [1, 0])) if c.ndim == 3 else \
+            np.sum(c * np.swapaxes(G, 0, 1)[:, :, None], axis=(0, 1))
+        return np.broadcast_to(w, self.neighbors.shape)
 
     def jacobian(self, G):
         """CSC matrix of the weights of G at the unknown columns."""
-        cols = self.columns[self.neighbors]
-        keep = cols >= 0
-        data = np.broadcast_to(self.weights(G), cols.shape)[keep]
-        return sp.csc_matrix((data, (np.nonzero(keep)[0], cols[keep])),
-                             shape=(len(cols),) * 2)
+        p = self.pattern
+        return sp.csc_matrix((self.weights(G)[p.data, p.indices], p.indices,
+                              p.indptr), shape=p.shape)
 
 
 def pivots(H):
-    """Pivots of elimination without row exchanges on a (K, n, n) stack.
+    """Pivots (n, K) of elimination without row exchanges on (n, n, K).
 
     Their partial products are the leading principal minors, the last
     the determinant; a symmetric matrix is positive definite exactly
@@ -151,10 +161,22 @@ def pivots(H):
     """
     A = np.array(H, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a in range(A.shape[-1] - 1):
-            lower = A[:, a + 1:, a:a + 1] / A[:, a:a + 1, a:a + 1]
-            A[:, a + 1:, a + 1:] -= lower * A[:, a:a + 1, a + 1:]
-    return np.diagonal(A, axis1=1, axis2=2)
+        for a in range(len(A) - 1):
+            lower = A[a + 1:, a:a + 1] / A[a:a + 1, a:a + 1]
+            A[a + 1:, a + 1:] -= lower * A[a:a + 1, a + 1:]
+    return A[range(len(A)), range(len(A))]
+
+
+def inverses(H):
+    """Inverses of positive definite (n, n, K) by in-place Gauss-Jordan."""
+    A = np.array(H, dtype=float)
+    for a in range(len(A)):
+        pivot, A[a, a] = A[a, a].copy(), 1.0
+        A[a] /= pivot
+        lower = A[:, a].copy()
+        lower[a], A[np.arange(len(A)) != a, a] = 0.0, 0.0
+        A -= lower[:, None] * A[a]
+    return A
 
 
 class GridChart:
@@ -211,13 +233,8 @@ class GridChart:
                 "global chart covers simplices and affine boxes only; "
                 "got %d facets in dimension %d" % (N, n))
 
-        self.problem = problem
-        self.kind = kind
-        self.m = int(m)
-        self.delta = 1.0 / (m - 1)
-        self.matrix = M
-        self.shift = b
-        self._inv = np.linalg.inv(M)
+        self.problem, self.kind, self.matrix, self.shift = problem, kind, M, b
+        self.m, self.delta = int(m), 1.0 / (m - 1)
         self.ref_problem = problem.transform(M, b)
 
         idx, interior, bdry = _lattice(kind, n, m)
@@ -241,17 +258,17 @@ class GridChart:
         self.strides = strides = m ** np.arange(n - 1, -1, -1)
         self.node_ids = ids = np.full(m ** n, -1, dtype=int)
         ids[idx @ strides] = np.arange(len(idx))
-        nb = ids[(idx[interior] @ strides)[:, None]
-                 + (self.offsets @ strides)[None, :]]
+        nb = ids[(self.offsets @ strides)[:, None]
+                 + (idx[interior] @ strides)[None, :]]
         if np.any(nb < 0):
             raise GmaError("interior stencil leaves the %s lattice" % kind)
         second = np.vstack([np.full(len(dirs), -2.0),
-                            np.repeat(np.eye(len(dirs)), 2, axis=0)])
-        coeffs = np.zeros((len(nb[0]), n, n))
-        coeffs[:, range(n), range(n)] = second[:, :n]
+                            np.repeat(np.eye(len(dirs)), 2, axis=0)]).T
+        coeffs = np.zeros((n, n, len(nb)))
+        coeffs[range(n), range(n)] = second[:n]
         for p, (a, c) in enumerate(pairs):
-            coeffs[:, a, c] = coeffs[:, c, a] = 0.5 * (
-                second[:, a] + second[:, c] - second[:, n + p])
+            coeffs[a, c] = coeffs[c, a] = 0.5 * (
+                second[a] + second[c] - second[n + p])
         columns = np.full(len(idx), -1, dtype=int)
         columns[interior] = np.arange(len(interior))
 
@@ -259,10 +276,9 @@ class GridChart:
         gvals = Q.evaluate_all(self.nodes[interior])
         if np.min(gvals) <= 0:
             raise ValidationError("interior lattice node on the boundary")
-        singular = np.einsum("kj,ja,jb->kab", 1.0 / gvals,
-                             Q.normals, Q.normals)
-        self.stencil = Stencil(nb, columns, coeffs / self.delta ** 2,
-                               singular)
+        singular = np.tensordot(Q.normals[:, :, None] * Q.normals[:, None],
+                                1.0 / gvals, (0, 1))
+        self.stencil = Stencil(nb, columns, coeffs / self.delta ** 2, singular)
         h = np.asarray(self.ref_problem.density(self.nodes[interior]),
                        dtype=float)
         if np.min(h) <= 0:
@@ -270,12 +286,11 @@ class GridChart:
         self.rhslog = np.log(h) - np.sum(np.log(gvals), axis=1)
 
     def to_problem(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi @ self.matrix.T + self.shift
+        return np.asarray(xi, dtype=float) @ self.matrix.T + self.shift
 
     def to_reference(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x - self.shift) @ self._inv.T
+        x = np.asarray(x, dtype=float) - self.shift
+        return np.linalg.solve(self.matrix, x.T).T
 
 
 def assemble_residual(v, problem, chart):
@@ -312,15 +327,16 @@ def assemble_residual(v, problem, chart):
     if problem is not None and problem is not chart.problem:
         raise ValidationError("chart was built for a different problem")
     p = pivots(chart.stencil.matrices(v))
-    ok = np.all(p > 0, axis=1)
-    R = np.full(len(ok), np.nan)
-    R[ok] = np.sum(np.log(p[ok]), axis=1) - chart.rhslog[ok]
+    ok = np.all(p > 0, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.sum(np.log(p), axis=0) - chart.rhslog
+    R[~ok] = np.nan
     return R, chart.interior[~ok]
 
 
 def _jacobian_matrix(chart, v):
     """Sparse derivative of the interior residual in the interior values."""
-    return chart.stencil.jacobian(np.linalg.inv(chart.stencil.matrices(v)))
+    return chart.stencil.jacobian(inverses(chart.stencil.matrices(v)))
 
 
 def _harmonic_lift(chart, v):
@@ -341,16 +357,16 @@ def _harmonic_lift(chart, v):
     st = chart.stencil
     n = chart.nodes.shape[1]
     d2 = chart.delta ** 2
-    eye = np.eye(n)
+    eye = np.eye(n)[:, :, None]
     # known boundary values move to the right hand side
     known = st.columns[st.neighbors] < 0
     rhs = -np.sum(st.weights(eye) * np.where(known, v[st.neighbors], 0.0),
-                  axis=1)
+                  axis=0)
 
     m = chart.m
     if chart.kind == "simplex" and n >= 3:
-        # the diagonal offsets carry zero trace
-        A = st.jacobian(eye)
+        # drop the zero-trace diagonal offsets from a copy of the pattern
+        A = st.jacobian(eye).copy()
         A.eliminate_zeros()
         return spsolve(A, rhs, permc_spec="NATURAL")
 
@@ -418,8 +434,7 @@ class RegularizedSolution:
 
     def u(self, x):
         x = np.asarray(x, dtype=float)
-        pot = potential_values(self.problem.polytope, x)
-        return self.v(x) + pot
+        return self.v(x) + potential_values(self.problem.polytope, x)
 
 
 def damped_newton(residual, jacobian, x, R, tol, max_iter):
@@ -427,12 +442,11 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
 
     ``splu`` factors the Jacobian as numbered (``permc_spec="NATURAL"``);
     both solvers number their unknowns by :func:`dissection_order`.
-    While a chord step on the kept factors keeps every node admissible
-    and cuts the sup norm residual at least fourfold, the iteration
-    reuses them; otherwise it refactors at the current iterate and
-    backtracks along the Newton step, halving lambda down to 2^-31
-    until the Armijo rule
-    |R(x + lambda s)| <= (1 - lambda/4) |R(x)| holds.
+    A chord step on the kept factors is taken when it keeps every node
+    admissible and lowers the sup norm residual, and the factors are
+    kept while it cuts the residual at least fourfold.  Otherwise Newton
+    refactors at the current iterate and backtracks, halving lambda down
+    to 2^-31 until |R(x + lambda s)| <= (1 - lambda/4) |R(x)|.
 
     Parameters
     ----------
@@ -468,18 +482,19 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
     lu = None
     while norm > tol and iterations < max_iter:
         if lu is not None:
-            # chord step on the kept factors; fall back to a fresh Newton
-            # step unless it contracts the residual fast enough
+            # chord step on the kept factors: taken if it lowers the
+            # residual, the factors kept if it contracts it fast enough
             xt = x + lu.solve(-R)
             Rt, ok = residual(xt)
             trials += 1
             nt = float(np.max(np.abs(Rt))) if ok else np.inf
-            if nt <= _CHORD_CONTRACTION * norm:
+            if nt > _CHORD_CONTRACTION * norm:
+                # free the old factors first: two live LUs double peak memory
+                lu = None
+            if nt < norm:
                 x, R, norm = xt, Rt, nt
                 iterations += 1
                 continue
-            # free the old factors first: two live LUs double peak memory
-            lu = None
         try:
             lu = splu(jacobian(x), permc_spec="NATURAL")
         except RuntimeError as exc:
@@ -516,12 +531,9 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
 def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
     """Solve the discrete problem by damped Newton iteration.
 
-    The interior values start from a discrete harmonic lift of the
-    boundary values, solved by a type-I discrete sine transform on box
-    and 2-D simplex charts and by ``spsolve`` on simplices of dimension
-    3 and up, and are iterated by :func:`damped_newton`, which reuses LU
-    factors of the Jacobian for chord steps.  The unknowns are numbered
-    in the chart's nested-dissection order, and nothing is permuted.
+    The interior values start from the harmonic lift of the boundary
+    values (:func:`_harmonic_lift`) and are iterated by
+    :func:`damped_newton`, in the chart's nested-dissection order.
 
     Parameters
     ----------

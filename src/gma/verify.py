@@ -152,14 +152,11 @@ def _check_product_power(P, samples, constants, seed):
     # curvature ratio: det(-D2 H) over (prod l)^(n alpha - 2) reduces to
     # alpha^n (prod l)^2 det(M - alpha b b^T) with M = sum n n^T / l^2
     # and b = sum n / l, all in closed form
-    vals = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        l = P.evaluate_all(x)
-        b = (N / l[:, None]).sum(axis=0)
-        M = (N[:, :, None] * N[:, None, :]
-             / (l ** 2)[:, None, None]).sum(axis=0)
-        vals[i] = (alpha ** n * np.prod(l) ** 2
-                   * np.linalg.det(M - alpha * np.outer(b, b)))
+    l = P.evaluate_all(pts)[:, :, None]
+    b = (N / l).sum(axis=1)
+    M = (N[:, :, None] * N[:, None, :] / (l ** 2)[..., None]).sum(axis=1)
+    vals = (alpha ** n * np.prod(l[..., 0], axis=1) ** 2 * np.linalg.det(
+        M - alpha * b[:, :, None] * b[:, None, :]))
 
     for x in geometry.sample_interior(P, 3, rng, margin=0.05):
         closed = product_power_hessian(P, alpha, x)
@@ -215,13 +212,6 @@ def _check_face_lift(samples, constants, seed, u):
         pts, float(np.min(margins)), float(boundary))
 
 
-def _scaled_log_root_hessian(x, k):
-    # square-root-weighted Hessian of G = (prod x_a)^(1/k); closed form
-    G = float(np.prod(x) ** (1.0 / k))
-    v = 1.0 / np.sqrt(x)
-    return (G / k ** 2) * (np.outer(v, v) - k * np.diag(v ** 2))
-
-
 def _check_g_concavity(samples, constants, seed, k):
     k = int(k)
     c0 = float(constants.get("C0", 1.0))
@@ -231,24 +221,27 @@ def _check_g_concavity(samples, constants, seed, k):
     pts = 10.0 ** rng.uniform(-3, 0, (samples, k))
 
     # concavity transfer: the determinant of the shifted matrix must
-    # dominate its first-order trace expansion with the stated constant
+    # dominate its first-order trace expansion with the stated constant;
+    # MG is the square-root-weighted Hessian of G = (prod x_a)^(1/k)
     c = 1.0 + delta
-    margins = np.empty(samples)
-    for i, x in enumerate(pts):
-        MG = _scaled_log_root_hessian(x, k)
-        lhs = np.linalg.det(c * np.eye(k) - B * MG)
-        rhs = c ** k - (B / c0) * np.trace(MG)
-        margins[i] = lhs - rhs
+    G = np.prod(pts, axis=1) ** (1.0 / k)
+    v = 1.0 / np.sqrt(pts)
+    MG = (G / k ** 2)[:, None, None] * (
+        v[:, :, None] * v[:, None, :] - k * v[:, :, None] ** 2 * np.eye(k))
+    margins = np.linalg.det(c * np.eye(k) - B * MG) - (
+        c ** k - (B / c0) * np.trace(MG, axis1=1, axis2=2))
 
-    boundary = []
-    for x in pts[:8]:
-        xb = x.copy()
-        xb[0] = 0.0
-        boundary.append(np.prod(xb) ** (1.0 / k))
+    # w = c sum x_a log x_a - B G, of scaled Hessian c I - B MG, must stay
+    # below the quadrant solution u = sum x_a log x_a on the faces of
+    # [0, 1]^k, the samples moved onto each: u - w = B G - delta u
+    faces = np.concatenate([np.where(np.arange(k) == a, end, pts)
+                            for a in range(k) for end in (0.0, 1.0)])
+    gaps = (B * np.prod(faces, axis=1) ** (1.0 / k)
+            - delta * np.sum(xlogy(faces, faces), axis=1))
     return BarrierCheck(
         "g-concavity",
         {"C0": c0, "B": B, "delta": delta, "k": k},
-        pts, float(np.min(margins)), -float(np.max(boundary)))
+        pts, float(np.min(margins)), float(np.min(gaps)))
 
 
 def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
@@ -268,7 +261,9 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
         a transversal x log x term on the model half-strip with unit
         density), or
         "g-concavity" (determinant versus trace transfer for the k-th
-        root of the coordinate product on the quadrant).
+        root of the coordinate product on the quadrant; the boundary
+        margin is the least of the quadrant solution minus the
+        comparison function on the faces of the unit box).
     polytope : Polytope, optional
         Required for "product-power".
     samples : int

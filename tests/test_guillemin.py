@@ -79,7 +79,7 @@ class TestPotential:
             Q = chart.ref_problem.polytope
             f = lambda x: guillemin.potential_values(Q, x)
             for x, base in zip(chart.nodes[chart.interior],
-                               chart.stencil.base):
+                               np.moveaxis(chart.stencil.base, -1, 0)):
                 assert np.allclose(guillemin.fd_hessian(f, x), base,
                                    rtol=1e-6, atol=1e-5)
 

@@ -262,7 +262,7 @@ class TestGridChart:
             assert np.array_equal(chart.interior[lex], interior)
             assert np.array_equal(chart.boundary, bdry)
             assert np.array_equal(chart.offsets, offsets)
-            assert np.array_equal(chart.stencil.neighbors[lex], nb)
+            assert np.array_equal(chart.stencil.neighbors[:, lex].T, nb)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         def no_lattice(*args):
@@ -399,8 +399,72 @@ class TestAssembleResidual:
                                          for k in ("simplex", "box")])
     def test_stencil_reproduces_quadratic_hessians(self, kind, n):
         chart, v, H = self.quadratic_case(kind, n, 7, 5.0)
-        M = chart.stencil.matrices(v)
+        M = np.moveaxis(chart.stencil.matrices(v), -1, 0)
         assert np.max(np.abs(M - H)) <= 1e-9 * np.max(np.abs(H))
+
+
+def coo_jacobian(stencil, G):
+    """Reference Jacobian: node-major weights assembled from triplets.
+
+    ``G`` is the (K, n, n) stack of derivatives in M; the weights
+    tr(G coeffs_o) are summed node by node and offset by offset, and
+    scipy converts the (row, column, value) triplets to CSC.
+    """
+    C = stencil.coeffs
+    C = np.moveaxis(C[..., None] if C.ndim == 3 else C, (2, 3), (1, 0))
+    K, O = stencil.neighbors.T.shape
+    w = np.broadcast_to(np.einsum("kab,koba->ko", G, C), (K, O))
+    cols = stencil.columns[stencil.neighbors.T]
+    keep = cols >= 0
+    return sp.csc_matrix((w[keep], (np.nonzero(keep)[0], cols[keep])),
+                         shape=(K, K))
+
+
+def assert_same_jacobian(J, ref):
+    assert J.indices.dtype == J.indptr.dtype == np.int32
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.max(np.abs(J.data - ref.data)) <= \
+        1e-14 * np.max(np.abs(ref.data))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inverses_match_lapack(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((500, n, n))
+        H = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(n)
+        ref = np.linalg.inv(H)
+        got = np.moveaxis(solver.inverses(np.moveaxis(H, 0, -1)), -1, 0)
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - ref), axis=(1, 2))
+                      <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind,n", [(k, n) for n in (2, 3, 4)
+                                         for k in ("simplex", "box")])
+    def test_chart_jacobian_matches_coo_assembly(self, kind, n):
+        chart = solver.GridChart(unit_problem(kind, n), m=7)
+        rng = np.random.default_rng(5)
+        v = np.zeros(len(chart.nodes))
+        v[chart.interior] = 0.003 * rng.standard_normal(len(chart.interior))
+        M = np.moveaxis(chart.stencil.matrices(v), -1, 0)
+        assert_same_jacobian(solver._jacobian_matrix(chart, v),
+                             coo_jacobian(chart.stencil, np.linalg.inv(M)))
+
+    def test_model_jacobian_matches_coo_assembly(self):
+        m = 9
+        z1 = np.linspace(0.0, 1.0, m)
+        z2 = np.linspace(-1.0, 1.0, m)
+        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+        nodes = np.indices((m - 1, m - 2)).reshape(2, -1).T + (0, 1)
+        I, J = nodes[solver.dissection_order(nodes)].T
+        stencil = legendre._model_stencil(z1, z2, I, J)
+        rng = np.random.default_rng(3)
+        V = 0.5 * Z2 ** 2 + 0.2 * Z1 ** 2 + 1e-3 * rng.standard_normal((m, m))
+        M = np.moveaxis(stencil.matrices(V.ravel()), -1, 0)
+        G = 0.5 * np.sqrt(np.linalg.det(M))[:, None, None] * np.linalg.inv(M)
+        assert_same_jacobian(legendre._model_jacobian(V, stencil),
+                             coo_jacobian(stencil, G))
 
 
 def unit_problem(kind, n):
@@ -414,6 +478,16 @@ def unit_problem(kind, n):
         fs.append(geometry.AffineFunctional(-np.ones(n), -1.0))
     P = geometry.build_polytope(fs)
     return GuilleminProblem(P, guillemin.DensitySpec.constant(1.0), 0.0)
+
+
+def polynomial_problem(kind, n, a=3.0):
+    """Unit simplex or box with density 1 + a sum_i (x_i - x_i^2)."""
+    coeffs = {(0,) * n: 1.0}
+    for e in np.eye(n, dtype=int):
+        coeffs[tuple(e)], coeffs[tuple(2 * e)] = a, -a
+    return GuilleminProblem(
+        unit_problem(kind, n).polytope,
+        guillemin.DensitySpec.polynomial(coeffs, n), 0.0)
 
 
 def lattice_solution(prob, m, f):
@@ -628,6 +702,21 @@ class TestNewtonSolve:
                                  np.ones(2), 1e-10, 5)
         assert ("every trial left" in str(err.value)) != admissible
 
+    def test_slower_chord_step_is_kept(self, monkeypatch):
+        # the box polynomial problem takes chord steps that lower the
+        # residual less than fourfold; keeping them saves steps and
+        # trials, and costs no factorization
+        prob = polynomial_problem("box", 2)
+        bd = types.SimpleNamespace(v=lambda x: 0.04 * np.exp(x @ [1.0, 2.0]))
+        _, report = solver.newton_solve(prob, boundary=bd, grid=65,
+                                        tol=1e-10)
+        monkeypatch.setattr(solver, "damped_newton", discarding_newton)
+        _, ref = solver.newton_solve(prob, boundary=bd, grid=65, tol=1e-10)
+        assert report["converged"] and ref["converged"]
+        assert report["iterations"] < ref["iterations"]
+        assert report["line_search_total"] < ref["line_search_total"]
+        assert report["factorizations"] <= ref["factorizations"]
+
     def test_solve_face_on_simplex3d_facet(self):
         prob = simplex3d_problem()
         res = boundary.restrict_problem(prob, (3,))
@@ -639,6 +728,42 @@ class TestNewtonSolve:
         exact = guillemin.potential_values(face, pts)
         assert np.max(np.abs(sol.u(pts) - exact)) <= 1e-8
         assert "error_estimate" in sol.report
+
+
+def discarding_newton(residual, jacobian, x, R, tol, max_iter):
+    """Reference driver that drops a chord step cutting less than 4x.
+
+    The factors are then refreshed at the step's start, as
+    :func:`solver.damped_newton` did before it kept such steps.
+    """
+    norm = np.max(np.abs(R))
+    iterations = trials = factorizations = 0
+    lu = None
+    while norm > tol and iterations < max_iter:
+        if lu is not None:
+            xt = x + lu.solve(-R)
+            Rt, ok = residual(xt)
+            trials += 1
+            if ok and np.max(np.abs(Rt)) <= 0.25 * norm:
+                x, R, norm = xt, Rt, np.max(np.abs(Rt))
+                iterations += 1
+                continue
+        lu = splu(jacobian(x), permc_spec="NATURAL")
+        factorizations += 1
+        step = lu.solve(-R)
+        lam = 1.0
+        while True:
+            assert lam >= 2.0 ** -31
+            xt = x + lam * step
+            Rt, ok = residual(xt)
+            trials += 1
+            if ok and np.max(np.abs(Rt)) <= \
+                    (1.0 - 0.25 * lam) * norm + 1e-14 * (1.0 + norm):
+                break
+            lam *= 0.5
+        x, R, norm = xt, Rt, np.max(np.abs(Rt))
+        iterations += 1
+    return x, norm, iterations, trials, factorizations
 
 
 def reference_lift(chart, v):
@@ -793,13 +918,7 @@ class TestDissectionOrder:
                                             ("box", 3, 17)])
     def test_newton_matches_minimum_degree_factors(self, kind, n, m,
                                                    monkeypatch):
-        a = 3.0
-        coeffs = {(0,) * n: 1.0}
-        for e in np.eye(n, dtype=int):
-            coeffs[tuple(e)], coeffs[tuple(2 * e)] = a, -a
-        prob = GuilleminProblem(
-            unit_problem(kind, n).polytope,
-            guillemin.DensitySpec.polynomial(coeffs, n), 0.0)
+        prob = polynomial_problem(kind, n)
         w = np.linspace(1.0, 2.0, n)
         bd = types.SimpleNamespace(v=lambda x: 0.04 * np.exp(x @ w))
         sol, report = solver.newton_solve(prob, boundary=bd, grid=m,

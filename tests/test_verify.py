@@ -199,6 +199,19 @@ class TestVerifyBarrier:
             "g-concavity", samples=200, constants={"C0": 0.01})
         assert check.margin_differential < 0.0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_g_concavity_detects_comparison_above_boundary(self, k):
+        # delta < 0 lifts the comparison function above the quadrant
+        # solution on the coordinate faces, while the differential
+        # inequality still holds with the larger C0
+        good = verify.verify_barrier("g-concavity", samples=200, k=k)
+        assert good.margin_boundary > 0.0
+        check = verify.verify_barrier(
+            "g-concavity", samples=200, k=k,
+            constants={"delta": -0.05, "C0": 2.0})
+        assert check.margin_differential >= 0.0
+        assert check.margin_boundary < 0.0
+
     def test_unknown_barrier_id(self):
         with pytest.raises(Exception):
             verify.verify_barrier("no-such-barrier")
