@@ -25,7 +25,8 @@ from .errors import (
     OutsideDomain,
     ValidationError,
 )
-from .solver import Stencil, damped_newton, dissection_order, inverses, pivots
+from .solver import (Stencil, damped_newton, dissection_order,
+                     freudenthal_cells, inverses, pivots)
 
 __all__ = [
     "PartialLegendrePair",
@@ -35,61 +36,33 @@ __all__ = [
     "model_solve_z",
 ]
 
-# enough neighbors for a full quadratic fit in the plane plus slack
-_LSQ_NEIGHBORS = 8
-_LSQ_COEFFS = 6
 # least tangential second derivative the partial Legendre transform accepts
 _U22_FLOOR = 1e-8
 
 
-def local_quadratic_eval(tree, points, values, y):
-    """Quadratic least-squares values at y from scattered planar samples.
+def local_quadratic_eval(values, node_ids, strides, top, s, simplex=False):
+    """Quadratic Lagrange (P2) read of lattice data at lattice coordinates.
 
-    Fits the six-coefficient quadratic to the nearest samples of every
-    query at once and widens the rank-deficient neighborhoods until the
-    basis has full rank; exact on quadratic data, third order on smooth
-    data.
-
-    Parameters
-    ----------
-    tree : scipy.spatial.cKDTree
-        Built over ``points``.
-    points : ndarray, shape (K, 2)
-    values : ndarray, shape (K,)
-    y : ndarray, shape (2,) or (k, 2)
-
-    Returns
-    -------
-    float or ndarray, shape (k,)
+    The cells of the even sublattice are split by Freudenthal's rule
+    (:func:`gma.solver.freudenthal_cells`); on each macro-simplex the P2
+    element (Ciarlet 1978) weights the n + 1 corner values by
+    l_i (2 l_i - 1) and the edge midpoints by 4 l_i l_j, l being the
+    barycentric coordinates.  Exact on quadratics, third order on smooth
+    data, continuous when 2 divides top.  ``values[node_ids[i @ strides]]``
+    is the value at lattice index i, ``top`` the last index (one per axis
+    on a box), ``s`` one point (n,) or points (k, n) in node units,
+    clipped to the lattice, and ``simplex`` selects the lattice
+    {i >= 0, sum i <= top}.  Returns a float or an array (k,).
     """
-    Y = np.atleast_2d(np.asarray(y, dtype=float))
-    total = len(values)
-    if total < _LSQ_COEFFS:
-        raise ValidationError("too few samples for a quadratic fit")
-    out = np.empty(len(Y))
-    pending = np.arange(len(Y))
-    k = min(_LSQ_NEIGHBORS, total)
-    while len(pending):
-        _, idx = tree.query(Y[pending], k=k)
-        d = points[idx] - Y[pending][:, None, :]
-        s = d / np.sqrt(np.max(np.sum(d * d, axis=2), axis=1))[:, None, None]
-        B = np.stack([
-            np.ones(s.shape[:2]), s[..., 0], s[..., 1],
-            s[..., 0] ** 2, s[..., 0] * s[..., 1], s[..., 1] ** 2], axis=-1)
-        # least squares by SVD with the rank cutoff of np.linalg.lstsq;
-        # only the constant coefficient is needed
-        U, S, Vt = np.linalg.svd(B, full_matrices=False)
-        keep = S > np.finfo(float).eps * k * S[:, :1]
-        proj = np.sum(U * values[idx][:, :, None], axis=1)
-        out[pending] = np.divide(Vt[:, :, 0] * proj, S, where=keep,
-                                 out=np.zeros_like(S)).sum(axis=1)
-        # nearest grid neighbors can line up in two columns, which
-        # degenerates the quadratic basis; widen until full rank
-        if k == total:
-            break
-        pending = pending[np.sum(keep, axis=1) < _LSQ_COEFFS]
-        k = min(2 * k, total)
-    return float(out[0]) if np.ndim(y) == 1 else out
+    weights, corners = freudenthal_cells(
+        np.atleast_2d(np.asarray(s, dtype=float)), top, 2, simplex)
+    i, j = np.triu_indices(weights.shape[1], 1)
+    nodes = np.concatenate([corners, (corners[:, i] + corners[:, j]) // 2],
+                           axis=1)
+    w = np.concatenate([weights * (2.0 * weights - 1.0),
+                        4.0 * weights[:, i] * weights[:, j]], axis=1)
+    out = np.sum(w * values[node_ids[nodes @ strides]], axis=1)
+    return float(out[0]) if np.ndim(s) == 1 else out
 
 
 def _uniform_spacing(axis, label):
@@ -244,13 +217,6 @@ class ModelSolution:
         self.z2_axis = z2_axis
         self.values = values
         self.report = report
-        # local quadratic fits are exact on the quadratic model and
-        # kink-free between lattice nodes, unlike bilinear interpolation
-        Z1, Z2 = np.meshgrid(z1_axis, z2_axis, indexing="ij")
-        self._points = np.column_stack([Z1.ravel(), Z2.ravel()])
-        self._flat = np.asarray(values, dtype=float).ravel()
-        from scipy.spatial import cKDTree
-        self._tree = cKDTree(self._points)
 
     def v(self, x):
         """Regular part at x-coordinates, v(x) = w(2 sqrt(x1), x2).
@@ -262,7 +228,13 @@ class ModelSolution:
         lo, hi = (0.0, self.z2_axis[0]), (self.z1_axis[-1], self.z2_axis[-1])
         if np.min(X[:, 0]) < 0 or np.any(z < lo) or np.any(z > hi):
             raise OutsideDomain("point outside the model chart")
-        out = local_quadratic_eval(self._tree, self._points, self._flat, z)
+        # P2 reads are exact on the quadratic model and kink-free between
+        # lattice nodes, unlike bilinear interpolation
+        flat = np.ravel(self.values)
+        top = np.array(np.shape(self.values)) - 1
+        out = local_quadratic_eval(
+            flat, np.arange(flat.size), np.array([top[1] + 1, 1]), top,
+            (z - lo) / np.subtract(hi, lo) * top)
         return float(out[0]) if np.ndim(x) == 1 else out
 
 

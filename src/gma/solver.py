@@ -383,6 +383,45 @@ def _harmonic_lift(chart, v):
     return idstn(dstn(F, type=1) / lam, type=1)[at]
 
 
+def freudenthal_cells(s, top, width, simplex):
+    """Freudenthal simplices of the lattice cells of side ``width`` at s.
+
+    ``s`` (k, n) holds lattice coordinates, clipped to [0, top]; ``top``
+    is the last node index, one value or one per axis.  Cell bases are
+    multiples of ``width``, the last clipped to top - width, so when
+    width does not divide top the last layer of cells is shifted back.
+    A simplex lattice {i >= 0, sum i <= top} is read in suffix sums
+    y_a = s_a + ... + s_n, where it is top >= y_1 >= ... >= y_n >= 0, a
+    union of whole cell simplices when width divides top.  Otherwise
+    the axes before the widest gap of that chain take bases shifted by
+    top % width; with top >= n + 1, as on every chart with an interior
+    node, that gap is at least one node, so both runs of cells fit and
+    the corners stay ordered.  Returns the barycentric weights (k, n + 1)
+    and the corners (k, n + 1, n), integer lattice indices.
+    """
+    s = np.clip(s, 0.0, top)
+    shift = 0
+    if simplex:
+        s = np.minimum(np.cumsum(s[:, ::-1], axis=1)[:, ::-1], top)
+        if top % width:
+            gaps = -np.diff(s, prepend=top, append=0.0, axis=1)
+            shift = (top % width) * (np.arange(s.shape[1])
+                                     < np.argmax(gaps, axis=1)[:, None])
+    base = np.minimum(width * np.floor((s - shift) / width) + shift,
+                      top - width)
+    frac = (s - base) / width
+    order = np.argsort(-frac, axis=1, kind="stable")
+    weights = -np.diff(np.take_along_axis(frac, order, axis=1),
+                       prepend=1.0, append=0.0, axis=1)
+    # corner k steps up along the k largest fractional parts
+    steps = np.arange(s.shape[1] + 1)[None, :, None]
+    rank = np.argsort(order, axis=1)[:, None, :]
+    corners = (base[:, None, :] + width * (rank < steps)).astype(int)
+    if simplex:
+        corners = -np.diff(corners, append=0, axis=2)
+    return weights, corners
+
+
 class RegularizedSolution:
     """Computed regular part on a chart; u adds the singular part back.
 
@@ -404,25 +443,9 @@ class RegularizedSolution:
         Q = chart.ref_problem.polytope
         if np.min(Q.evaluate_all(xi), initial=0.0) < -Q.tau:
             raise OutsideDomain("evaluation outside the polytope")
-        # barycentric weights on Freudenthal's triangulation of the lattice
-        # cells; in suffix sums y_a = s_a + ... + s_n the reference simplex
-        # is top >= y_1 >= ... >= y_n >= 0, a union of whole cell simplices.
-        # Points within tau outside are clipped onto the polytope.
-        top = chart.m - 1
-        s = np.clip(xi * top, 0.0, top)
-        if chart.kind == "simplex":
-            s = np.minimum(np.cumsum(s[:, ::-1], axis=1)[:, ::-1], top)
-        base = np.minimum(np.floor(s), top - 1)
-        frac = s - base
-        order = np.argsort(-frac, axis=1, kind="stable")
-        weights = -np.diff(np.take_along_axis(frac, order, axis=1),
-                           prepend=1.0, append=0.0, axis=1)
-        # corner k steps up along the k largest fractional parts
-        steps = np.arange(xi.shape[1] + 1)[None, :, None]
-        rank = np.argsort(order, axis=1)[:, None, :]
-        corners = (base[:, None, :] + (rank < steps)).astype(int)
-        if chart.kind == "simplex":
-            corners = -np.diff(corners, append=0, axis=2)
+        # points within tau outside are clipped onto the polytope
+        weights, corners = freudenthal_cells(
+            xi * (chart.m - 1), chart.m - 1, 1, chart.kind == "simplex")
         ids = chart.node_ids[corners @ chart.strides]
         return np.sum(weights * self.values[ids], axis=1)
 

@@ -107,7 +107,7 @@ class BarrierCheck(NamedTuple):
     constants: dict
     samples: np.ndarray
     margin_differential: float
-    margin_boundary: float
+    margin_boundary: float | None
 
 
 def product_power_hessian(P, alpha, x):
@@ -168,21 +168,12 @@ def _check_product_power(P, samples, constants, seed):
                                   "finite differences")
 
     C, margin = _ladder_constant(vals)
-
-    # the barrier vanishes on each facet; evaluate with the active
-    # factor zero by construction
-    boundary = []
-    for i in range(len(N)):
-        for x in pts[:3]:
-            l = P.evaluate_all(x)
-            xb = x - l[i] * N[i] / np.dot(N[i], N[i])
-            lb = P.evaluate_all(xb)
-            lb[i] = 0.0
-            boundary.append(np.prod(np.clip(lb, 0.0, None)) ** alpha)
+    # no boundary comparison: the barrier vanishes on every facet by
+    # construction, whatever the constants
     return BarrierCheck(
         "product-power",
         {"alpha_exp": alpha, "C": C},
-        pts, float(margin), -float(np.max(boundary)))
+        pts, float(margin), None)
 
 
 def _check_face_lift(samples, constants, seed, u):
@@ -264,6 +255,8 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
         root of the coordinate product on the quadrant; the boundary
         margin is the least of the quadrant solution minus the
         comparison function on the faces of the unit box).
+        "product-power" has no boundary margin (None): its barrier
+        vanishes on every facet whatever the constants.
     polytope : Polytope, optional
         Required for "product-power".
     samples : int
@@ -587,9 +580,10 @@ def solution_probe(solution):
     """Smooth point evaluator for the regular part of a solved chart.
 
     Piecewise-linear interpolation of the lattice values has kinks
-    whose second differences do not converge; the probe instead fits a
-    local quadratic through the nearest lattice values, which the mesh
-    estimators can difference safely.
+    whose second differences do not converge; the probe instead reads
+    the quadratic Lagrange (P2) interpolant of the lattice values on the
+    even sublattice (:func:`gma.legendre.local_quadratic_eval`), which
+    the mesh estimators can difference safely.
 
     Parameters
     ----------
@@ -598,22 +592,21 @@ def solution_probe(solution):
     Returns
     -------
     callable
-        x -> regular part at one point (2,) or at points (k, 2); raises
-        OutsideDomain beyond the polytope's tau.
+        x -> regular part at one point (n,) or at points (k, n); raises
+        OutsideDomain beyond the polytope's tau, and reads points
+        within it on the polytope.
     """
     chart = solution.chart
-    pts = chart.to_problem(chart.nodes)
-    if pts.shape[1] != 2:
-        raise ValidationError("probe supports planar charts")
-    from scipy.spatial import cKDTree
-    tree = cKDTree(pts)
     values = np.asarray(solution.values, dtype=float)
     P = solution.problem.polytope
+    top = chart.m - 1
 
     def probe(x):
         if np.min(P.evaluate_all(x), initial=0.0) < -P.tau:
             raise OutsideDomain("probe point outside the polytope")
-        return local_quadratic_eval(tree, pts, values, x)
+        return local_quadratic_eval(
+            values, chart.node_ids, chart.strides, top,
+            chart.to_reference(x) * top, chart.kind == "simplex")
 
     return probe
 

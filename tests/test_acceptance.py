@@ -193,8 +193,9 @@ def test_06_barrier_margins():
     ok = True
     for label, P in (("square", unit_square()),
                      ("simplex", standard_simplex())):
+        # the product-power barrier has no boundary margin (None)
         res = verify.verify_barrier("product-power", P, samples=400, seed=1)
-        good = res.margin_differential >= 0.0 and res.margin_boundary >= 0.0
+        good = res.margin_differential >= 0.0
         ok = ok and good and len(res.samples) >= 200
         details.append("product-power %s margin %.3g"
                        % (label, res.margin_differential))

@@ -12,8 +12,8 @@ import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli, geometry
-from gma.problem import load_problem
+from gma import boundary, cli, geometry, guillemin, verify
+from gma.problem import GuilleminProblem, load_problem
 
 
 def write_problem(path, body):
@@ -619,10 +619,23 @@ class TestImportFootprint:
         loaded = loaded_after(
             "import numpy as np\n"
             "from gma import legendre\n"
-            "legendre.model_solve_z(lambda x: np.ones(np.shape(x)[:-1]),\n"
-            "    lambda x: 0.5 * np.asarray(x)[..., 1] ** 2, grid=9)")
-        # the model solution's quadratic fits need the KD-tree
-        assert loaded == {"scipy.spatial"}
+            "sol, _ = legendre.model_solve_z(\n"
+            "    lambda x: np.ones(np.shape(x)[:-1]),\n"
+            "    lambda x: 0.5 * np.asarray(x)[..., 1] ** 2, grid=9)\n"
+            "sol.v(np.array([[0.1, 0.2], [0.2, -0.3]]))")
+        # the model solution's P2 reads index the grid; no KD-tree
+        assert loaded == set()
+
+    def test_solution_probe_loads_no_spatial(self, monkeypatch):
+        # the solve's linear programs load scipy.spatial through
+        # scipy.optimize, so the probe runs with the subpackage blocked:
+        # an import of it raises ImportError
+        P = verify._standard_simplex()
+        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+        sol, _ = gma.solver.newton_solve(prob, grid=9)
+        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        out = verify.solution_probe(sol)(np.array([[0.1, 0.2], [0.3, 0.3]]))
+        assert out.shape == (2,)
 
 
 class TestLazyBindings:

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
-from scipy.spatial import cKDTree
 from scipy.special import xlogy
 
-from gma import geometry, guillemin, legendre, solver
+from gma import geometry, guillemin, legendre, solver, verify
 from gma.errors import (DegenerateTransversalHessian, OutsideDomain,
                         SingularJacobian)
 from gma.problem import GuilleminProblem
@@ -133,84 +132,140 @@ class TestForward:
         assert np.all(np.diff(y[:, :, 1], axis=1) > 0)
 
 
-def lattice_samples(m=17):
-    X1, X2 = np.meshgrid(np.linspace(0.0, 1.0, m),
-                         np.linspace(-1.0, 1.0, m), indexing="ij")
-    return np.column_stack([X1.ravel(), X2.ravel()])
+def chart_of(kind, n, m):
+    eye = np.eye(n)
+    lower = [geometry.AffineFunctional(e, 0.0) for e in eye]
+    upper = ([geometry.AffineFunctional(-np.ones(n), -1.0)]
+             if kind == "simplex"
+             else [geometry.AffineFunctional(-e, -1.0) for e in eye])
+    P = geometry.build_polytope(lower + upper)
+    prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+    return solver.GridChart(prob, m)
+
+
+def chart_read(chart, values, s):
+    """P2 read of chart lattice values at lattice coordinates s."""
+    return legendre.local_quadratic_eval(
+        values, chart.node_ids, chart.strides, chart.m - 1, s,
+        chart.kind == "simplex")
+
+
+def chart_queries(chart, count, seed):
+    """Random reference points of the chart, then every lattice node."""
+    rng = np.random.default_rng(seed)
+    n = chart.nodes.shape[1]
+    if chart.kind == "simplex":
+        inside = rng.dirichlet(np.ones(n + 1), count)[:, :n]
+    else:
+        inside = rng.uniform(0.0, 1.0, (count, n))
+    return np.concatenate([inside, chart.nodes])
+
+
+def random_quadratic(seed, n):
+    rng = np.random.default_rng(seed)
+    c, b, A = rng.normal(), rng.normal(size=n), rng.normal(size=(n, n))
+    return lambda p: c + p @ b + np.einsum("ki,ij,kj->k", p, A, p)
+
+
+P2_GRIDS = (5, 6, 8, 9, 10, 17)
 
 
 class TestLocalQuadraticEval:
-    def quadratic(self, seed):
-        c = np.random.default_rng(seed).normal(size=6)
-        return lambda p: (c[0] + c[1] * p[..., 0] + c[2] * p[..., 1]
-                          + c[3] * p[..., 0] ** 2
-                          + c[4] * p[..., 0] * p[..., 1]
-                          + c[5] * p[..., 1] ** 2)
-
-    def queries(self, pts, seed):
-        rng = np.random.default_rng(seed)
-        inside = np.column_stack([rng.uniform(0.0, 1.0, 300),
-                                  rng.uniform(-1.0, 1.0, 300)])
-        return np.concatenate([pts, inside])
-
     def test_batch_reproduces_quadratic(self):
-        pts = lattice_samples()
-        f = self.quadratic(3)
-        tree = cKDTree(pts)
-        Y = self.queries(pts, 4)
-        # lattice nodes on an edge see their 8 nearest samples in two
-        # rows, where the quadratic basis is rank deficient, so the
-        # batch runs through the widening step
-        _, idx = tree.query(Y, k=8)
-        d = pts[idx] - Y[:, None, :]
-        B = np.stack([np.ones(d.shape[:2]), d[..., 0], d[..., 1],
-                      d[..., 0] ** 2, d[..., 0] * d[..., 1],
-                      d[..., 1] ** 2], axis=-1)
-        assert np.min(np.linalg.matrix_rank(B)) < 6
-        got = legendre.local_quadratic_eval(tree, pts, f(pts), Y)
-        assert got.shape == (len(Y),)
-        assert np.max(np.abs(got - f(Y))) <= 1e-12
+        # odd m tiles the even sublattice exactly; even m shifts the last
+        # macro layer (box) or the cells past the widest gap (simplex)
+        for kind in ("box", "simplex"):
+            for n in (2, 3):
+                for m in P2_GRIDS:
+                    chart = chart_of(kind, n, m)
+                    f = random_quadratic(m + n, n)
+                    xi = chart_queries(chart, 400, m)
+                    got = chart_read(chart, f(chart.nodes), xi * (m - 1))
+                    assert got.shape == (len(xi),)
+                    assert np.max(np.abs(got - f(xi))) <= 1e-13, (kind, n, m)
+
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", P2_GRIDS)
+    def test_probe_reproduces_quadratic(self, kind, n, m):
+        chart = chart_of(kind, n, m)
+        f = random_quadratic(m, n)
+        sol = solver.RegularizedSolution(
+            chart.problem, chart, f(chart.to_problem(chart.nodes)), {})
+        x = chart.to_problem(chart_queries(chart, 300, m + 1))
+        assert np.max(np.abs(verify.solution_probe(sol)(x) - f(x))) <= 1e-13
+
+    @pytest.mark.parametrize("m", P2_GRIDS)
+    def test_model_solution_reproduces_quadratic(self, m):
+        z1, z2 = np.linspace(0.0, 1.0, m), np.linspace(-1.0, 1.0, m)
+        Z = np.stack(np.meshgrid(z1, z2, indexing="ij"), -1).reshape(-1, 2)
+        f = random_quadratic(m, 2)
+        msol = legendre.ModelSolution(z1, z2, f(Z).reshape(m, m), {})
+        rng = np.random.default_rng(m)
+        x = np.concatenate([
+            np.column_stack([rng.uniform(0.0, 0.25, 300),
+                             rng.uniform(-1.0, 1.0, 300)]),
+            np.column_stack([Z[:, 0] ** 2 / 4.0, Z[:, 1]])])
+        z = np.column_stack([2.0 * np.sqrt(x[:, 0]), x[:, 1]])
+        assert np.max(np.abs(msol.v(x) - f(z))) <= 1e-13
+
+    @pytest.mark.parametrize("kind, normals", [
+        ("box", [(1, 0), (0, 1), (1, -1)]),
+        ("simplex", [(1, 0), (0, 1), (1, 1)])])
+    def test_continuous_across_macro_faces_when_m_odd(self, kind, normals):
+        # the macro-simplex faces are the lines a . s = 2k; random node
+        # values jump by O(1) across any face where two P2 pieces disagree
+        m, eps = 17, 1e-9
+        chart = chart_of(kind, 2, m)
+        values = np.random.default_rng(1).normal(size=len(chart.nodes))
+        rng = np.random.default_rng(2)
+        for a in np.array(normals, dtype=float):
+            s = chart_queries(chart, 500, 3)[:500] * (m - 1)
+            s += (2.0 * np.round(s @ a / 2.0) - s @ a)[:, None] * a / (a @ a)
+            far = s.sum(axis=1) if kind == "simplex" else s.max(axis=1)
+            s = s[np.all(s >= 1.0, axis=1) & (far <= m - 2)]
+            jump = chart_read(chart, values, s + eps * a) \
+                - chart_read(chart, values, s - eps * a)
+            assert len(s) > 100
+            assert np.max(np.abs(jump)) <= 1e-6
+        # the shifted last layer of an even box lattice is where it can
+        # fail: its cells overlap the layer below
+        chart = chart_of("box", 2, 16)
+        values = np.random.default_rng(1).normal(size=len(chart.nodes))
+        s = np.column_stack([np.full(50, 14.0), rng.uniform(1.0, 14.0, 50)])
+        jump = chart_read(chart, values, s + (eps, 0.0)) \
+            - chart_read(chart, values, s - (eps, 0.0))
+        assert np.max(np.abs(jump)) > 1e-2
 
     def test_batch_equals_point_by_point(self):
-        pts = lattice_samples()
-        vals = np.sin(3.0 * pts[:, 0]) * np.exp(pts[:, 1])
-        tree = cKDTree(pts)
-        Y = self.queries(pts, 5)
-        batch = legendre.local_quadratic_eval(tree, pts, vals, Y)
-        single = [legendre.local_quadratic_eval(tree, pts, vals, y)
-                  for y in Y]
-        assert np.array_equal(batch, single)
-
-    def test_batch_matches_lstsq_loop(self):
-        # reference: one np.linalg.lstsq per point, widening the same way
-        pts = lattice_samples()
-        vals = np.sin(3.0 * pts[:, 0]) * np.exp(pts[:, 1])
-        tree = cKDTree(pts)
-        Y = self.queries(pts, 6)
-        ref = []
-        for y in Y:
-            k = 8
-            while True:
-                _, idx = tree.query(y, k=k)
-                d = pts[idx] - y
-                s = d / np.max(np.sqrt(np.sum(d * d, axis=1)))
-                B = np.column_stack([np.ones(k), s[:, 0], s[:, 1],
-                                     s[:, 0] ** 2, s[:, 0] * s[:, 1],
-                                     s[:, 1] ** 2])
-                coef, _, rank, _ = np.linalg.lstsq(B, vals[idx], rcond=None)
-                if rank == 6 or k == len(pts):
-                    break
-                k = min(2 * k, len(pts))
-            ref.append(coef[0])
-        got = legendre.local_quadratic_eval(tree, pts, vals, Y)
-        assert np.max(np.abs(got - ref)) <= 1e-13
+        for kind in ("box", "simplex"):
+            chart = chart_of(kind, 2, 10)
+            values = np.sin(3.0 * chart.nodes[:, 0]) * np.exp(chart.nodes[:, 1])
+            s = chart_queries(chart, 200, 5) * 9
+            batch = chart_read(chart, values, s)
+            single = [chart_read(chart, values, p) for p in s]
+            assert np.array_equal(batch, single)
 
     def test_single_point_returns_float(self):
-        pts = lattice_samples()
-        out = legendre.local_quadratic_eval(
-            cKDTree(pts), pts, pts[:, 0] * pts[:, 1], np.array([0.3, 0.2]))
+        chart = chart_of("box", 2, 17)
+        values = chart.nodes[:, 0] * chart.nodes[:, 1]
+        out = chart_read(chart, values, np.array([0.3, 0.2]) * 16)
         assert isinstance(out, float)
-        assert abs(out - 0.06) <= 1e-12
+        assert abs(out - 0.06) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    def test_third_order_on_smooth_data(self, kind):
+        def f(p):
+            return np.sin(2.0 * p[:, 0] + 1.0) * np.exp(p[:, 1])
+
+        errors = []
+        for m in (9, 17, 33, 65):
+            chart = chart_of(kind, 2, m)
+            xi = chart_queries(chart, 2000, 7)[:2000]
+            got = chart_read(chart, f(chart.nodes), xi * (m - 1))
+            errors.append(np.max(np.abs(got - f(xi))))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.min(orders) >= 2.7, orders
 
 
 class TestModelSolve:

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from gma import boundary, geometry, guillemin, legendre, solver
-from gma.errors import (ChartTooLarge, LineSearchStall, OutsideDomain,
-                        SingularJacobian, ValidationError)
+from gma.errors import (ChartTooLarge, LineSearchStall, NonConvexIterate,
+                        OutsideDomain, SingularJacobian, ValidationError)
 from gma.problem import GuilleminProblem
 
 
@@ -561,6 +561,41 @@ class TestNewtonSolve:
         x = sol.chart.to_problem(sol.chart.nodes)
         exact = guillemin.potential_values(prob.polytope, x)
         assert np.max(np.abs(sol.u(x) - exact)) <= 1e-9
+
+    @staticmethod
+    def start_flags(prob, data, m):
+        """Flagged nodes of the harmonic lift and of the zero interior."""
+        chart = solver.GridChart(prob, m)
+        v = np.zeros(len(chart.nodes))
+        v[chart.boundary] = data.v(
+            chart.to_problem(chart.nodes[chart.boundary]))
+        zero = solver.assemble_residual(v, prob, chart)[1]
+        v[chart.interior] = solver._harmonic_lift(chart, v)
+        return solver.assemble_residual(v, prob, chart)[1], zero
+
+    def test_blend_convexifies_a_flagged_lift(self):
+        # the harmonic lift of 5 x1^2 has a trace-free Hessian that
+        # outweighs the singular part at 21 nodes, the zero interior
+        # field fails next to the boundary at 5; a blend between the two
+        # admits a start
+        prob = square_problem()
+        data = types.SimpleNamespace(v=lambda x: 5.0 * x[:, 0] ** 2)
+        lifted, zero = self.start_flags(prob, data, 9)
+        assert lifted.size > 0 and zero.size > 0
+        sol, report = solver.newton_solve(prob, boundary=data, grid=9)
+        assert report["converged"]
+        R, flagged = solver.assemble_residual(sol.values, prob, sol.chart)
+        assert flagged.size == 0 and np.max(np.abs(R)) <= 1e-10
+
+    def test_unconvexifiable_start_raises(self):
+        # boundary values this steep leave nodes next to the boundary
+        # flagged even with a zero interior, so no blend helps
+        prob = square_problem()
+        data = types.SimpleNamespace(v=lambda x: 5.0 * np.exp(3.0 * x[:, 0]))
+        lifted, zero = self.start_flags(prob, data, 9)
+        assert lifted.size > 0 and zero.size > 0
+        with pytest.raises(NonConvexIterate):
+            solver.newton_solve(prob, boundary=data, grid=9)
 
     def test_interval_matches_edge_oracle(self):
         def hq(x):

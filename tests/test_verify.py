@@ -117,7 +117,9 @@ class TestVerifyBarrier:
         assert check.margin_differential >= 0.0
         assert check.constants["C"] > 0.0
         assert len(check.samples) >= 400
-        assert check.margin_boundary == 0.0
+        # the barrier vanishes on every facet by construction, so there
+        # is no boundary comparison to report
+        assert check.margin_boundary is None
 
     def test_product_power_simplex_default_alpha(self):
         P = standard_simplex()
