@@ -4,9 +4,9 @@ The canonical potential sum_i l_i(x) log l_i(x) solves the degenerate
 Monge-Ampere problem with a computable right-hand side: its induced
 density h_G = (prod_i l_i) det(sum_i n_i n_i^t / l_i) extends continuously
 to the closed polytope when the polytope is simple.  This module evaluates
-the potential, the induced density (with a stable near-boundary route),
-the vertex compatibility residual, the inclusion-exclusion boundary
-extension, and the one finite difference Hessian the package uses.
+the potential, the induced density, the vertex compatibility residual,
+the inclusion-exclusion boundary extension, and the one finite
+difference Hessian the package uses.
 """
 
 import itertools
@@ -19,8 +19,6 @@ from .errors import (
     NonSimpleVertex,
     OutsideDomain,
 )
-
-_EXPANSION_SWITCH = 1e-6
 
 
 def _require_inside(P, x, what):
@@ -37,34 +35,24 @@ def potential_values(P, xs):
     return xlogy(np.clip(vals, 0.0, None), np.clip(vals, 0.0, None)).sum(-1)
 
 
-def _distinct_index_terms(P):
-    """Cached (complement indices, squared normal determinant) pairs.
-
-    These are the distinct-index terms in the expansion of
-    (prod l) det(sum n n^t / l): one term per nondegenerate n-subset of
-    facets, with the product running over the complement.  The expansion
-    is a polynomial and therefore the continuous extension of the density
-    to the boundary.
-    """
-    terms = getattr(P, "_distinct_index_terms", None)
-    if terms is None:
-        n = P.dimension
-        terms = []
-        for subset in itertools.combinations(range(len(P.facets)), n):
-            d = np.linalg.det(P.normals[list(subset)])
-            if d != 0.0:
-                comp = [i for i in range(len(P.facets)) if i not in subset]
-                terms.append((np.array(comp, dtype=int), d * d))
-        object.__setattr__(P, "_distinct_index_terms", terms)
-    return terms
+def _bordered_determinant(P, vals):
+    """det [[diag l, N], [-N^t, 0]] for functional values l on the last axis."""
+    k, n = P.normals.shape
+    M = np.zeros(vals.shape[:-1] + (k + n, k + n))
+    np.einsum("...ii->...i", M)[..., :k] = vals
+    M[..., :k, k:] = P.normals
+    M[..., k:, :k] = -P.normals.T
+    out = np.linalg.det(M)
+    return float(out) if out.ndim == 0 else out
 
 
-def guillemin_density(P, x, force_expansion=False):
+def guillemin_density(P, x):
     """Induced density h_G(x) = (prod_i l_i) det(sum_i n_i n_i^t / l_i).
 
-    Within 1e-6 * diameter of the boundary the evaluation switches to the
-    distinct-index polynomial expansion, which is the continuous extension
-    of the interior formula; ``force_expansion`` selects it everywhere.
+    Evaluated as det [[diag l(x), N], [-N^t, 0]] for the N x n normal
+    matrix N: the Schur complement on diag l gives the product above, and
+    the determinant, a polynomial in l, is its continuous extension to
+    the closed polytope, vertices included.
 
     Accepts a single point (shape (n,)) or a batch (shape (m, n)).
 
@@ -72,49 +60,30 @@ def guillemin_density(P, x, force_expansion=False):
     ------
     OutsideDomain
     """
-    x, vals = _require_inside(P, x, "density")
-    single = vals.ndim == 1
-    V = np.atleast_2d(vals)
-    out = np.empty(len(V))
-    near = (V.min(axis=1) < _EXPANSION_SWITCH * P.diameter) | force_expansion
-    if np.any(near):
-        Vn = V[near]
-        acc = np.zeros(len(Vn))
-        for comp, det2 in _distinct_index_terms(P):
-            acc += det2 * np.prod(Vn[:, comp], axis=1)
-        out[near] = acc
-    if not np.all(near):
-        Vi = V[~near]
-        H = np.einsum("pi,ia,ib->pab", 1.0 / Vi, P.normals, P.normals)
-        out[~near] = np.prod(Vi, axis=1) * np.linalg.det(H)
-    return float(out[0]) if single else out
+    return _bordered_determinant(P, _require_inside(P, x, "density")[1])
 
 
 def check_vertex_compatibility(P, h, vertex_id):
     """Signed residual of the vertex matching condition for the density.
 
-    The density must equal, at each vertex p with active normals
-    n_{i_1}, ..., n_{i_n}, the product of the inactive functionals at p
-    times the squared determinant of the active normals.  Returns
-    h(p) - that value.  The value is not invariant under rescaling the
-    functionals; the facet list is taken as given.
+    The density must equal the induced density h_G at each vertex p,
+    where h_G reads the product of the inactive functionals times the
+    squared determinant of the active normals.  Returns h(p) - h_G(p).
+    The value is not invariant under rescaling the functionals; the
+    facet list is taken as given.
 
     Raises
     ------
     NonSimpleVertex
         The vertex does not lie on exactly n facets.
     """
-    n = P.dimension
     active = P.vertex_active[vertex_id]
-    if len(active) != n:
+    if len(active) != P.dimension:
         raise NonSimpleVertex(
             "vertex %d lies on %d facets, expected %d"
-            % (vertex_id, len(active), n))
+            % (vertex_id, len(active), P.dimension))
     p = P.vertices[vertex_id]
-    vals = P.evaluate_all(p)
-    inactive = [i for i in range(len(P.facets)) if i not in active]
-    required = np.prod(vals[inactive]) * np.linalg.det(P.normals[list(active)]) ** 2
-    return float(h(p) - required)
+    return float(h(p) - _bordered_determinant(P, P.evaluate_all(p)))
 
 
 class DensitySpec:

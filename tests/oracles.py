@@ -109,6 +109,25 @@ def fd_hessian(f, x, h=None):
     return H
 
 
+def induced_density(normals, values):
+    """Induced density by its distinct-index expansion (Cauchy-Binet).
+
+    (prod_i l_i) det(sum_i n_i n_i^t / l_i) is the sum over n-subsets S
+    of the facets of det(N_S)^2 times the product of l_i over i not in S,
+    a polynomial in the functional values.  ``values`` holds them on its
+    last axis.
+    """
+    normals = np.asarray(normals, dtype=float)
+    values = np.asarray(values, dtype=float)
+    m, n = normals.shape
+    acc = np.zeros(values.shape[:-1])
+    for subset in itertools.combinations(range(m), n):
+        rest = [i for i in range(m) if i not in subset]
+        acc = acc + (np.linalg.det(normals[list(subset)]) ** 2
+                     * np.prod(values[..., rest], axis=-1))
+    return acc
+
+
 def random_polytope_2d(rng, nfacets=6):
     """Random bounded 2d polygon: tangent halfspaces of a convex curve."""
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=nfacets))

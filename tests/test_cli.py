@@ -533,6 +533,14 @@ class TestOracle:
         assert out["potential"] == pytest.approx(4 * 0.5 * np.log(0.5),
                                                  rel=1e-12)
 
+    def test_nonsimple_vertex_density_is_zero(self, tmp_path, capsys):
+        # four facets of the octahedron meet at (1, 0, 0)
+        path = write_problem(tmp_path / "oct.json", octahedron_body())
+        code = cli.run(["oracle", path, "--point", "1,0,0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["density"] == 0.0
+
     def test_problem_file_reads_no_k(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", square_body())
         report = tmp_path / "r.json"

@@ -5,6 +5,7 @@ from gma import geometry, guillemin
 from gma.errors import MissingTrace, NonSimpleVertex, OutsideDomain
 from gma.problem import GuilleminProblem
 from gma.solver import GridChart
+from oracles import induced_density
 
 
 def segment():
@@ -47,6 +48,27 @@ def octahedron():
     for signs in itertools.product([1.0, -1.0], repeat=3):
         fs.append(geometry.AffineFunctional(-np.array(signs), -1.0))
     return geometry.build_polytope(fs)
+
+
+def tetrahedron():
+    fs = [geometry.AffineFunctional(e, 0.0) for e in np.eye(3)]
+    fs.append(geometry.AffineFunctional([-1.0, -1.0, -1.0], -1.0))
+    return geometry.build_polytope(fs)
+
+
+def unit_cube():
+    fs = []
+    for e in np.eye(3):
+        fs.append(geometry.AffineFunctional(e, 0.0))
+        fs.append(geometry.AffineFunctional(-e, -1.0))
+    return geometry.build_polytope(fs)
+
+
+def regular_24gon():
+    theta = 2.0 * np.pi * np.arange(24) / 24
+    return geometry.build_polytope([
+        geometry.AffineFunctional([-np.cos(t), -np.sin(t)], -1.0)
+        for t in theta])
 
 
 def trapezoid_density_closed_form(P, x):
@@ -125,20 +147,34 @@ class TestInducedDensity:
         assert np.isclose(guillemin.guillemin_density(P, [0.0, 0.0]), 2.0)
         assert np.isclose(guillemin.guillemin_density(P, [0.5, 0.5]), 1.75)
 
-    def test_interior_and_expansion_routes_agree(self):
-        P = trapezoid()
+    @pytest.mark.parametrize("make", [simplex2d, trapezoid, unit_square,
+                                      tetrahedron, unit_cube, regular_24gon],
+                             ids=lambda make: make.__name__)
+    def test_matches_distinct_index_expansion(self, make):
+        # interior points, a random point on every facet, and the vertices
+        P = make()
         rng = np.random.default_rng(6)
-        pts = geometry.sample_interior(P, 20, rng, margin=0.05)
-        for x in pts:
-            naive = guillemin.guillemin_density(P, x)
-            expanded = guillemin.guillemin_density(P, x, force_expansion=True)
-            assert np.isclose(naive, expanded, rtol=1e-10)
+        facet_points = []
+        for face in P.faces.values():
+            if face.dim == P.dimension - 1:
+                w = rng.dirichlet(np.ones(len(face.vertex_ids)))
+                facet_points.append(w @ P.vertices[list(face.vertex_ids)])
+        pts = np.vstack([geometry.sample_interior(P, 50, rng),
+                         facet_points, P.vertices])
+        expect = induced_density(P.normals, P.evaluate_all(pts))
+        assert np.allclose(guillemin.guillemin_density(P, pts), expect,
+                           rtol=1e-13, atol=0.0)
 
     def test_octahedron_vanishes_at_vertex(self):
         P = octahedron()
         vals = [guillemin.guillemin_density(P, [0.0, 0.0, 1.0 - eps])
                 for eps in (1e-1, 1e-2, 1e-3)]
         assert vals[0] > vals[1] > vals[2] > 0
+
+    def test_octahedron_reads_zero_at_its_vertex(self):
+        # four facets meet at the apex; the bordered determinant stays
+        # finite there, where a form on the n smallest values divides by 0
+        assert guillemin.guillemin_density(octahedron(), [1.0, 0.0, 0.0]) == 0.0
 
     def test_oscillation_shrinks_at_boundary(self):
         P = trapezoid()

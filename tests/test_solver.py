@@ -105,7 +105,7 @@ def manufactured_problem():
         for i in range(len(normals)):
             others = np.prod(np.delete(l, i, axis=-1), axis=-1)
             acc = acc + coeffs[i] * others
-        hg = guillemin.guillemin_density(P, x, force_expansion=True)
+        hg = guillemin.guillemin_density(P, x)
         out = hg + s * acc
         return out if out.ndim else float(out)
 
