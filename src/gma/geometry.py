@@ -2,13 +2,14 @@
 
 A polytope is stored as the intersection of halfspaces l_i(x) >= 0 with
 l_i(x) = normal_i . x - offset_i.  Construction enumerates vertices by
-solving every n-subset of facet equations, validates boundedness and
-nondegeneracy, and builds the face lattice from vertex active sets.
-Faces and affine images are pulled back from that lattice with no
-rebuild: a face of a simple polytope is a simple polytope whose faces
-are the ambient faces that contain it.  The raw functionals are
-preserved exactly as given, because several downstream quantities are
-not invariant under rescaling them.
+solving every n-subset of facet equations, validates boundedness (no
+extreme ray of {d : N d >= 0}), a nonempty interior (vertices of affine
+rank n) and nondegeneracy without a linear program, and builds the face
+lattice from vertex active sets.  Faces and affine images are pulled
+back from that lattice with no rebuild: a face of a simple polytope is
+a simple polytope whose faces are the ambient faces that contain it.
+The raw functionals are preserved exactly as given, because several
+downstream quantities are not invariant under rescaling them.
 """
 
 import itertools
@@ -128,24 +129,9 @@ class Polytope:
 
 
 def linprog(*args, **kwargs):
-    """scipy's linprog, imported on first call; the tracer counts LPs here."""
+    """scipy's linprog on first call; no caller, only the tracer binds it."""
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
-
-
-def _chebyshev(normals, offsets):
-    m, n = normals.shape
-    norms = np.linalg.norm(normals, axis=1)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-normals, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=-offsets,
-                  bounds=[(None, None)] * (n + 1), method="highs")
-    if res.status == 2:
-        return np.zeros(n), -np.inf
-    if not res.success:
-        raise EmptyInterior("interior-point LP failed: " + res.message)
-    return res.x[:-1], res.x[-1]
 
 
 def _rank_deficient(normals):
@@ -158,19 +144,25 @@ def _rank_deficient(normals):
 def _has_recession_direction(normals):
     """True when some nonzero d has N d >= 0, i.e. the set is unbounded.
 
-    A rank deficient N has a null direction.  Otherwise N d = 0 forces
-    d = 0, so one LP, maximise 1^t N d subject to N d >= 0 and
-    |d|_inf <= 1, has a positive optimum exactly when a recession
-    direction exists.  Both tests use a threshold scaled by the largest
-    normal.
+    A rank deficient N has a null direction.  Otherwise the cone
+    {d : N d >= 0} is pointed, so it holds a nonzero d exactly when it
+    has an extreme ray: the null direction d of n - 1 independent rows
+    of N, with N d >= 0 or N d <= 0.  One batched SVD over the
+    (n - 1)-subsets of rows gives every candidate.  The rank test scales
+    its threshold by the largest normal; the rays are sought among the
+    unit normals, which cut out the same cone, so that a long normal
+    loosens no test on a short one.
     """
     if _rank_deficient(normals):
         return True
     m, n = normals.shape
-    thresh = _RECESSION_TOL * float(np.max(np.linalg.norm(normals, axis=1)))
-    res = linprog(-normals.sum(axis=0), A_ub=-normals, b_ub=np.zeros(m),
-                  bounds=[(-1.0, 1.0)] * n, method="highs")
-    return bool(res.success and -res.fun > thresh)
+    units = normals / np.linalg.norm(normals, axis=1)[:, None]
+    subsets = np.array(list(itertools.combinations(range(m), n - 1)), int)
+    _, sv, Vt = np.linalg.svd(units[subsets])
+    slopes = units @ Vt[:, -1].T
+    ray = (np.all(slopes >= -_RECESSION_TOL, axis=0)
+           | np.all(slopes <= _RECESSION_TOL, axis=0))
+    return bool(np.any(ray & np.all(sv > _RECESSION_TOL, axis=-1)))
 
 
 def build_polytope(functionals, tau_geom=None):
@@ -178,7 +170,9 @@ def build_polytope(functionals, tau_geom=None):
 
     Vertices are enumerated by solving all n-subsets of facet equations
     and filtering by feasibility; the face lattice is the intersection
-    closure of the vertex active sets.
+    closure of the vertex active sets.  A bounded set is the hull of its
+    vertices, so its interior is empty exactly when their affine rank is
+    below n.
 
     Parameters
     ----------
@@ -199,7 +193,8 @@ def build_polytope(functionals, tau_geom=None):
         The halfspace intersection admits a recession direction; normals
         of rank below n always do.
     EmptyInterior
-        No point satisfies all inequalities strictly.
+        No vertex is found, or the vertices span less than dimension n,
+        so no point satisfies all inequalities strictly.
     RedundantFacet
         Some functional supports no face of dimension n-1.
     """
@@ -222,10 +217,6 @@ def build_polytope(functionals, tau_geom=None):
 
     if _has_recession_direction(normals):
         raise Unbounded("halfspace intersection has a recession direction")
-    center, radius = _chebyshev(normals, offsets)
-    scale = max(1.0, float(np.abs(center).max()))
-    if radius <= 1e-12 * scale:
-        raise EmptyInterior("halfspace intersection has empty interior")
 
     candidates = []
     for subset in itertools.combinations(range(m), n):
@@ -253,6 +244,10 @@ def build_polytope(functionals, tau_geom=None):
     keep = np.min(values, axis=1) >= -tau
     pts = pts[keep]
     values = values[keep]
+    rank = _affine_rank(pts, diam)
+    if rank < n:
+        raise EmptyInterior("halfspace intersection has empty interior: "
+                            "its vertices span dimension %d" % rank)
     # Python ints, so face keys print as (2, 3) in messages
     vertex_active = [tuple(int(i) for i in np.nonzero(np.abs(row) <= tau)[0])
                      for row in values]

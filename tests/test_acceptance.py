@@ -15,6 +15,8 @@ from gma import boundary, geometry, guillemin, legendre, solver, verify
 from gma.guillemin import DensitySpec
 from gma.problem import GuilleminProblem
 
+from oracles import induced_density
+
 
 def _report(num, label, ok, detail):
     line = "criterion %02d %s: %s [%s]" % (num, "PASS" if ok else "FAIL",
@@ -132,7 +134,8 @@ def test_03_quadrant_reference_residual():
             "max |prod det - 1| = %.3g <= 1e-12 over 9000 points" % worst)
 
 
-def test_04_vertex_compatibility_families():
+def criterion_04_polytopes():
+    """Simplex, square, cube, and a prism over a random affine simplex."""
     rng = np.random.default_rng(3)
     # random affine image of the simplex crossed with a random segment
     M = np.array([[1.0 + 0.4 * rng.random(), 0.5 * rng.random()],
@@ -151,9 +154,12 @@ def test_04_vertex_compatibility_families():
     prism_facets.append(geometry.AffineFunctional([0.0, 0.0, 1.0], 0.0))
     prism_facets.append(geometry.AffineFunctional([0.0, 0.0, -1.0], -L))
     prism = geometry.build_polytope(prism_facets)
+    return standard_simplex(), unit_square(), unit_cube(), prism
 
+
+def test_04_vertex_compatibility_families():
     worst = 0.0
-    for P in (standard_simplex(), unit_square(), unit_cube(), prism):
+    for P in criterion_04_polytopes():
         prob = GuilleminProblem(P, DensitySpec.guillemin(P), 0.0)
         worst = max(worst, float(np.max(np.abs(
             prob.compatibility_residuals()))))
@@ -166,6 +172,31 @@ def test_04_vertex_compatibility_families():
     _report(4, "vertex matching of induced densities", ok,
             "max residual %.3g <= 1e-10, doubled-square residuals "
             "exactly 1: %s" % (worst, exact_one))
+
+
+def induced_density_gap():
+    """Largest relative gap between DensitySpec.guillemin and the
+    distinct-index expansion of tests/oracles.py at the vertices of the
+    criterion-04 polytopes."""
+    gap = 0.0
+    for P in criterion_04_polytopes():
+        h = DensitySpec.guillemin(P)(P.vertices)
+        ref = induced_density(P.normals, P.evaluate_all(P.vertices))
+        gap = max(gap, float(np.max(np.abs(h - ref) / ref)))
+    return gap
+
+
+def test_04_induced_density_matches_expansion():
+    # criterion 04 reads the bordered determinant on both sides of its
+    # residuals, so only this comparison can see a wrong determinant
+    assert induced_density_gap() <= 1e-10
+
+
+def test_04_twin_fails_on_a_scaled_determinant(monkeypatch):
+    bordered = guillemin._bordered_determinant
+    monkeypatch.setattr(guillemin, "_bordered_determinant",
+                        lambda P, vals: 1.01 * bordered(P, vals))
+    assert induced_density_gap() > 1e-10
 
 
 def test_05_octahedron_density_degenerates_at_nonsimple_vertex():

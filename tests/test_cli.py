@@ -12,8 +12,8 @@ import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli, geometry, guillemin, verify
-from gma.problem import GuilleminProblem, load_problem
+from gma import boundary, cli, geometry
+from gma.problem import load_problem
 
 
 def write_problem(path, body):
@@ -152,6 +152,23 @@ class TestCheck:
         assert out["compatibility"]["pass"] is False
         assert out["compatibility"]["max_abs"] == pytest.approx(1.0,
                                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("width, expect", [
+        (1e-6, 0), (1e-8, 2), (1e-9, 2), (1e-11, 2), (1e-13, 2)])
+    def test_sliver_exit_codes(self, tmp_path, n, width, expect):
+        # the box [0, 1]^(n-1) x [0, width] with its induced density, on
+        # each side of the empty-interior threshold: a sliver rejected as
+        # redundant or as empty is invalid input either way
+        facets = []
+        for e in np.eye(n).tolist():
+            facets.append({"normal": e, "offset": 0.0})
+            facets.append({"normal": [-c for c in e],
+                           "offset": -width if e[-1] else -1.0})
+        path = write_problem(tmp_path / "p.json", {
+            "dimension": n, "facets": facets,
+            "density": {"type": "guillemin"}})
+        assert cli.run(["check", path]) == expect
 
     def test_small_absolute_residual_passes_like_solve(self, tmp_path):
         # residual 1e-9 at every vertex of the unit triangle, within the
@@ -634,16 +651,31 @@ class TestImportFootprint:
         # the model solution's P2 reads index the grid; no KD-tree
         assert loaded == set()
 
-    def test_solution_probe_loads_no_spatial(self, monkeypatch):
-        # the solve's linear programs load scipy.spatial through
-        # scipy.optimize, so the probe runs with the subpackage blocked:
-        # an import of it raises ImportError
-        P = verify._standard_simplex()
-        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
-        sol, _ = gma.solver.newton_solve(prob, grid=9)
-        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
-        out = verify.solution_probe(sol)(np.array([[0.1, 0.2], [0.3, 0.3]]))
-        assert out.shape == (2,)
+    def test_polytope_builds_load_no_optimize_or_spatial(self, tmp_path):
+        path = write_problem(tmp_path / "p.json", simplex_body())
+        loaded = loaded_after(
+            "import numpy as np\n"
+            "import gma.cli\n"
+            "from gma import geometry, problem\n"
+            "for n in (2, 3, 4):\n"
+            "    geometry.build_polytope(\n"
+            "        [geometry.AffineFunctional(s * e, min(s, 0.0))\n"
+            "         for e in np.eye(n) for s in (1.0, -1.0)])\n"
+            "problem.load_problem(%r)" % path)
+        assert not loaded & {"scipy.optimize", "scipy.spatial"}
+
+    def test_solution_probe_loads_no_spatial(self):
+        loaded = loaded_after(
+            "import numpy as np\n"
+            "from gma import guillemin, solver, verify\n"
+            "from gma.problem import GuilleminProblem\n"
+            "P = verify._standard_simplex()\n"
+            "prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P),\n"
+            "                        0.0)\n"
+            "sol, _ = solver.newton_solve(prob, grid=9)\n"
+            "probe = verify.solution_probe(sol)\n"
+            "assert probe(np.array([[0.1, 0.2], [0.3, 0.3]])).shape == (2,)")
+        assert not loaded & {"scipy.optimize", "scipy.spatial"}
 
 
 class TestLazyBindings:
@@ -655,22 +687,6 @@ class TestLazyBindings:
         fn = vars(module)[name]
         assert isinstance(fn, types.FunctionType)
         assert fn.__module__ == module.__name__
-
-    def test_every_lp_goes_through_the_module_global(self, monkeypatch):
-        calls = []
-        original = geometry.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, "linprog", counting)
-        square = [geometry.AffineFunctional(a, b) for a, b in (
-            ([1.0, 0.0], 0.0), ([-1.0, 0.0], -1.0),
-            ([0.0, 1.0], 0.0), ([0.0, -1.0], -1.0))]
-        for builds in (1, 2):
-            geometry.build_polytope(square)
-            assert len(calls) == 2 * builds
 
     def test_interpolator_evaluates_like_scipy(self):
         rng = np.random.default_rng(5)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from gma import geometry, guillemin
@@ -16,7 +16,7 @@ from gma.errors import (
 )
 from gma.problem import GuilleminProblem
 
-from oracles import brute_force_vertices, hull_vertices
+from oracles import brute_force_vertices, chebyshev_center, hull_vertices
 
 
 def simplex2d():
@@ -208,8 +208,8 @@ class TestRecession:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4),
            st.booleans())
-    def test_one_lp_agrees_with_coordinate_lps(self, seed, n, extra,
-                                               bounded):
+    def test_extreme_rays_agree_with_coordinate_lps(self, seed, n, extra,
+                                                    bounded):
         rng = np.random.default_rng(seed)
         N = rng.normal(size=(n + extra, n))
         if bounded:
@@ -253,6 +253,52 @@ class TestRecession:
                 geometry.AffineFunctional([0.0, 1.0, 0.0], 0.0),
                 geometry.AffineFunctional([0.0, -1.0, 0.0], -1.0),
             ])
+
+
+def sliver_functionals(n, width):
+    """The box [0, 1]^(n-1) x [0, width]."""
+    fs = box_functionals(n)
+    fs[-1] = geometry.AffineFunctional(-np.eye(n)[-1], -width)
+    return fs
+
+
+class TestEmptyInterior:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("width", [1e-6, 1e-7])
+    def test_thin_sliver_builds(self, n, width):
+        P = geometry.build_polytope(sliver_functionals(n, width))
+        assert len(P.vertices) == 2 ** n
+        assert P.faces[()].dim == n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("width", [3e-9, 1e-11, 1e-13])
+    def test_flat_sliver_has_empty_interior(self, n, width):
+        # below about 7e-9 (2-D) and 9e-9 (3-D) the vertices span
+        # dimension n - 1 to within the affine rank tolerance
+        with pytest.raises(EmptyInterior):
+            geometry.build_polytope(sliver_functionals(n, width))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(0, 3))
+    def test_vertex_rank_agrees_with_chebyshev_radius(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        N = rng.normal(size=(n + extra, n))
+        # a negative combination of the others closes the set
+        N = np.vstack([N, -(rng.uniform(0.5, 2.0, size=len(N)) @ N)])
+        c = rng.normal(size=len(N))
+        center, radius = chebyshev_center(N, c)
+        # away from the threshold band around radius 0
+        assume(abs(radius) > 1e-3)
+        facets = [geometry.AffineFunctional(v, b) for v, b in zip(N, c)]
+        if radius < 0:
+            with pytest.raises(EmptyInterior):
+                geometry.build_polytope(facets)
+            return
+        try:
+            P = geometry.build_polytope(facets)
+        except RedundantFacet:
+            return
+        assert np.min(P.evaluate_all(center)) > 0
 
 
 class TestFaceLattice:

@@ -18,9 +18,12 @@ KEPT = {
         "acceptance criterion 09 checks the Whitney extension of traces",
     ("cli", "main"): "console script entry point named in pyproject.toml",
     ("cli", "_Parser.error"): "argparse calls it on a usage error",
-    # the shim's own import spells the name, so the scan alone would pass
-    # it by accident
+    # each shim's own import spells its name, so the scan alone would
+    # pass it by accident
     ("solver", "LinearNDInterpolator"):
+        "perfbench/tracer.py binds it by name; goes with ROADMAP item 5's "
+        "[benchmark] PR",
+    ("geometry", "linprog"):
         "perfbench/tracer.py binds it by name; goes with ROADMAP item 5's "
         "[benchmark] PR",
 }
