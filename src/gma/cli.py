@@ -81,20 +81,13 @@ def _resolve_threads(flag):
         raise ValidationError("GMA_THREADS must be an integer, got %r" % env)
 
 
-def _parse_levels(text):
-    try:
-        return tuple(int(part) for part in str(text).split(","))
-    except ValueError:
-        raise ValidationError("--levels expects comma separated integers")
-
-
-def _parse_point(text):
+def _parse_list(text, kind, what):
     if text is None:
         return ()
     try:
-        return tuple(float(part) for part in str(text).split(","))
+        return tuple(kind(part) for part in str(text).split(","))
     except ValueError:
-        raise ValidationError("--point expects comma separated numbers")
+        raise ValidationError("%s expects comma separated %s" % what)
 
 
 def _jsonable(obj):
@@ -627,9 +620,9 @@ def _config_from_args(args):
         if dest not in args:
             setattr(args, dest, _OPTIONS[option][1].get("default"))
     if "levels" in args:
-        args.levels = _parse_levels(args.levels)
+        args.levels = _parse_list(args.levels, int, ("--levels", "integers"))
     if "point" in args:
-        args.point = _parse_point(args.point)
+        args.point = _parse_list(args.point, float, ("--point", "numbers"))
     if "threads" in args:
         args.threads = _resolve_threads(args.threads)
     for name, ok, message in _BOUNDS:

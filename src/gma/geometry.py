@@ -148,15 +148,14 @@ def _has_recession_direction(normals):
     {d : N d >= 0} is pointed, so it holds a nonzero d exactly when it
     has an extreme ray: the null direction d of n - 1 independent rows
     of N, with N d >= 0 or N d <= 0.  One batched SVD over the
-    (n - 1)-subsets of rows gives every candidate.  The rank test scales
-    its threshold by the largest normal; the rays are sought among the
+    (n - 1)-subsets of rows gives every candidate.  Both tests read the
     unit normals, which cut out the same cone, so that a long normal
     loosens no test on a short one.
     """
-    if _rank_deficient(normals):
-        return True
     m, n = normals.shape
     units = normals / np.linalg.norm(normals, axis=1)[:, None]
+    if _rank_deficient(units):
+        return True
     subsets = np.array(list(itertools.combinations(range(m), n - 1)), int)
     _, sv, Vt = np.linalg.svd(units[subsets])
     slopes = units @ Vt[:, -1].T
@@ -218,19 +217,16 @@ def build_polytope(functionals, tau_geom=None):
     if _has_recession_direction(normals):
         raise Unbounded("halfspace intersection has a recession direction")
 
-    candidates = []
-    for subset in itertools.combinations(range(m), n):
-        A = normals[list(subset)]
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            continue
-        x = np.linalg.solve(A, offsets[list(subset)])
-        slack = normals @ x - offsets
-        if np.min(slack) >= -1e-9 * max(1.0, np.abs(x).max()):
-            candidates.append(x)
-    if not candidates:
+    # solve every n-subset of facets that is nonsingular on the unit
+    # normals (scaling a functional drops no vertex), keep the feasible
+    subsets = np.array(list(itertools.combinations(range(m), n)), int)
+    sv = np.linalg.svd(units[subsets], compute_uv=False)
+    subsets = subsets[sv[:, -1] > 1e-12 * sv[:, 0]]
+    pts = np.linalg.solve(normals[subsets], offsets[subsets, None])[..., 0]
+    slack = np.min(pts @ normals.T - offsets, axis=1)
+    pts = pts[slack >= -1e-9 * np.maximum(1.0, np.max(np.abs(pts), axis=1))]
+    if not len(pts):
         raise EmptyInterior("no vertex found")
-    pts = np.array(candidates)
     span = max(1.0, float(np.abs(pts).max()))
     rounded = np.round(pts / (1e-9 * span)).astype(np.int64)
     _, keep = np.unique(rounded, axis=0, return_index=True)

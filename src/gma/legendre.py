@@ -300,8 +300,8 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     tangential trace equation.  Dirichlet data from `trace` is imposed
     on the outer boundary only; the face values are unknowns.  The
     iteration is :func:`gma.solver.damped_newton`, the chart solver's
-    driver, so LU factors are reused for chord steps; the unknowns are
-    numbered in nested-dissection order, which ``splu`` factors as given.
+    driver: single-precision LU factors, reused for chord steps, in the
+    nested-dissection order of the unknowns, and each solve refined once.
 
     Parameters
     ----------

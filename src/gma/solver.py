@@ -460,11 +460,20 @@ class RegularizedSolution:
         return self.v(x) + potential_values(self.problem.polytope, x)
 
 
+def _refined_solve(lu, J, b):
+    """J s = b on single-precision factors of J, refined once against J."""
+    s = lu.solve(b.astype(np.float32)).astype(float)
+    return s + lu.solve((b - J @ s).astype(np.float32))
+
+
 def damped_newton(residual, jacobian, x, R, tol, max_iter):
     """Damped Newton iteration on a vector of unknowns, reusing LU factors.
 
-    ``splu`` factors the Jacobian as numbered (``permc_spec="NATURAL"``);
-    both solvers number their unknowns by :func:`dissection_order`.
+    ``splu`` factors the Jacobian in single precision as numbered
+    (``permc_spec="NATURAL"``), and every step on the factors, chord
+    and Newton alike, is refined once against the double-precision
+    Jacobian (:func:`_refined_solve`); both solvers number their
+    unknowns by :func:`dissection_order`.
     A chord step on the kept factors is taken when it keeps every node
     admissible and lowers the sup norm residual, and the factors are
     kept while it cuts the residual at least fourfold.  Otherwise Newton
@@ -502,30 +511,31 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
     """
     norm = float(np.max(np.abs(R)))
     iterations = trials = factorizations = 0
-    lu = None
+    lu = J = None
     while norm > tol and iterations < max_iter:
         if lu is not None:
             # chord step on the kept factors: taken if it lowers the
             # residual, the factors kept if it contracts it fast enough
-            xt = x + lu.solve(-R)
+            xt = x + _refined_solve(lu, J, -R)
             Rt, ok = residual(xt)
             trials += 1
             nt = float(np.max(np.abs(Rt))) if ok else np.inf
             if nt > _CHORD_CONTRACTION * norm:
                 # free the old factors first: two live LUs double peak memory
-                lu = None
+                lu = J = None
             if nt < norm:
                 x, R, norm = xt, Rt, nt
                 iterations += 1
                 continue
         try:
-            lu = splu(jacobian(x), permc_spec="NATURAL")
+            J = jacobian(x)
+            lu = splu(J.astype(np.float32), permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularJacobian(
                 "linearized system failed at iteration %d: %s"
                 % (iterations, exc)) from exc
         factorizations += 1
-        step = lu.solve(-R)
+        step = _refined_solve(lu, J, -R)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian(
                 "linearized system failed at iteration %d" % iterations)

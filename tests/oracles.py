@@ -71,7 +71,9 @@ def brute_force_vertices(normals, offsets, tol=1e-9):
     for subset in itertools.combinations(range(m), n):
         A = normals[list(subset)]
         b = offsets[list(subset)]
-        sv = np.linalg.svd(A, compute_uv=False)
+        # conditioned on the unit normals, which cut out the same set
+        sv = np.linalg.svd(A / np.linalg.norm(A, axis=1)[:, None],
+                           compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             continue
         x = np.linalg.solve(A, b)

@@ -170,6 +170,16 @@ class TestCheck:
             "density": {"type": "guillemin"}})
         assert cli.run(["check", path]) == expect
 
+    def test_long_normal_passes(self, tmp_path):
+        # the triangle x >= 0, y >= 0, x + 1e6 y <= 1 keeps its vertex
+        # (1, 0), and its induced density matches at every vertex
+        body = simplex_body({"type": "guillemin"})
+        body["facets"][2]["normal"] = [-1.0, -1e6]
+        report = tmp_path / "r.json"
+        path = write_problem(tmp_path / "p.json", body)
+        assert cli.run(["check", path, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["vertices"] == 3
+
     def test_small_absolute_residual_passes_like_solve(self, tmp_path):
         # residual 1e-9 at every vertex of the unit triangle, within the
         # relative rule 1e-8 |h(p)|, so check must pass where solve runs

@@ -301,6 +301,43 @@ class TestEmptyInterior:
         assert np.min(P.evaluate_all(center)) > 0
 
 
+class TestScaledFunctionals:
+    def test_long_normal_keeps_its_vertices(self):
+        # x >= 0, y >= 0, x + 1e6 y <= 1: the pair {y >= 0, x + 1e6 y <= 1}
+        # is badly conditioned as written, not as a pair of lines
+        fs = simplex_functionals(2)
+        fs[2] = geometry.AffineFunctional([-1.0, -1e6], -1.0)
+        P = geometry.build_polytope(fs)
+        expect = [[0.0, 0.0], [0.0, 1e-6], [1.0, 0.0]]
+        assert np.allclose(sorted_pts(P.vertices), expect, rtol=0, atol=1e-15)
+        assert P.faces[()].dim == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(range(6)),
+           st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6))
+    def test_scaling_functionals_keeps_the_vertices(self, seed, shape,
+                                                    exponents):
+        # each functional scaled by its own factor in [1e-6, 1e6]
+        make = [lambda: simplex_functionals(2), lambda: simplex_functionals(3),
+                lambda: box_functionals(2), lambda: box_functionals(3),
+                prism_functionals, lambda: sliver_functionals(2, 1e-3)][shape]
+        rng = np.random.default_rng(seed)
+        ref = geometry.build_polytope(make())
+        fs = pulled(ref, (), *random_frame(rng, ref.dimension))
+        P = geometry.build_polytope(fs)
+        fs = [geometry.AffineFunctional(10.0 ** e * f.normal,
+                                        10.0 ** e * f.offset)
+              for f, e in zip(fs, exponents)]
+        Q = geometry.build_polytope(fs)
+        assert Q.vertex_active == P.vertex_active
+        assert np.allclose(Q.vertices, P.vertices, rtol=0, atol=1e-12)
+        normals = np.array([f.normal for f in fs])
+        offsets = np.array([f.offset for f in fs])
+        assert np.allclose(sorted_pts(Q.vertices),
+                           brute_force_vertices(normals, offsets),
+                           rtol=0, atol=1e-9)
+
+
 class TestFaceLattice:
     def test_closed_under_intersection(self):
         for P in (simplex2d(), unit_cube(), octahedron()):

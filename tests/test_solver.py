@@ -752,6 +752,24 @@ class TestNewtonSolve:
         assert report["line_search_total"] < ref["line_search_total"]
         assert report["factorizations"] <= ref["factorizations"]
 
+    @pytest.mark.parametrize("kind", ["box", "simplex"])
+    @pytest.mark.parametrize("refined", [True, False],
+                             ids=["refined", "unrefined-twin"])
+    def test_single_precision_step_is_refined(self, monkeypatch, kind,
+                                              refined):
+        # the first Newton step at the harmonic lift against a float64
+        # solve: one sweep is within 1e-8 (about 1e-10); a driver without
+        # it reads the float32 error, about 4e-6, and must fail the bound
+        if not refined:
+            monkeypatch.setattr(solver, "_refined_solve", lambda lu, J, b:
+                                lu.solve(b.astype(np.float32)).astype(float))
+        prob = polynomial_problem(kind, 2)
+        bd = types.SimpleNamespace(v=lambda x: 0.04 * np.exp(x @ [1.0, 2.0]))
+        seen = first_newton_step(monkeypatch, prob, bd, 129)
+        exact = splu(seen["J"], permc_spec="NATURAL").solve(-seen["R"])
+        err = np.max(np.abs(seen["step"] - exact)) / np.max(np.abs(exact))
+        assert (err <= 1e-8) == refined, err
+
     def test_solve_face_on_simplex3d_facet(self):
         prob = simplex3d_problem()
         res = boundary.restrict_problem(prob, (3,))
@@ -763,6 +781,36 @@ class TestNewtonSolve:
         exact = guillemin.potential_values(face, pts)
         assert np.max(np.abs(sol.u(pts) - exact)) <= 1e-8
         assert "error_estimate" in sol.report
+
+
+class _FirstTrial(Exception):
+    pass
+
+
+def first_newton_step(monkeypatch, prob, bd, m):
+    """The first step ``newton_solve`` tries, its Jacobian and residual.
+
+    The driver runs as the solver calls it, and is stopped at its first
+    trial, which is the full Newton step from the start.
+    """
+    seen, driver = {}, solver.damped_newton
+
+    def spy(residual, jacobian, x, R, tol, max_iter):
+        def recorded(x):
+            seen["J"] = jacobian(x)
+            return seen["J"]
+
+        def stop(xt):
+            seen["step"] = xt - x
+            raise _FirstTrial
+
+        seen["R"] = R
+        return driver(stop, recorded, x, R, tol, max_iter)
+
+    monkeypatch.setattr(solver, "damped_newton", spy)
+    with pytest.raises(_FirstTrial):
+        solver.newton_solve(prob, boundary=bd, grid=m)
+    return seen
 
 
 def discarding_newton(residual, jacobian, x, R, tol, max_iter):
