@@ -218,12 +218,13 @@ def build_polytope(functionals, tau_geom=None):
         raise Unbounded("halfspace intersection has a recession direction")
 
     # solve every n-subset of facets that is nonsingular on the unit
-    # normals (scaling a functional drops no vertex), keep the feasible
+    # normals, keep the feasible; feasibility and activity read distances
+    # to the hyperplanes, so scaling a functional drops or adds no vertex
     subsets = np.array(list(itertools.combinations(range(m), n)), int)
     sv = np.linalg.svd(units[subsets], compute_uv=False)
     subsets = subsets[sv[:, -1] > 1e-12 * sv[:, 0]]
     pts = np.linalg.solve(normals[subsets], offsets[subsets, None])[..., 0]
-    slack = np.min(pts @ normals.T - offsets, axis=1)
+    slack = np.min((pts @ normals.T - offsets) / lengths, axis=1)
     pts = pts[slack >= -1e-9 * np.maximum(1.0, np.max(np.abs(pts), axis=1))]
     if not len(pts):
         raise EmptyInterior("no vertex found")
@@ -232,11 +233,10 @@ def build_polytope(functionals, tau_geom=None):
     _, keep = np.unique(rounded, axis=0, return_index=True)
     pts = pts[sorted(keep)]
 
-    diam = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :],
-                                       axis=-1)))
+    diam = float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=-1)))
     tau = float(tau_geom) if tau_geom is not None else 1e-9 * diam
 
-    values = pts @ normals.T - offsets
+    values = (pts @ normals.T - offsets) / lengths
     keep = np.min(values, axis=1) >= -tau
     pts = pts[keep]
     values = values[keep]
