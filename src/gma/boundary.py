@@ -14,7 +14,6 @@ assembled into a single evaluator with a consistency report.
 """
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 from scipy.special import xlogy
 
@@ -287,9 +286,9 @@ def solve_edge(problem, tol=1e-10):
     t_lo = float(coords[i_lo])
     t_hi = float(coords[i_hi])
     L = t_hi - t_lo
+    # a vanishes at the left end, where it rises, and b at the right
     f0, f1 = P.facets
-    a, b = (f0, f1) if abs(float(f0(P.vertices[i_lo]))) <= P.tau \
-        else (f1, f0)
+    a, b = (f0, f1) if f0.normal[0] > 0.0 else (f1, f0)
     a_slope = float(a.normal[0])
     b_slope = float(b.normal[0])
     alpha_lo = float(problem.vertex_values[i_lo])
@@ -450,10 +449,10 @@ class BoundaryData:
         P = self.problem.polytope
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
-        vals = P.evaluate_all(X)
-        if float(np.min(vals)) < -P.tau:
+        dist = P.distances(X)
+        if float(np.min(dist)) < -P.tau:
             raise OutsideDomain("point is outside the closed polytope")
-        active = vals <= P.tau
+        active = dist <= P.tau
         if not np.all(np.any(active, axis=1)):
             raise OutsideDomain("point is interior; the trace lives on the "
                                 "boundary")
@@ -526,9 +525,9 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     tol : float
         Quadrature tolerance for the edge profiles and residual
         tolerance of the face solves.
-    threads : int, optional
-        Worker threads for faces of equal dimension; sequential when
-        omitted.
+    threads : object, optional
+        Read by nothing: the build is one sequential walk.  Kept only
+        for callers that still pass ``threads=None``.
 
     Returns
     -------
@@ -571,9 +570,13 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     bd = BoundaryData(problem, traces, None)
     tolerance = 10.0 * tol
 
-    def build_one(key, d):
+    max_mismatch = 0.0
+    pairs = 0
+    # a stable sort: faces of one dimension keep their lattice order
+    for key in sorted((k for k, f in P.faces.items() if 0 < f.dim < n),
+                      key=lambda k: P.faces[k].dim):
         res = restrict_problem(problem, key)
-        if d == 1:
+        if P.faces[key].dim == 1:
             trace = _EdgeTrace(res, solve_edge(res.problem, tol=tol))
             ids = list(P.faces[key].vertex_ids)
             x = P.vertices[ids]
@@ -602,26 +605,14 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
             gaps = np.abs(sol.values[chart.boundary] - subfaces.v(xi))
         i = int(np.argmax(gaps))
         if not gaps[i] <= tolerance:
-            active = np.nonzero(P.evaluate_all(x[i]) <= P.tau)[0]
+            active = np.nonzero(P.distances(x[i]) <= P.tau)[0]
             raise InconsistentTraces(
                 "faces %s and %s disagree by %.3g (tolerance %.3g)"
                 % (key, P.canonical_active(tuple(active)), gaps[i],
                    tolerance))
-        return key, trace, float(gaps[i]), len(gaps)
-
-    max_mismatch = 0.0
-    pairs = 0
-    for d in range(1, n):
-        keys = [k for k, f in P.faces.items() if f.dim == d]
-        if threads and threads > 1 and len(keys) > 1:
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                built = list(pool.map(lambda k: build_one(k, d), keys))
-        else:
-            built = [build_one(k, d) for k in keys]
-        for key, trace, gap, count in built:
-            traces[key] = trace
-            max_mismatch = max(max_mismatch, gap)
-            pairs += count
+        traces[key] = trace
+        max_mismatch = max(max_mismatch, float(gaps[i]))
+        pairs += len(gaps)
 
     bd.consistency = {
         "max_mismatch": max_mismatch,

@@ -12,7 +12,6 @@ code.
 
 import argparse
 import json
-import os
 import struct
 import sys
 import time
@@ -52,11 +51,6 @@ exit codes:
       quadrature, or inconsistent face traces
   4   run completed but a requested check failed and --strict was set
   64  usage error
-
-threads: the orchestrator itself is single-threaded; the --threads flag
-of boundary and solve caps the worker pool used for independent face
-solves.  When the flag is absent the GMA_THREADS environment variable
-supplies the default (1 if unset).
 """
 
 
@@ -67,18 +61,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _resolve_threads(flag):
-    if flag is not None:
-        return int(flag)
-    env = os.environ.get("GMA_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError("GMA_THREADS must be an integer, got %r" % env)
 
 
 def _parse_list(text, kind, what):
@@ -184,8 +166,7 @@ def _cmd_boundary(config):
     started = time.monotonic()
     prob = load_problem(config.problem)
     P = prob.polytope
-    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
-                             threads=config.threads)
+    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol)
     keys = sorted(bd.traces, key=lambda key: (len(key), key))
     payload = {
         "consistency": bd.consistency,
@@ -249,8 +230,7 @@ def _cmd_solve(config):
     if config.chart == "face" and P.dimension < 2:
         raise ValidationError("--chart face needs dimension 2 or more: the "
                               "facets of a segment are its vertices")
-    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol,
-                             threads=config.threads)
+    bd = build_boundary_data(prob, grid=config.grid, tol=config.tol)
 
     if config.chart == "face":
         # the build solved every facet once and stopped on any facet that
@@ -509,8 +489,6 @@ _OPTIONS = {
                                    ".bin for the packed float64 layout)"}),
     "seed": (("--seed",), {"type": int, "default": 0,
                            "help": "sampling seed"}),
-    "threads": (("--threads",), {
-        "type": int, "help": "worker thread cap; default from GMA_THREADS"}),
     "strict": (("--strict",), {"action": "store_true", "default": False,
                                "help": "exit 4 when a requested check fails"}),
     "chart": (("--chart",), {
@@ -543,10 +521,10 @@ _COMMANDS = {
     "check": (_cmd_check, "validate geometry and density admissibility",
               ("problem",)),
     "boundary": (_cmd_boundary, "assemble and cross-check face traces",
-                 ("problem", "grid", "tol", "dump", "threads")),
+                 ("problem", "grid", "tol", "dump")),
     "solve": (_cmd_solve, "solve the interior problem on a lattice chart",
-              ("problem", "grid", "tol", "max_iter", "dump", "threads",
-               "strict", "chart")),
+              ("problem", "grid", "tol", "max_iter", "dump", "strict",
+               "chart")),
     "model": (_cmd_model, "solve the flat half-space model problem",
               ("grid", "tol", "max_iter", "dump", "strict", "form",
                "depth")),
@@ -563,7 +541,6 @@ _BOUNDS = (
     ("grid", lambda v: v >= 3, "--grid needs at least 3 nodes per edge"),
     ("levels", lambda v: min(v) >= 3, "--levels needs entries of at least 3"),
     ("max_iter", lambda v: v >= 1, "--max-iter must be at least 1"),
-    ("threads", lambda v: v >= 1, "--threads must be at least 1"),
     ("seed", lambda v: v >= 0, "--seed must be nonnegative"),
     ("depth", lambda v: v > 0.0, "--depth must be positive"),
 )
@@ -598,11 +575,11 @@ def _classify(exc):
 
 
 def _config_from_args(args):
-    """The options the run reads, defaults filled in and --levels, --point
-    and --threads resolved, or a usage error for a given option it does
-    not read (``--k`` with a problem file, an option of a verify suite
-    not run).  A setting out of bounds raises ValidationError, before
-    any file is read.  The report embeds this configuration.
+    """The options the run reads, defaults filled in and --levels and
+    --point resolved, or a usage error for a given option it does not
+    read (``--k`` with a problem file, an option of a verify suite not
+    run).  A setting out of bounds raises ValidationError, before any
+    file is read.  The report embeds this configuration.
     """
     options = set(_COMMANDS[args.subcommand][2]) | {"report", "deterministic"}
     if args.subcommand == "oracle" and "problem" in args:
@@ -623,8 +600,6 @@ def _config_from_args(args):
         args.levels = _parse_list(args.levels, int, ("--levels", "integers"))
     if "point" in args:
         args.point = _parse_list(args.point, float, ("--point", "numbers"))
-    if "threads" in args:
-        args.threads = _resolve_threads(args.threads)
     for name, ok, message in _BOUNDS:
         if name in args and not ok(getattr(args, name)):
             raise ValidationError(message)

@@ -85,9 +85,9 @@ class Polytope:
     """Bounded intersection of halfspaces with vertex and face data.
 
     Not meant to be constructed directly; use :func:`build_polytope` or
-    :func:`pull_back`.  ``tau`` defaults to 1e-9 times the diameter.
-    Instances are immutable after construction and safe to share across
-    threads.
+    :func:`pull_back`.  ``tau`` defaults to 1e-9 times the diameter and
+    bounds distances, as :meth:`distances` reads them.  Instances are
+    immutable after construction.
     """
 
     def __init__(self, facets, vertices, vertex_active, faces, tau=None):
@@ -101,6 +101,7 @@ class Polytope:
         self.tau = 1e-9 * self.diameter if tau is None else float(tau)
         self._normals = np.array([f.normal for f in self.facets])
         self._offsets = np.array([f.offset for f in self.facets])
+        self._lengths = np.linalg.norm(self._normals, axis=1)
 
     @property
     def normals(self):
@@ -114,6 +115,10 @@ class Polytope:
         """Values of every facet functional at x; batched over leading axes."""
         x = np.asarray(x, dtype=float)
         return x @ self._normals.T - self._offsets
+
+    def distances(self, x):
+        """Signed distances of x to every facet hyperplane, for tau."""
+        return self.evaluate_all(x) / self._lengths
 
     def canonical_active(self, gamma):
         """Smallest face active set containing gamma, or None if no vertex has it."""

@@ -23,10 +23,9 @@ from .errors import (
 
 def _require_inside(P, x, what):
     x = np.asarray(x, dtype=float)
-    vals = P.evaluate_all(x)
-    if np.min(vals) < -P.tau:
+    if np.min(P.distances(x)) < -P.tau:
         raise OutsideDomain("%s evaluated outside the closed polytope" % what)
-    return x, vals
+    return x, P.evaluate_all(x)
 
 
 def potential_values(P, xs):

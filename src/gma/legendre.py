@@ -123,13 +123,13 @@ class PartialLegendrePair:
         return self.y_points[:, 0] * ustar11 + hvals / u22
 
 
-def legendre_forward(values, axes, gradient=None, hessian=None):
+def legendre_forward(values, axes, gradient=None):
     """Partial Legendre transform of a grid field, tangential dual only.
 
     The transversal coordinate x1 is kept; the tangential one is
     replaced by the derivative of u.  Works at the interior nodes of
     the grid (a one-node collar is dropped) where full second-order
-    stencils exist.
+    stencils exist; the Hessian is always read from them.
 
     Parameters
     ----------
@@ -140,9 +140,6 @@ def legendre_forward(values, axes, gradient=None, hessian=None):
     gradient : callable, optional
         Analytic tangential derivative, batched over points (..., 2).
         Default: central differences on the grid.
-    hessian : callable, optional
-        Analytic Hessian at a single point (2,) -> (2, 2).
-        Default: second-order stencils on the grid.
 
     Returns
     -------
@@ -172,19 +169,15 @@ def legendre_forward(values, axes, gradient=None, hessian=None):
     else:
         g = ((values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * d2)).ravel()
 
-    if hessian is not None:
-        H = np.array([hessian(p) for p in pts], dtype=float)
-    else:
-        H = np.empty((len(pts), 2, 2))
-        core = values[1:-1, 1:-1]
-        H[:, 0, 0] = ((values[2:, 1:-1] + values[:-2, 1:-1] - 2.0 * core)
-                      / d1 ** 2).ravel()
-        H[:, 1, 1] = ((values[1:-1, 2:] + values[1:-1, :-2] - 2.0 * core)
-                      / d2 ** 2).ravel()
-        cross = (values[2:, 2:] - values[2:, :-2]
-                 - values[:-2, 2:] + values[:-2, :-2]) / (4.0 * d1 * d2)
-        H[:, 0, 1] = cross.ravel()
-        H[:, 1, 0] = H[:, 0, 1]
+    H = np.empty((len(pts), 2, 2))
+    core = values[1:-1, 1:-1]
+    H[:, 0, 0] = ((values[2:, 1:-1] + values[:-2, 1:-1] - 2.0 * core)
+                  / d1 ** 2).ravel()
+    H[:, 1, 1] = ((values[1:-1, 2:] + values[1:-1, :-2] - 2.0 * core)
+                  / d2 ** 2).ravel()
+    cross = (values[2:, 2:] - values[2:, :-2]
+             - values[:-2, 2:] + values[:-2, :-2]) / (4.0 * d1 * d2)
+    H[:, 0, 1] = H[:, 1, 0] = cross.ravel()
 
     u22 = H[:, 1, 1]
     worst = int(np.argmin(u22))

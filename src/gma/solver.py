@@ -441,7 +441,7 @@ class RegularizedSolution:
         chart = self.chart
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         Q = chart.ref_problem.polytope
-        if np.min(Q.evaluate_all(xi), initial=0.0) < -Q.tau:
+        if np.min(Q.distances(xi), initial=0.0) < -Q.tau:
             raise OutsideDomain("evaluation outside the polytope")
         # points within tau outside are clipped onto the polytope
         weights, corners = freudenthal_cells(

@@ -602,7 +602,7 @@ def solution_probe(solution):
     top = chart.m - 1
 
     def probe(x):
-        if np.min(P.evaluate_all(x), initial=0.0) < -P.tau:
+        if np.min(P.distances(x), initial=0.0) < -P.tau:
             raise OutsideDomain("probe point outside the polytope")
         return local_quadratic_eval(
             values, chart.node_ids, chart.strides, top,

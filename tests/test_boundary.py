@@ -691,6 +691,45 @@ def _solid3d_problem(shape):
     return GuilleminProblem(P, guillemin.DensitySpec.perturbed(P, 0.5), 0.0)
 
 
+def _scaled_square_problem(scale, right):
+    # the unit square with x >= 0 written as scale * x >= 0, or with
+    # x <= 1 written as scale * (1 - x) >= 0 and listed first
+    fs = [geometry.AffineFunctional([1.0, 0.0], 0.0),
+          geometry.AffineFunctional([-1.0, 0.0], -1.0),
+          geometry.AffineFunctional([0.0, 1.0], 0.0),
+          geometry.AffineFunctional([0.0, -1.0], -1.0)]
+    if right:
+        fs[:2] = [geometry.AffineFunctional([-scale, 0.0], -scale), fs[0]]
+    else:
+        fs[0] = geometry.AffineFunctional([scale, 0.0], 0.0)
+    P = geometry.build_polytope(fs)
+    return GuilleminProblem(P, guillemin.DensitySpec.perturbed(P, 0.5), 0.0)
+
+
+class TestScaledFunctionals:
+    @pytest.mark.parametrize("scale, right", [
+        (1e-6, False), (1e-8, False), (1e-9, False), (1e-9, True)])
+    def test_traces_read_the_edge_profiles(self, scale, right):
+        # a point 1e-3 from a vertex lies far beyond tau of the facets it
+        # is not on, however short their normals, so the trace there is
+        # the edge profile's, not the vertex value; an edge's left facet
+        # is the one rising from its left end, though a short normal at
+        # the right end reads within tau there too
+        prob = _scaled_square_problem(scale, right)
+        P = prob.polytope
+        bd = boundary.build_boundary_data(prob)
+        t = np.array([1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-3])[:, None]
+        for key, face in P.faces.items():
+            if face.dim != 1:
+                continue
+            p, q = P.vertices[list(face.vertex_ids)]
+            x = (1.0 - t) * p + t * q
+            res = boundary.restrict_problem(prob, key)
+            profile = boundary.solve_edge(res.problem)
+            assert np.array_equal(bd.u(x),
+                                  profile.u(res.from_face(x)[:, 0])), key
+
+
 def _report_unconverged(monkeypatch):
     # the face solves of the boundary build report converged: false
     real = gma.solver.newton_solve

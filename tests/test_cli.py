@@ -73,11 +73,9 @@ def octahedron_body():
 # verify runs its oracle suite, which reads --seed of the suite options
 COMMAND_OPTIONS = {
     "check": {},
-    "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv",
-                 "--threads": "1"},
+    "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv"},
     "solve": {"--grid": "5", "--tol": "1e-10", "--max-iter": "30",
-              "--dump": "d.csv", "--threads": "1", "--strict": None,
-              "--chart": "global"},
+              "--dump": "d.csv", "--strict": None, "--chart": "global"},
     "model": {"--grid": "9", "--tol": "1e-10", "--max-iter": "30",
               "--dump": "d.csv", "--strict": None, "--form": "z",
               "--depth": "0.25"},
@@ -597,28 +595,12 @@ class TestOracle:
 
 
 class TestThreads:
-    def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GMA_THREADS", "4")
-        path = write_problem(tmp_path / "p.json", simplex_body())
-        code = cli.run(["boundary", path, "--threads", "2"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert out["config"]["threads"] == 2
-
-    def test_env_alone(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GMA_THREADS", "4")
-        path = write_problem(tmp_path / "p.json", simplex_body())
-        code = cli.run(["boundary", path])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert out["config"]["threads"] == 4
-
-    def test_env_unread_without_threads_option(self, tmp_path, monkeypatch,
-                                               capsys):
-        # check runs no face solves, so it never reads GMA_THREADS
+    # the boundary build is one sequential walk: no thread flag, and no
+    # environment variable that sets one
+    def test_env_is_not_read(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GMA_THREADS", "two")
         path = write_problem(tmp_path / "p.json", simplex_body())
-        code = cli.run(["check", path])
+        code = cli.run(["boundary", path])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert "threads" not in out["config"]
@@ -629,7 +611,30 @@ class TestThreads:
         text = capsys.readouterr().out
         for token in ("0", "1", "2", "3", "4", "64"):
             assert token in text
-        assert "GMA_THREADS" in text
+        assert "GMA_THREADS" not in text
+
+
+def scaled_square_body(scale):
+    # the unit square with x >= 0 written as scale * x >= 0
+    body = square_body({"type": "perturbed", "amplitude": 0.5})
+    body["facets"][0]["normal"] = [scale, 0.0]
+    return body
+
+
+class TestScaledFunctionals:
+    @pytest.mark.parametrize("scale", [1e-8, 1e-9])
+    def test_solve_converges(self, tmp_path, scale):
+        path = write_problem(tmp_path / "p.json", scaled_square_body(scale))
+        report = tmp_path / "r.json"
+        assert cli.run(["solve", path, "--grid", "33",
+                        "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["solver"]["converged"] is True
+
+    def test_oracle_outside_point_is_invalid(self, tmp_path):
+        # (-0.1, 0.5) is 0.1 outside the square, although 1e-8 x reads
+        # only -1e-9 there
+        path = write_problem(tmp_path / "p.json", scaled_square_body(1e-8))
+        assert cli.run(["oracle", path, "--point", "-0.1,0.5"]) == 2
 
 
 # scipy subpackages a gma process loads on first use only

@@ -37,10 +37,7 @@ class TestForward:
         x2 = np.linspace(-0.5, 0.5, 16)
         vals = grid_field(model_u, x1, x2)
         pair = legendre.legendre_forward(
-            vals, (x1, x2),
-            gradient=lambda x: x[..., 1],
-            hessian=lambda x: np.broadcast_to(
-                np.array([[1.0 / x[0], 0.0], [0.0, 1.0]]), (2, 2)))
+            vals, (x1, x2), gradient=lambda x: x[..., 1])
         # y = (x1, x2) and u* = y2^2/2 - y1 log y1
         assert np.allclose(pair.y_points[:, 0], pair.x_points[:, 0])
         assert np.allclose(pair.y_points[:, 1], pair.x_points[:, 1],
@@ -72,10 +69,14 @@ class TestForward:
         x1 = np.linspace(0.1, 1.0, 16)
         x2 = np.linspace(-0.5, 0.5, 16)
         vals = grid_field(model_u, x1, x2)
-        pair = legendre.legendre_forward(
-            vals, (x1, x2),
-            gradient=lambda x: x[..., 1],
-            hessian=lambda x: np.array([[1.0 / x[0], 0.0], [0.0, 1.0]]))
+        fwd = legendre.legendre_forward(
+            vals, (x1, x2), gradient=lambda x: x[..., 1])
+        # the analytic Hessian diag(1/x1, 1) in place of the stencils
+        H = np.zeros((len(fwd.x_points), 2, 2))
+        H[:, 0, 0] = 1.0 / fwd.x_points[:, 0]
+        H[:, 1, 1] = 1.0
+        pair = legendre.PartialLegendrePair(fwd.x_points, fwd.y_points,
+                                            fwd.ustar, H)
         R = pair.transversal_residual(lambda y: np.ones(y.shape[:-1]))
         assert np.max(np.abs(R)) <= 1e-12
 

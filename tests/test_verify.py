@@ -371,6 +371,22 @@ class TestSolutionProbe:
         with pytest.raises(OutsideDomain):
             probe(np.array([[0.1, 0.1], [-0.1, 0.5]]))
 
+    def test_short_normal_reads_distances(self):
+        # the unit square with x >= 0 written as 1e-8 x >= 0: the point
+        # (-0.1, 0.5) is 0.1 outside, though the functional reads -1e-9
+        P = geometry.build_polytope([
+            geometry.AffineFunctional([1e-8, 0.0], 0.0),
+            geometry.AffineFunctional([-1.0, 0.0], -1.0),
+            geometry.AffineFunctional([0.0, 1.0], 0.0),
+            geometry.AffineFunctional([0.0, -1.0], -1.0)])
+        prob = GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+        sol, rep = solver.newton_solve(prob, grid=9)
+        assert rep["converged"]
+        x = np.array([-0.1, 0.5])
+        for read in (verify.solution_probe(sol), sol.v):
+            with pytest.raises(OutsideDomain):
+                read(x)
+
 
 class TestAppendixChecks:
     def test_battery_passes(self):
