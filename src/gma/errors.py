@@ -112,10 +112,6 @@ class OutsideQuadrant(GmaError):
     """Evaluation point has a negative coordinate where none is allowed."""
 
 
-class ConstantSearchFailed(GmaError):
-    """No constant in the search ladder satisfied the inequality family."""
-
-
 # ---------------------------------------------------------------------------
 # command line front end
 

@@ -4,9 +4,8 @@ The canonical potential sum_i l_i(x) log l_i(x) solves the degenerate
 Monge-Ampere problem with a computable right-hand side: its induced
 density h_G = (prod_i l_i) det(sum_i n_i n_i^t / l_i) extends continuously
 to the closed polytope when the polytope is simple.  This module evaluates
-the potential, the induced density, the vertex compatibility residual,
-the inclusion-exclusion boundary extension, and the one finite
-difference Hessian the package uses.
+the potential, the induced density, the vertex compatibility residual
+and the inclusion-exclusion boundary extension.
 """
 
 import itertools
@@ -184,30 +183,3 @@ def smooth_extension(trace_fn, x, k):
     if acc is None:
         raise ValueError("k must be at least 1")
     return float(acc) if acc.ndim == 0 else acc
-
-
-def fd_hessian(f, x, scale=1.0):
-    """Central difference Hessian of a scalar function at one point.
-
-    Second order, with step eps^(1/4) max(scale, |x|_inf) and the four
-    point rule off the diagonal.  Floating point warnings are silenced:
-    a function that is singular near x yields non-finite entries, which
-    the caller can reject.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.finfo(float).eps ** 0.25 * max(scale, float(np.max(np.abs(x))))
-    H = np.empty((n, n))
-    with np.errstate(all="ignore"):
-        f0 = f(x)
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = h
-            H[a, a] = (f(x + ea) - 2 * f0 + f(x - ea)) / (h * h)
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = h
-                H[a, b] = H[b, a] = (f(x + ea + eb) - f(x + ea - eb)
-                                     - f(x - ea + eb)
-                                     + f(x - ea - eb)) / (4 * h * h)
-    return H

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .solver import (Stencil, damped_newton, dissection_order,
-                     freudenthal_cells, inverses, pivots)
+                     freudenthal_cells, inverses, pivots, require_lattice)
 
 __all__ = [
     "PartialLegendrePair",
@@ -322,10 +322,12 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     (ModelSolution, dict)
         The report carries iterations, converged, residual_norm,
         line_search_total, factorizations (LU factorizations of the
-        Jacobian), error_estimate and the face checks.
+        Jacobian) and the face checks.
 
     Raises
     ------
+    ChartTooLarge
+        If grid^2 exceeds the chart solver's lattice limit.
     NonEllipticIterate
         If the transversal operator entry or the determinant is not
         positive at the starting iterate.
@@ -343,6 +345,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     m1 = m2 = int(grid)
     if m1 < 5:
         raise ValidationError("model grid needs at least 5 nodes per axis")
+    require_lattice(m1, 2)
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
 
@@ -410,7 +413,5 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
         "tol": tol,
         "face_neumann": float(neumann),
         "face_relation_gap": gap,
-        "error_estimate": float(max(
-            norm, max(d1, d2) ** 2 * max(1.0, np.ptp(V)))),
     }
     return ModelSolution(z1, z2, V, report), report

@@ -179,6 +179,15 @@ def inverses(H):
     return A
 
 
+def require_lattice(m, n):
+    """ChartTooLarge if m^n lattice slots exceed the limit; every solver
+    asks before it solves or allocates anything."""
+    if int(m) ** n > _MAX_LATTICE:
+        raise ChartTooLarge(
+            "grid %d in dimension %d needs %d lattice slots, above the "
+            "limit %d" % (m, n, int(m) ** n, _MAX_LATTICE))
+
+
 class GridChart:
     """Reference finite difference lattice for one global or face problem.
 
@@ -213,10 +222,7 @@ class GridChart:
             raise ValidationError("grid needs at least 3 nodes per edge")
         P = problem.polytope
         n = P.dimension
-        if int(m) ** n > _MAX_LATTICE:
-            raise ChartTooLarge(
-                "grid %d in dimension %d needs %d lattice slots, above the "
-                "limit %d" % (m, n, int(m) ** n, _MAX_LATTICE))
+        require_lattice(m, n)
         N = len(P.facets)
         if N == n + 1:
             kind = "simplex"
@@ -589,8 +595,8 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         The report carries iterations (accepted chord and Newton steps),
         converged, residual_norm, line_search_total (residual
         evaluations of trial steps, chord trials included),
-        factorizations (LU factorizations of the Jacobian) and
-        error_estimate.
+        factorizations (LU factorizations of the Jacobian), grid, kind,
+        n_interior and tol.
 
     Raises
     ------
@@ -644,7 +650,5 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
         "kind": chart.kind,
         "n_interior": int(len(chart.interior)),
         "tol": float(tol),
-        "error_estimate": float(max(
-            norm, chart.delta ** 2 * max(1.0, float(np.ptp(v))))),
     }
     return RegularizedSolution(problem, chart, v, report), report

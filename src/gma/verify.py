@@ -5,12 +5,12 @@ the explicit degenerate solutions (log terms on the vanishing
 coordinates plus a quadratic bulk) together with the defect of the
 equation they satisfy, so any consumer can confirm the algebra to
 rounding.  Barrier certificates evaluate comparison functions whose
-derivatives are written out in closed form, search a power-of-two
-ladder for the admissible constant, and report the worst margin of the
-differential inequality and of the boundary comparison.  Mesh
-estimators take a solved field on a sequence of refined grids near a
-face or a corner and track the sup of the quantity each regularity
-statement bounds, flagging growth beyond ten percent per refinement.
+derivatives are written out in closed form and report the worst
+sampled margin of the differential inequality and of the boundary
+comparison.  Mesh estimators take a solved field on a sequence of
+refined grids near a face or a corner and track the sup of the
+quantity each regularity statement bounds, flagging growth beyond ten
+percent per refinement.
 
 Everything here is deterministic: sampling uses seeded generators and
 all reductions run over sorted sample order.
@@ -22,9 +22,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import geometry
-from .errors import (ConstantSearchFailed, OutsideDomain, OutsideQuadrant,
-                     SolverError, ValidationError)
-from .guillemin import DensitySpec, fd_hessian, potential_values
+from .errors import (OutsideDomain, OutsideQuadrant, SolverError,
+                     ValidationError)
+from .guillemin import DensitySpec, potential_values
 from .legendre import local_quadratic_eval
 from .problem import GuilleminProblem
 from .solver import newton_solve
@@ -33,7 +33,6 @@ __all__ = [
     "LiouvilleData",
     "liouville_oracle",
     "BarrierCheck",
-    "product_power_hessian",
     "verify_barrier",
     "EstimateReport",
     "estimate_lipschitz",
@@ -47,7 +46,6 @@ __all__ = [
 
 _TREND_FLOOR = 1e-12
 _TREND_LIMIT = 1.1
-_LADDER = [2.0 ** j for j in range(40, -41, -1)]
 
 
 class LiouvilleData(NamedTuple):
@@ -110,20 +108,6 @@ class BarrierCheck(NamedTuple):
     margin_boundary: float | None
 
 
-def product_power_hessian(P, alpha, x):
-    """Closed-form Hessian of (prod_i l_i)^alpha at an interior point."""
-    x = np.asarray(x, dtype=float)
-    l = P.evaluate_all(x)
-    if np.min(l) <= 0.0:
-        raise ValidationError("Hessian of the product power needs an "
-                              "interior point")
-    N = P.normals
-    H = float(np.prod(l) ** alpha)
-    b = (N / l[:, None]).sum(axis=0)
-    M = (N[:, :, None] * N[:, None, :] / (l ** 2)[:, None, None]).sum(axis=0)
-    return H * (alpha ** 2 * np.outer(b, b) - alpha * M)
-
-
 def _vertex_rays(P):
     centroid = P.vertices.mean(axis=0)
     t = 2.0 ** -np.arange(1, 13)
@@ -131,49 +115,27 @@ def _vertex_rays(P):
     return np.concatenate(rays, axis=0)
 
 
-def _ladder_constant(values):
-    lo = float(np.min(values))
-    for c in _LADDER:
-        if lo - c >= 0.0:
-            return c, lo - c
-    raise ConstantSearchFailed(
-        "no rung of the dyadic ladder stays below the sampled minimum "
-        "%.3e" % lo)
-
-
 def _check_product_power(P, samples, constants, seed):
     n = P.dimension
     alpha = float(constants.get("alpha_exp", 1.0 / (2.0 * n)))
-    rng = np.random.default_rng(seed)
-    pts = geometry.sample_interior(P, samples, rng)
+    pts = geometry.sample_interior(P, samples, np.random.default_rng(seed))
     pts = np.concatenate([pts, _vertex_rays(P)], axis=0)
     N = P.normals
 
     # curvature ratio: det(-D2 H) over (prod l)^(n alpha - 2) reduces to
     # alpha^n (prod l)^2 det(M - alpha b b^T) with M = sum n n^T / l^2
-    # and b = sum n / l, all in closed form
+    # and b = sum n / l, all in closed form; by the determinant lemma it
+    # is positive exactly where -D2 H is positive definite
     l = P.evaluate_all(pts)[:, :, None]
     b = (N / l).sum(axis=1)
     M = (N[:, :, None] * N[:, None, :] / (l ** 2)[..., None]).sum(axis=1)
     vals = (alpha ** n * np.prod(l[..., 0], axis=1) ** 2 * np.linalg.det(
         M - alpha * b[:, :, None] * b[:, None, :]))
 
-    for x in geometry.sample_interior(P, 3, rng, margin=0.05):
-        closed = product_power_hessian(P, alpha, x)
-        numeric = fd_hessian(
-            lambda y: float(np.prod(P.evaluate_all(y)) ** alpha), x)
-        scale = max(1.0, float(np.max(np.abs(closed))))
-        if np.max(np.abs(closed - numeric)) > 1e-3 * scale:
-            raise ValidationError("closed-form Hessian disagrees with "
-                                  "finite differences")
-
-    C, margin = _ladder_constant(vals)
     # no boundary comparison: the barrier vanishes on every facet by
     # construction, whatever the constants
-    return BarrierCheck(
-        "product-power",
-        {"alpha_exp": alpha, "C": C},
-        pts, float(margin), None)
+    return BarrierCheck("product-power", {"alpha_exp": alpha}, pts,
+                        float(np.min(vals)), None)
 
 
 def _check_face_lift(samples, constants, seed, u):
@@ -242,7 +204,9 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     Margins come from closed-form derivative expressions of the barrier
     alone; no numerical solve enters.  A nonnegative differential
     margin means the inequality held at every sample, a nonnegative
-    boundary margin means the comparison on the boundary held.
+    boundary margin means the comparison on the boundary held; the
+    "product-power" margin, the least sampled curvature ratio, must be
+    positive.
 
     Parameters
     ----------
@@ -279,8 +243,6 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
 
     Raises
     ------
-    ConstantSearchFailed
-        When no rung of the dyadic constant ladder verifies.
     ValidationError
         An unknown id, or a required polytope or u missing.
     """
@@ -301,7 +263,6 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
 class EstimateReport(NamedTuple):
     estimate_id: str
     ratios: tuple
-    argmax: tuple
     trend: tuple
     bounded: bool
 
@@ -326,18 +287,21 @@ def _load_level(values, axes, need_corner=False):
     return V, x1, x2
 
 
-def _finish(estimate_id, ratios, argmax):
+def _finish(estimate_id, ratios):
+    # one level has no trend to grade, and all() of none would pass it
+    if len(ratios) < 2:
+        raise ValidationError("estimators need at least two levels")
     trend = tuple(ratios[i + 1] / max(ratios[i], _TREND_FLOOR)
                   for i in range(len(ratios) - 1))
     bounded = all(t <= _TREND_LIMIT for t in trend)
-    return EstimateReport(estimate_id, tuple(ratios), argmax, trend, bounded)
+    return EstimateReport(estimate_id, tuple(ratios), trend, bounded)
 
 
 def estimate_lipschitz(levels):
     """Transversal difference-quotient sup across refinements.
 
-    Each level is (values, (x1_axis, x2_axis)) with the first axis
-    starting at the face x1 = 0.  The estimator reports the sup over
+    Two or more levels, each (values, (x1_axis, x2_axis)), the first
+    axis starting at the face x1 = 0.  The estimator reports the sup over
     interior nodes (a one-node collar is excluded) of
     |v(x1, x2) - v(0, x2)| / x1 and whether the sequence of sups grows
     by more than ten percent between consecutive refinements.
@@ -347,15 +311,12 @@ def estimate_lipschitz(levels):
     EstimateReport
     """
     ratios = []
-    argmax = ()
     for values, axes in levels:
-        V, x1, x2 = _load_level(values, axes)
+        V, x1, _ = _load_level(values, axes)
         Q = np.abs(V[1:-1, 1:-1] - V[0, 1:-1][None, :]) \
             / x1[1:-1][:, None]
         ratios.append(float(Q.max()))
-        i, j = np.unravel_index(np.argmax(Q), Q.shape)
-        argmax = (float(x1[i + 1]), float(x2[j + 1]))
-    return _finish("lipschitz", ratios, argmax)
+    return _finish("lipschitz", ratios)
 
 
 def estimate_weighted_hessian(levels):
@@ -370,7 +331,6 @@ def estimate_weighted_hessian(levels):
     EstimateReport
     """
     ratios = []
-    argmax = ()
     for values, axes in levels:
         V, x1, x2 = _load_level(values, axes)
         d1 = x1[1] - x1[0]
@@ -382,9 +342,7 @@ def estimate_weighted_hessian(levels):
         w1 = x1[1:-1][:, None]
         Q = w1 * np.abs(V11) + np.sqrt(w1) * np.abs(V12) + np.abs(V22)
         ratios.append(float(Q.max()))
-        i, j = np.unravel_index(np.argmax(Q), Q.shape)
-        argmax = (float(x1[i + 1]), float(x2[j + 1]))
-    return _finish("weighted-hessian", ratios, argmax)
+    return _finish("weighted-hessian", ratios)
 
 
 def estimate_face_asymptotics(levels):
@@ -393,10 +351,9 @@ def estimate_face_asymptotics(levels):
     The remainder is the field minus its separable extension, the
     discrete inclusion-exclusion F[i, j] = V[0, j] + V[i, 0] - V[0, 0]
     of the two face traces, which reproduces any separable field
-    exactly.  Three weights are
-    reported: the square root of the coordinate product, the symmetric
-    quadratic sum (identical to the product for two faces), and the
-    full product.  Nodes with a vanishing coordinate are excluded.
+    exactly.  Two weights are reported: the square root of the
+    coordinate product and the full product.  Nodes with a vanishing
+    coordinate are excluded.
 
     Parameters
     ----------
@@ -406,26 +363,17 @@ def estimate_face_asymptotics(levels):
     Returns
     -------
     dict of EstimateReport
-        Keyed by "root-product", "quadratic", "full-product".
+        Keyed by "root-product" and "full-product".
     """
-    acc = {key: ([], ()) for key in
-           ("root-product", "quadratic", "full-product")}
+    acc = {"root-product": [], "full-product": []}
     for values, axes in levels:
         V, x1, x2 = _load_level(values, axes, need_corner=True)
         F = V[0:1, :] + V[:, 0:1] - V[0, 0]
         R = np.abs(V - F)[1:-1, 1:-1]
-        X1, X2 = np.meshgrid(x1[1:-1], x2[1:-1], indexing="ij")
-        prod = X1 * X2
-        weights = {"root-product": np.sqrt(prod),
-                   "quadratic": prod,
-                   "full-product": prod}
-        for key, (ratios, _) in acc.items():
-            Q = R / weights[key]
-            ratios.append(float(Q.max()))
-            i, j = np.unravel_index(np.argmax(Q), Q.shape)
-            acc[key] = (ratios, (float(x1[i + 1]), float(x2[j + 1])))
-    return {key: _finish(key, ratios, argmax)
-            for key, (ratios, argmax) in acc.items()}
+        prod = np.outer(x1[1:-1], x2[1:-1])
+        acc["root-product"].append(float((R / np.sqrt(prod)).max()))
+        acc["full-product"].append(float((R / prod).max()))
+    return {key: _finish(key, ratios) for key, ratios in acc.items()}
 
 
 def interpolation_constant(k):

@@ -224,11 +224,13 @@ def test_06_barrier_margins():
     ok = True
     for label, P in (("square", unit_square()),
                      ("simplex", standard_simplex())):
-        # the product-power barrier has no boundary margin (None)
+        # the product-power barrier has no boundary margin (None); its
+        # differential margin is the sampled minimum of the curvature
+        # ratio, which bounds the curvature only if positive
         res = verify.verify_barrier("product-power", P, samples=400, seed=1)
-        good = res.margin_differential >= 0.0
+        good = res.margin_differential > 0.0
         ok = ok and good and len(res.samples) >= 200
-        details.append("product-power %s margin %.3g"
+        details.append("product-power %s minimum %.3g"
                        % (label, res.margin_differential))
 
     def model_u(x):

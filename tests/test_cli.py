@@ -12,7 +12,8 @@ import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli, geometry
+from gma import boundary, cli, geometry, verify
+from gma.errors import ValidationError
 from gma.problem import load_problem
 
 
@@ -311,6 +312,31 @@ class TestSolve:
         assert out["error"]["kind"] == kind
 
 
+    @pytest.mark.parametrize("chart, built", [("global", 0), ("face", 1)])
+    def test_lattice_limit_checked_before_the_boundary_build(
+            self, tmp_path, monkeypatch, chart, built):
+        # 17^3 cube nodes exceed a limit of 1,000 but the 17^2 nodes of
+        # each facet do not, so only the face chart reaches the build
+        calls = []
+
+        def build(*args, **kwargs):
+            calls.append(1)
+            raise ValidationError("build reached")
+
+        monkeypatch.setattr(gma.solver, "_MAX_LATTICE", 1000)
+        monkeypatch.setattr(cli, "build_boundary_data", build)
+        path = write_problem(
+            tmp_path / "cube.json",
+            cube_body({"type": "perturbed", "amplitude": 0.3}))
+        report = tmp_path / "r.json"
+        code = cli.run(["solve", path, "--chart", chart, "--grid", "17",
+                        "--report", str(report)])
+        assert code == 2
+        assert len(calls) == built
+        kind = json.loads(report.read_text())["error"]["kind"]
+        assert kind == ("ChartTooLarge" if chart == "global"
+                        else "ValidationError")
+
     def test_face_chart_reads_the_one_boundary_build(self, tmp_path,
                                                      monkeypatch):
         # the unit cube has 12 edges and 6 square facets; one boundary
@@ -466,6 +492,16 @@ class TestModel:
         table = np.loadtxt(dump, delimiter=",", skiprows=1)
         assert np.max(np.abs(table[:, 3])) <= 1e-2
 
+    def test_grid_above_lattice_limit_is_exit_two(self, tmp_path,
+                                                  monkeypatch):
+        # the model solver reads the chart solver's limit, with n = 2
+        monkeypatch.setattr(gma.solver, "_MAX_LATTICE", 1000)
+        report = tmp_path / "r.json"
+        assert cli.run(["model", "--grid", "33",
+                        "--report", str(report)]) == 2
+        out = json.loads(report.read_text())
+        assert out["error"]["kind"] == "ChartTooLarge"
+
 
 class TestVerify:
     def test_oracle_suite(self, tmp_path):
@@ -520,6 +556,47 @@ class TestVerify:
              "--seed", "3"]))
         assert (args.suite, args.levels, args.tol, args.max_iter,
                 args.seed) == ("all", (9, 17), 1e-9, 5, 3)
+
+    def test_product_power_zero_minimum_fails(self, tmp_path, monkeypatch):
+        # a curvature ratio whose sampled minimum is 0 bounds nothing
+        real = verify.verify_barrier
+
+        def flat(barrier_id, *args, **kwargs):
+            res = real(barrier_id, *args, **kwargs)
+            return res._replace(margin_differential=0.0) \
+                if barrier_id == "product-power" else res
+
+        monkeypatch.setattr(verify, "verify_barrier", flat)
+        report = tmp_path / "r.json"
+        code = cli.run(["verify", "--suite", "barriers", "--strict",
+                        "--report", str(report)])
+        assert code == 4
+        checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+        assert checks["product-power-square"]["pass"] is False
+        assert checks["product-power-square"]["constants"] == {
+            "alpha_exp": 0.25}
+
+    @pytest.mark.parametrize("levels", ["33", "9,9,9", "17,9", "9,17,3"])
+    def test_levels_that_grade_no_refinement_are_exit_two(
+            self, levels, monkeypatch, capsys):
+        # one level has no trend, a repeated or falling level grades no
+        # refinement, and a level below 4 has no probe grid; each is
+        # refused before any solve
+        def never(*args, **kwargs):
+            raise AssertionError("solved before --levels was checked")
+
+        monkeypatch.setattr(gma.solver, "newton_solve", never)
+        monkeypatch.setattr(verify, "newton_solve", never)
+        assert cli.run(["verify", "--suite", "asymptotics",
+                        "--levels", levels]) == 2
+        assert "--levels needs" in capsys.readouterr().err
+
+    def test_smallest_levels_grade_growth(self, capsys):
+        assert cli.run(["verify", "--suite", "asymptotics", "--levels", "4,5",
+                        "--deterministic"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["all_pass"] is True
+        assert all(len(c["trend"]) == 1 for c in out["checks"])
 
     def test_asymptotics_ratio_table(self, tmp_path):
         report = tmp_path / "r.json"
