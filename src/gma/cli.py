@@ -164,30 +164,36 @@ def _cmd_boundary(config):
     started = time.monotonic()
     prob = load_problem(config.problem)
     P = prob.polytope
+    n = P.dimension
+    if n >= 3:
+        # a facet chart is the largest chart the build makes
+        solver.require_lattice(config.grid, n - 1)
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol)
     keys = sorted(bd.traces, key=lambda key: (len(key), key))
-    payload = {
-        "consistency": bd.consistency,
-        "faces": [_face_label(key) for key in keys],
-    }
+    faces = []
+    labels, ts, pts = [], [], []
+    for key in keys:
+        face = P.faces[key]
+        record = {"face": _face_label(key), "dim": face.dim}
+        if face.dim >= 2:
+            # the Newton report of the one solve the build ran on it
+            record["solver"] = bd.traces[key].solution.report
+        else:
+            # a vertex is tabulated once, at t = 0
+            p, q = P.vertices[[face.vertex_ids[0], face.vertex_ids[-1]]]
+            t = np.linspace(0.0, 1.0, 33 if face.dim else 1)
+            labels.extend([record["face"]] * len(t))
+            ts.append(t)
+            pts.append((1.0 - t)[:, None] * p + t[:, None] * q)
+        faces.append(record)
+    payload = {"consistency": bd.consistency, "faces": faces}
     if config.dump:
-        n = P.dimension
         header = ["face", "t"] + ["x%d" % (i + 1) for i in range(n)] \
             + ["u", "v"]
-        labels, ts, pts = [], [], []
-        for key in keys:
-            face = P.faces[key]
-            if face.dim < 2:
-                # a vertex is tabulated once, at t = 0
-                p, q = P.vertices[[face.vertex_ids[0], face.vertex_ids[-1]]]
-                t = np.linspace(0.0, 1.0, 33 if face.dim else 1)
-                labels.extend([_face_label(key)] * len(t))
-                ts.append(t)
-                pts.append((1.0 - t)[:, None] * p + t[:, None] * q)
         ts = np.concatenate(ts)
         pts = np.vstack(pts)
         u = bd.u(pts)
-        v = bd.v(pts)
+        v = u - potential_values(P, pts)
         rows = [[label, float(t)] + [float(c) for c in x]
                 + [float(a), float(b)]
                 for label, t, x, a, b in zip(labels, ts, pts, u, v)]
@@ -220,35 +226,10 @@ def _reference_error(prob, sol):
 
 def _cmd_solve(config):
     started = time.monotonic()
-    if config.chart == "face" and config.dump:
-        raise ValidationError("--chart face tabulates nothing: --dump needs "
-                              "the global chart")
     prob = load_problem(config.problem)
     P = prob.polytope
-    if config.chart == "face" and P.dimension < 2:
-        raise ValidationError("--chart face needs dimension 2 or more: the "
-                              "facets of a segment are its vertices")
-    # the face chart solves the facets, the global chart the whole lattice
-    solver.require_lattice(config.grid, P.dimension - (config.chart == "face"))
+    solver.require_lattice(config.grid, P.dimension)
     bd = build_boundary_data(prob, grid=config.grid, tol=config.tol)
-
-    if config.chart == "face":
-        # the build solved every facet once and stopped on any facet that
-        # failed, so each record reads its facet's trace
-        entries = []
-        for key in sorted(k for k, f in P.faces.items()
-                          if f.dim == P.dimension - 1):
-            entry = {"face": _face_label(key), "dim": P.dimension - 1,
-                     "converged": True}
-            if P.dimension > 2:
-                entry["solver"] = bd.traces[key].solution.report
-            entries.append(entry)
-        payload = {"faces": entries, "solver": {"converged": True},
-                   "nodes": None, "boundary_consistency": bd.consistency,
-                   "max_error_vs_oracle": None}
-        _emit_report(config, payload, started)
-        return EXIT_OK
-
     sol, rep = solver.newton_solve(prob, boundary=bd, grid=config.grid,
                                    tol=config.tol,
                                    max_iter=config.max_iter)
@@ -294,7 +275,7 @@ def _cmd_model(config):
                                      msol.values.ravel()])
             header = ["z1", "z2", "w"] if config.form == "z" \
                 else ["x1", "x2", "v"]
-            _write_csv(config.dump, header, table.tolist())
+            _write_matrix(config.dump, header, table)
         else:
             # push the chart solution through the forward transform on
             # an x-grid strictly inside the chart and report the dual
@@ -484,10 +465,6 @@ _OPTIONS = {
                            "help": "sampling seed"}),
     "strict": (("--strict",), {"action": "store_true", "default": False,
                                "help": "exit 4 when a requested check fails"}),
-    "chart": (("--chart",), {
-        "choices": ("global", "face"), "default": "global",
-        "help": "one global chart, or the facet solves of the boundary "
-                "build"}),
     "form": (("--form",), {"choices": ("z", "x", "legendre"), "default": "z",
                            "help": "output coordinates for the dump"}),
     "depth": (("--depth",), {
@@ -516,8 +493,7 @@ _COMMANDS = {
     "boundary": (_cmd_boundary, "assemble and cross-check face traces",
                  ("problem", "grid", "tol", "dump")),
     "solve": (_cmd_solve, "solve the interior problem on a lattice chart",
-              ("problem", "grid", "tol", "max_iter", "dump", "strict",
-               "chart")),
+              ("problem", "grid", "tol", "max_iter", "dump", "strict")),
     "model": (_cmd_model, "solve the flat half-space model problem",
               ("grid", "tol", "max_iter", "dump", "strict", "form",
                "depth")),
@@ -538,6 +514,8 @@ _BOUNDS = (
     ("max_iter", lambda v: v >= 1, "--max-iter must be at least 1"),
     ("seed", lambda v: v >= 0, "--seed must be nonnegative"),
     ("depth", lambda v: v > 0.0, "--depth must be positive"),
+    ("point", lambda v: bool(np.all(np.isfinite(v))),
+     "--point coordinates must be finite"),
 )
 
 
@@ -573,8 +551,8 @@ def _config_from_args(args):
     """The options the run reads, defaults filled in and --levels and
     --point resolved, or a usage error for a given option it does not
     read (``--k`` with a problem file, an option of a verify suite not
-    run).  A setting out of bounds raises ValidationError, before any
-    file is read.  The report embeds this configuration.
+    run).  A bad setting or output path raises ValidationError before
+    any file is read.  The report embeds this configuration.
     """
     options = set(_COMMANDS[args.subcommand][2]) | {"report", "deterministic"}
     if args.subcommand == "oracle" and "problem" in args:
@@ -598,6 +576,11 @@ def _config_from_args(args):
     for name, ok, message in _BOUNDS:
         if name in args and not ok(getattr(args, name)):
             raise ValidationError(message)
+    for name in ("report", "dump"):
+        path = getattr(args, name, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValidationError("--%s %s names no file in an existing "
+                                  "directory" % (name, path))
     return args
 
 

@@ -44,6 +44,8 @@ class GuilleminProblem:
         if vv.shape != (nv,):
             raise ValidationError(
                 "expected %d vertex values, got shape %s" % (nv, vv.shape))
+        if not np.all(np.isfinite(vv)):
+            raise ValidationError("vertex values must be finite")
         self.vertex_values = vv
         self.name = name
 
@@ -157,6 +159,7 @@ def problem_from_dict(data):
         values = float(vv)
     elif isinstance(vv, list):
         values = np.zeros(len(P.vertices))
+        named = set()
         for entry in vv:
             try:
                 pt = np.asarray([float(c) for c in entry["point"]])
@@ -168,6 +171,10 @@ def problem_from_dict(data):
             if dists[i] > 1e-6 * max(1.0, P.diameter):
                 raise ValidationError(
                     "vertex value point %s matches no vertex" % (pt,))
+            if i in named:
+                raise ValidationError(
+                    "vertex %s is given two values" % (P.vertices[i],))
+            named.add(i)
             values[i] = val
     else:
         raise ParseError("vertex_values must be a number or a list")

@@ -1,7 +1,6 @@
 import json
 import os
 import pathlib
-import re
 import struct
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from scipy.interpolate import LinearNDInterpolator
 import gma.solver
 from gma import boundary, cli, geometry, verify
 from gma.errors import ValidationError
-from gma.problem import load_problem
 
 
 def write_problem(path, body):
@@ -76,7 +74,7 @@ COMMAND_OPTIONS = {
     "check": {},
     "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv"},
     "solve": {"--grid": "5", "--tol": "1e-10", "--max-iter": "30",
-              "--dump": "d.csv", "--strict": None, "--chart": "global"},
+              "--dump": "d.csv", "--strict": None},
     "model": {"--grid": "9", "--tol": "1e-10", "--max-iter": "30",
               "--dump": "d.csv", "--strict": None, "--form": "z",
               "--depth": "0.25"},
@@ -116,6 +114,9 @@ def test_options_follow_the_command_table(tmp_path, monkeypatch, command):
         if flag not in options:
             extra = [flag] if flag == "--strict" else [flag, "5"]
             assert cli.run(head + extra) == 64, flag
+    if command == "solve":
+        # the facet solves are read off the boundary build by `boundary`
+        assert cli.run(head + ["--chart", "face"]) == 64
 
 
 class TestCheck:
@@ -235,6 +236,38 @@ class TestParsing:
     def test_usage_error(self):
         assert cli.run(["frobnicate"]) == 64
 
+    @pytest.mark.parametrize("values", [
+        float("nan"), float("inf"),
+        [{"point": [0, 0], "value": 1.0}, {"point": [0, 0], "value": 2.0}]],
+        ids=["nan", "infinity", "named-twice"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_bad_vertex_values_are_exit_two(self, tmp_path, capsys,
+                                            command, values):
+        # json.load reads NaN and Infinity; a vertex named twice would
+        # otherwise keep its last value
+        body = simplex_body()
+        body["vertex_values"] = values
+        path = write_problem(tmp_path / "p.json", body)
+        grid = ["--grid", "9"] if command == "solve" else []
+        assert cli.run([command, path] + grid) == 2
+        assert "vertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--report", "missing/r.json"],
+        ["solve", "--grid", "9", "--dump", "missing/x.bin"],
+        ["solve", "--grid", "9", "--dump", "."]],
+        ids=["report-in-missing-dir", "dump-in-missing-dir", "dump-is-dir"])
+    def test_unwritable_output_path_is_exit_two(self, tmp_path, monkeypatch,
+                                                command):
+        # refused before the problem file is read, not after the solve
+        def never(*args, **kwargs):
+            raise AssertionError("built before the output path was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_boundary_data", never)
+        path = write_problem(tmp_path / "p.json", simplex_body())
+        assert cli.run(command[:1] + [path] + command[1:]) == 2
+
 
 class TestSolve:
     def test_simplex_unit_density_oracle(self, tmp_path):
@@ -312,125 +345,37 @@ class TestSolve:
         assert out["error"]["kind"] == kind
 
 
-    @pytest.mark.parametrize("chart, built", [("global", 0), ("face", 1)])
+    @pytest.mark.parametrize("command, limit", [("solve", 1000),
+                                                ("boundary", 100)])
     def test_lattice_limit_checked_before_the_boundary_build(
-            self, tmp_path, monkeypatch, chart, built):
-        # 17^3 cube nodes exceed a limit of 1,000 but the 17^2 nodes of
-        # each facet do not, so only the face chart reaches the build
+            self, tmp_path, monkeypatch, command, limit):
+        # solve charts the 17^3 cube nodes, boundary the 17^2 nodes of
+        # each facet; both exceed the limit, so neither reaches the build
         calls = []
 
         def build(*args, **kwargs):
             calls.append(1)
             raise ValidationError("build reached")
 
-        monkeypatch.setattr(gma.solver, "_MAX_LATTICE", 1000)
+        monkeypatch.setattr(gma.solver, "_MAX_LATTICE", limit)
         monkeypatch.setattr(cli, "build_boundary_data", build)
         path = write_problem(
             tmp_path / "cube.json",
             cube_body({"type": "perturbed", "amplitude": 0.3}))
         report = tmp_path / "r.json"
-        code = cli.run(["solve", path, "--chart", chart, "--grid", "17",
+        code = cli.run([command, path, "--grid", "17",
                         "--report", str(report)])
         assert code == 2
-        assert len(calls) == built
-        kind = json.loads(report.read_text())["error"]["kind"]
-        assert kind == ("ChartTooLarge" if chart == "global"
-                        else "ValidationError")
-
-    def test_face_chart_reads_the_one_boundary_build(self, tmp_path,
-                                                     monkeypatch):
-        # the unit cube has 12 edges and 6 square facets; one boundary
-        # build solves each once, where a build per facet would solve
-        # every edge once for each of its two facets
-        calls = {"build": 0, "edge": 0, "face": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(cli, "build_boundary_data",
-                            counted("build", cli.build_boundary_data))
-        monkeypatch.setattr(boundary, "solve_edge",
-                            counted("edge", boundary.solve_edge))
-        monkeypatch.setattr(gma.solver, "newton_solve",
-                            counted("face", gma.solver.newton_solve))
-        path = write_problem(
-            tmp_path / "cube.json",
-            cube_body({"type": "perturbed", "amplitude": 0.3}))
-        report = tmp_path / "r.json"
-        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
-                        "--report", str(report)])
-        assert code == 0
-        assert calls == {"build": 1, "edge": 12, "face": 6}
-        out = json.loads(report.read_text())
-        assert [f["face"] for f in out["faces"]] == [str(i) for i in range(6)]
-        assert all(f["dim"] == 2 and f["solver"]["converged"]
-                   for f in out["faces"])
-        consistency = out["boundary_consistency"]
-        assert consistency["max_mismatch"] <= consistency["tolerance"]
-        # each record is the facet solve of the build gma boundary runs
-        bd = boundary.build_boundary_data(load_problem(path), grid=9)
-        for f in out["faces"]:
-            rep = bd.traces[(int(f["face"]),)].solution.report
-            assert f["solver"]["iterations"] == rep["iterations"]
-            assert f["solver"]["residual_norm"] == rep["residual_norm"]
-
-    def test_face_chart_stops_on_a_failed_facet(self, tmp_path,
-                                                monkeypatch):
-        # a facet solve that reports no convergence stops the build with
-        # the SolverError that names the face
-        real = gma.solver.newton_solve
-
-        def unconverged(*args, **kwargs):
-            sol, rep = real(*args, **kwargs)
-            return sol, dict(rep, converged=False)
-
-        monkeypatch.setattr(gma.solver, "newton_solve", unconverged)
-        path = write_problem(
-            tmp_path / "cube.json",
-            cube_body({"type": "perturbed", "amplitude": 0.3}))
-        report = tmp_path / "r.json"
-        code = cli.run(["solve", path, "--chart", "face", "--grid", "5",
-                        "--report", str(report)])
-        assert code == 3
-        out = json.loads(report.read_text())
-        assert out["error"]["kind"] == "SolverError"
-        assert re.match(r"face \(\d+,\) did not converge",
-                        out["error"]["message"])
-
-    def test_face_chart_with_dump_is_exit_two(self, tmp_path):
-        # the face chart tabulates no field, so a dump request is refused
-        # before the boundary build rather than left unwritten
-        path = write_problem(tmp_path / "sq.json", square_body())
-        report = tmp_path / "r.json"
-        dump = tmp_path / "f.csv"
-        code = cli.run(["solve", path, "--chart", "face", "--dump", str(dump),
-                        "--report", str(report)])
-        assert code == 2
+        assert calls == []
         assert json.loads(report.read_text())["error"]["kind"] == \
-            "ValidationError"
-        assert not dump.exists()
-
-    def test_face_chart_on_segment_is_exit_two(self, tmp_path):
-        # the facets of a segment are its vertices, which have no solve
-        path = write_problem(tmp_path / "seg.json", {
-            "dimension": 1,
-            "facets": [{"normal": [1.0], "offset": 0.0},
-                       {"normal": [-1.0], "offset": -1.0}]})
-        report = tmp_path / "r.json"
-        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
-                        "--report", str(report)])
-        assert code == 2
-        assert json.loads(report.read_text())["exit_code"] == 2
+            "ChartTooLarge"
 
     def test_face_chart_on_nonsimple_polytope_is_exit_two(self, tmp_path):
         # every facet of the octahedron is a triangle whose corners lie
-        # on three more facets each
+        # on three more facets each, so the build charts no face
         path = write_problem(tmp_path / "oct.json", octahedron_body())
         report = tmp_path / "r.json"
-        code = cli.run(["solve", path, "--chart", "face", "--grid", "9",
+        code = cli.run(["boundary", path, "--grid", "9",
                         "--report", str(report)])
         assert code == 2
         out = json.loads(report.read_text())
@@ -455,6 +400,48 @@ class TestBoundary:
         edges = {l.split(",")[0] for l in lines[1:]}
         assert len(edges) == 8  # 4 vertices + 4 edges
 
+    def test_face_records_read_the_one_boundary_build(self, tmp_path,
+                                                      monkeypatch):
+        # the unit cube has 6 square facets, 12 edges and 8 vertices; one
+        # boundary build solves each edge and facet once, and each facet
+        # record carries the Newton report of its one solve
+        calls = {"edge": 0, "face": 0}
+        built = []
+        real_build = cli.build_boundary_data
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_boundary_data", build)
+        monkeypatch.setattr(boundary, "solve_edge",
+                            counted("edge", boundary.solve_edge))
+        monkeypatch.setattr(gma.solver, "newton_solve",
+                            counted("face", gma.solver.newton_solve))
+        path = write_problem(
+            tmp_path / "cube.json",
+            cube_body({"type": "perturbed", "amplitude": 0.3}))
+        report = tmp_path / "r.json"
+        code = cli.run(["boundary", path, "--grid", "9",
+                        "--report", str(report)])
+        assert code == 0
+        assert (len(built), calls) == (1, {"edge": 12, "face": 6})
+        faces = json.loads(report.read_text())["faces"]
+        assert len(faces) == 26
+        assert [f["dim"] for f in faces] == [2] * 6 + [1] * 12 + [0] * 8
+        assert [f["face"] for f in faces[:6]] == [str(i) for i in range(6)]
+        assert all("solver" not in f for f in faces[6:])
+        for f in faces[:6]:
+            rep = built[0].traces[(int(f["face"]),)].solution.report
+            assert rep["converged"] is True
+            assert f["solver"] == rep
+
 
 class TestModel:
     def test_flat_model_z_form(self, tmp_path):
@@ -469,6 +456,19 @@ class TestModel:
         z2 = table[:, 1]
         w = table[:, 2]
         assert np.max(np.abs(w - 0.5 * z2 ** 2)) <= 1e-8
+
+    def test_flat_model_z_form_binary_dump(self, tmp_path):
+        # every .bin dump is the packed GMA1 layout
+        for name in ("w.csv", "w.bin"):
+            assert cli.run(["model", "--form", "z", "--grid", "9",
+                            "--dump", str(tmp_path / name), "--report",
+                            str(tmp_path / "r.json")]) == 0
+        blob = (tmp_path / "w.bin").read_bytes()
+        magic, rows, cols, _ = struct.unpack("<4sIII", blob[:16])
+        assert magic == b"GMA1"
+        table = np.frombuffer(blob[16:], dtype="<f8").reshape(rows, cols)
+        assert np.array_equal(table, np.loadtxt(tmp_path / "w.csv",
+                                                delimiter=",", skiprows=1))
 
     def test_flat_model_x_form(self, tmp_path):
         dump = tmp_path / "v.csv"
@@ -656,6 +656,16 @@ class TestOracle:
         config = json.loads(report.read_text())["config"]
         assert set(config) == {"subcommand", "deterministic", "problem",
                                "point"}
+
+    @pytest.mark.parametrize("head, point", [
+        (["--k", "1"], "nan,0.5"), (["--k", "1"], "inf,0.5"),
+        ([], "0.2,nan")], ids=["nan", "infinity", "problem-nan"])
+    def test_nonfinite_point_is_exit_two(self, tmp_path, capsys, head, point):
+        # NaN and Infinity are not JSON, so no report may carry them
+        if not head:
+            head = [write_problem(tmp_path / "p.json", square_body())]
+        assert cli.run(["oracle"] + head + ["--point", point]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_outside_quadrant_is_validation_error(self, tmp_path):
         code = cli.run(["oracle", "--k", "1", "--point", "-1.0,0.0",
