@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .problem import GuilleminProblem
+from .problem import GuilleminProblem, vertex_rule
 
 _LEG = np.polynomial.legendre
 _GL_NODES, _GL_WEIGHTS = _LEG.leggauss(15)
@@ -156,7 +156,7 @@ class EdgeProfile:
     at the right takes the endpoint singularity of h/(ab) in closed form:
     the numerator of q vanishes at both ends, so q is bounded and w is
     the regular part.  c_a and c_b are 1 when the endpoint matching
-    condition holds exactly, and within the vertex rule's 1e-8 of it.
+    condition holds exactly, and within ``COMPATIBILITY_RTOL`` of it.
     The profile keeps the panels that :func:`solve_edge` accepted: the
     moments of q up to each panel start, and the second antiderivative
     of the panel's Legendre interpolant of the q samples the quadrature
@@ -223,17 +223,22 @@ def _gauss_panels(q, lo, hi):
     evaluated at the nodes of all panels in one call.  Returns one row
     per panel: the moments I0 = int q and I1 = int t q, the smallest |ab|
     over the nodes where ab > 0 (1 when there is none), the largest |h|
-    and the 15 samples of q.
+    and the 15 samples of q.  Non-finite moments raise QuadratureFailure.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     s = mid[:, None] + half[:, None] * _GL_NODES
     qs, den, hs = q(s)
+    moments = np.column_stack([half * (qs @ _GL_WEIGHTS),
+                               half * ((s * qs) @ _GL_WEIGHTS)])
+    finite = np.isfinite(moments).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise QuadratureFailure("panel [%.17g, %.17g] has a non-finite "
+                                "integrand" % (lo[i], hi[i]))
     dmin = np.min(np.where(den <= 0.0, np.inf, np.abs(den)), axis=1)
     dmin[np.isinf(dmin)] = 1.0
-    return np.column_stack([half * (qs @ _GL_WEIGHTS),
-                            half * ((s * qs) @ _GL_WEIGHTS), dmin,
-                            np.max(np.abs(hs), axis=1), qs])
+    return np.column_stack([moments, dmin, np.max(np.abs(hs), axis=1), qs])
 
 
 def solve_edge(problem, tol=1e-10):
@@ -274,7 +279,8 @@ def solve_edge(problem, tol=1e-10):
         functionals, so q is unbounded and no solution with the split
         structure exists.
     QuadratureFailure
-        Panel bisection hit the depth limit without converging.
+        Panel bisection hit the depth limit without converging, or the
+        integrand is not finite on some panel.
     """
     P = problem.polytope
     if P.dimension != 1 or len(P.facets) != 2:
@@ -305,8 +311,9 @@ def solve_edge(problem, tol=1e-10):
     a_at_hi = a_slope * (t_hi - t_lo)
     required = np.array([b_at_lo * a_slope ** 2, a_at_hi * b_slope ** 2])
     got = hfun(np.array([t_lo, t_hi]))
-    for t_end, h_end, req in zip((t_lo, t_hi), got, required):
-        if abs(h_end - req) > 1e-8 * max(abs(req), abs(h_end)):
+    for t_end, h_end, req, ok in zip((t_lo, t_hi), got, required,
+                                     vertex_rule(got, required)):
+        if not ok:
             raise IncompatibleEndpoint(
                 "density %.17g at t=%.17g, endpoint structure needs %.17g"
                 % (h_end, t_end, req))

@@ -22,9 +22,7 @@ from scipy.special import xlogy
 
 from . import geometry, legendre, solver, verify
 from .boundary import build_boundary_data
-from .errors import (DegenerateTransversalHessian, GmaError,
-                     InconsistentTraces, NonEllipticIterate, ParseError,
-                     QuadratureFailure, SolverError, ValidationError)
+from .errors import GmaError, ParseError, SolverError, ValidationError
 from .guillemin import guillemin_density, potential_values
 from .problem import COMPATIBILITY_RTOL, SCHEMA_VERSION, load_problem
 
@@ -34,9 +32,6 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 EXIT_CHECKS = 4
 EXIT_USAGE = 64
-
-_SOLVER_FAILURES = (SolverError, QuadratureFailure, InconsistentTraces,
-                    NonEllipticIterate, DegenerateTransversalHessian)
 
 _EPILOG = """\
 exit codes:
@@ -78,7 +73,10 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        # NaN and Infinity are not JSON
+        return None
     return obj
 
 
@@ -92,7 +90,8 @@ def _emit_report(config, payload, started=None):
                          if name not in ("report", "dump")}
     if started is not None and not config.deterministic:
         payload["elapsed_s"] = round(time.monotonic() - started, 3)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
     if config.report:
         Path(config.report).write_text(text + "\n", encoding="ascii")
     else:
@@ -145,12 +144,11 @@ def _cmd_check(config):
         _emit_report(config, payload, started)
         return EXIT_INVALID
     residuals = prob.compatibility_residuals()
-    max_abs = float(np.max(np.abs(residuals))) if len(residuals) else 0.0
     ok = prob.compatibility_ok()
     payload["nonsimple_vertices"] = []
     payload["compatibility"] = {
         "residuals": [float(r) for r in residuals],
-        "max_abs": max_abs,
+        "max_abs": float(np.max(np.abs(residuals))),
         "tolerance": "%g |h(p)| per vertex" % COMPATIBILITY_RTOL,
         "pass": bool(ok),
     }
@@ -428,20 +426,19 @@ def _cmd_oracle(config):
             raise ValidationError(
                 "--point length %d does not match the problem "
                 "dimension %d" % (x.size, P.dimension))
-        payload = {
-            "point": list(config.point),
-            "density": float(guillemin_density(P, x)),
-            "potential": float(potential_values(P, x)),
-        }
+        payload = {"density": float(guillemin_density(P, x)),
+                   "potential": float(potential_values(P, x))}
     else:
         if config.k is None:
             raise ValidationError(
                 "oracle needs --k when no problem file is given")
         # value, gradient, hessian and residual under their field names
-        payload = {"point": list(config.point), "k": int(config.k),
-                   "n": len(config.point),
+        payload = {"k": int(config.k), "n": len(config.point),
                    **verify.liouville_oracle(x, config.k)._asdict()}
-    _emit_report(config, payload, started)
+    if not all(np.all(np.isfinite(v)) for v in payload.values()):
+        raise ValidationError("reference values at --point %s overflow"
+                              % ",".join(map(repr, config.point)))
+    _emit_report(config, {"point": list(config.point), **payload}, started)
     return EXIT_OK
 
 
@@ -542,7 +539,7 @@ def _build_parser():
 def _classify(exc):
     if isinstance(exc, ParseError):
         return EXIT_PARSE
-    if isinstance(exc, _SOLVER_FAILURES):
+    if isinstance(exc, SolverError):
         return EXIT_SOLVER
     return EXIT_INVALID
 
@@ -551,8 +548,9 @@ def _config_from_args(args):
     """The options the run reads, defaults filled in and --levels and
     --point resolved, or a usage error for a given option it does not
     read (``--k`` with a problem file, an option of a verify suite not
-    run).  A bad setting or output path raises ValidationError before
-    any file is read.  The report embeds this configuration.
+    run).  A bad setting or output path, or a ``.bin`` dump of a table
+    with text columns, raises ValidationError before any file is read.
+    The report embeds this configuration.
     """
     options = set(_COMMANDS[args.subcommand][2]) | {"report", "deterministic"}
     if args.subcommand == "oracle" and "problem" in args:
@@ -581,6 +579,10 @@ def _config_from_args(args):
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ValidationError("--%s %s names no file in an existing "
                                   "directory" % (name, path))
+    if args.subcommand in ("boundary", "verify") \
+            and str(args.dump).endswith(".bin"):
+        raise ValidationError("--dump %s: %s tables have text columns"
+                              % (args.dump, args.subcommand))
     return args
 
 

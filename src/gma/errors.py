@@ -11,6 +11,10 @@ class GmaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class SolverError(GmaError):
+    """Base class for solves, quadratures and face checks that fail."""
+
+
 # ---------------------------------------------------------------------------
 # polytope construction and face charts
 
@@ -64,20 +68,16 @@ class IncompatibleEndpoint(GmaError):
     """Edge data violates the vertex matching condition."""
 
 
-class QuadratureFailure(GmaError):
+class QuadratureFailure(SolverError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class InconsistentTraces(GmaError):
+class InconsistentTraces(SolverError):
     """Face solutions disagree where faces meet."""
 
 
 # ---------------------------------------------------------------------------
 # interior solver
-
-
-class SolverError(GmaError):
-    """Base class for iteration failures in the Newton solver."""
 
 
 class NonConvexIterate(SolverError):
@@ -96,11 +96,11 @@ class SingularJacobian(SolverError):
 # partial Legendre transform and model problems
 
 
-class DegenerateTransversalHessian(GmaError):
+class DegenerateTransversalHessian(SolverError):
     """The Hessian block in the transformed directions is singular."""
 
 
-class NonEllipticIterate(GmaError):
+class NonEllipticIterate(SolverError):
     """A model-problem iterate left the ellipticity cone."""
 
 

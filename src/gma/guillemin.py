@@ -4,8 +4,8 @@ The canonical potential sum_i l_i(x) log l_i(x) solves the degenerate
 Monge-Ampere problem with a computable right-hand side: its induced
 density h_G = (prod_i l_i) det(sum_i n_i n_i^t / l_i) extends continuously
 to the closed polytope when the polytope is simple.  This module evaluates
-the potential, the induced density, the vertex compatibility residual
-and the inclusion-exclusion boundary extension.
+the potential, the induced density and the inclusion-exclusion
+boundary extension.
 """
 
 import itertools
@@ -13,11 +13,7 @@ import itertools
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import (
-    MissingTrace,
-    NonSimpleVertex,
-    OutsideDomain,
-)
+from .errors import MissingTrace, OutsideDomain
 
 
 def _require_inside(P, x, what):
@@ -59,29 +55,6 @@ def guillemin_density(P, x):
     OutsideDomain
     """
     return _bordered_determinant(P, _require_inside(P, x, "density")[1])
-
-
-def check_vertex_compatibility(P, h, vertex_id):
-    """Signed residual of the vertex matching condition for the density.
-
-    The density must equal the induced density h_G at each vertex p,
-    where h_G reads the product of the inactive functionals times the
-    squared determinant of the active normals.  Returns h(p) - h_G(p).
-    The value is not invariant under rescaling the functionals; the
-    facet list is taken as given.
-
-    Raises
-    ------
-    NonSimpleVertex
-        The vertex does not lie on exactly n facets.
-    """
-    active = P.vertex_active[vertex_id]
-    if len(active) != P.dimension:
-        raise NonSimpleVertex(
-            "vertex %d lies on %d facets, expected %d"
-            % (vertex_id, len(active), P.dimension))
-    p = P.vertices[vertex_id]
-    return float(h(p) - _bordered_determinant(P, P.evaluate_all(p)))
 
 
 class DensitySpec:

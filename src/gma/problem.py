@@ -12,13 +12,20 @@ import json
 import numpy as np
 
 from . import geometry
-from .errors import GmaError, ParseError, ValidationError
-from .guillemin import DensitySpec, check_vertex_compatibility
+from .errors import GmaError, NonSimpleVertex, ParseError, ValidationError
+from .guillemin import DensitySpec, _bordered_determinant
 
 SCHEMA_VERSION = 1
-# vertex residuals may reach this fraction of |h(p)|; `gma check` and the
-# boundary build both apply it through compatibility_ok
+# vertex residuals may reach this fraction of |h(p)|; `gma check`, the
+# boundary build and the edge solve all apply it through vertex_rule
 COMPATIBILITY_RTOL = 1e-8
+
+
+def vertex_rule(h, h_required):
+    """True where h is finite and within COMPATIBILITY_RTOL |h| of the
+    value h_required that the vertex matching condition forces."""
+    tol = COMPATIBILITY_RTOL * np.maximum(np.abs(h), 1e-30)
+    return np.isfinite(h) & (np.abs(h - h_required) <= tol)
 
 
 class GuilleminProblem:
@@ -53,18 +60,28 @@ class GuilleminProblem:
     def dimension(self):
         return self.polytope.dimension
 
+    def _vertex_densities(self):
+        """h(p) by one density call and h_G(p) by one bordered determinant,
+        at every vertex p; raises NonSimpleVertex first if some vertex does
+        not lie on exactly n facets."""
+        P = self.polytope
+        for i, active in enumerate(P.vertex_active):
+            if len(active) != P.dimension:
+                raise NonSimpleVertex(
+                    "vertex %d lies on %d facets, expected %d"
+                    % (i, len(active), P.dimension))
+        return (np.asarray(self.density(P.vertices), dtype=float),
+                _bordered_determinant(P, P.evaluate_all(P.vertices)))
+
     def compatibility_residuals(self):
-        """Vertex matching residuals, one per vertex."""
-        return np.array([
-            check_vertex_compatibility(self.polytope, self.density, i)
-            for i in range(len(self.polytope.vertices))])
+        """Vertex matching residuals h(p) - h_G(p), one per vertex; they
+        scale with the functionals, taken as given."""
+        h, h_G = self._vertex_densities()
+        return h - h_G
 
     def compatibility_ok(self):
-        """True when every vertex residual is at most 1e-8 times |h(p)|."""
-        h = np.abs(np.asarray(self.density(self.polytope.vertices),
-                              dtype=float))
-        tol = COMPATIBILITY_RTOL * np.maximum(h, 1e-30)
-        return bool(np.all(np.abs(self.compatibility_residuals()) <= tol))
+        """True when the vertex rule holds at every vertex."""
+        return bool(np.all(vertex_rule(*self._vertex_densities())))
 
     def transform(self, M, b):
         """The problem in new coordinates xi with x = M xi + b.

@@ -199,6 +199,17 @@ def test_04_twin_fails_on_a_scaled_determinant(monkeypatch):
     assert induced_density_gap() > 1e-10
 
 
+def test_04_residuals_read_the_induced_density():
+    # for a constant density c the residuals are c - h_G(p), one batched
+    # bordered determinant against the distinct-index expansion
+    c = 2.5
+    for P in criterion_04_polytopes():
+        prob = GuilleminProblem(P, DensitySpec.constant(c), 0.0)
+        got = c - prob.compatibility_residuals()
+        ref = induced_density(P.normals, P.evaluate_all(P.vertices))
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_05_octahedron_density_degenerates_at_nonsimple_vertex():
     s = 1.0 / np.sqrt(3.0)
     facets = []

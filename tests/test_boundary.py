@@ -427,6 +427,29 @@ class TestSolveEdge:
         profile.u(0.5)
         assert calls == []
 
+    def test_non_finite_integrand_stops_at_once(self, monkeypatch):
+        # compatible at both ends and NaN inside: NaN moments fail every
+        # error test, so without the finiteness check bisection would
+        # double the panels at every level up to the depth limit
+        monkeypatch.setattr(boundary, "_MAX_DEPTH", 8)
+        points = []
+
+        def h(t):
+            points.append(len(t))
+            s = t[..., 0]
+            return np.where((s > 0.0) & (s < 1.0), np.nan, 1.0)
+
+        with pytest.raises(QuadratureFailure, match="non-finite integrand"):
+            boundary.solve_edge(interval_problem(h))
+        # the two ends, then the whole edge and its halves at 15 nodes
+        assert sum(points) <= 2 + 3 * 15
+
+    def test_infinite_density_is_incompatible(self, monkeypatch):
+        monkeypatch.setattr(boundary, "_MAX_DEPTH", 8)
+        prob = interval_problem(lambda t: np.full(len(t), np.inf))
+        with pytest.raises(IncompatibleEndpoint):
+            boundary.solve_edge(prob)
+
     @pytest.mark.parametrize("leg", [1.0, 1e-3])
     def test_off_vertex_density_keeps_few_panels(self, leg):
         for facet in range(3):

@@ -11,8 +11,8 @@ import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli, geometry, verify
-from gma.errors import ValidationError
+from gma import boundary, cli, errors, geometry, verify
+from gma.errors import QuadratureFailure, ValidationError
 
 
 def write_problem(path, body):
@@ -55,6 +55,20 @@ def cube_body(density):
         facets.append({"normal": e, "offset": 0.0})
         facets.append({"normal": [-c for c in e], "offset": -1.0})
     return {"dimension": 3, "facets": facets, "density": density}
+
+
+def infinite_density_problem(path):
+    # JSON reads 1e309 as inf, so the density is infinite everywhere
+    body = json.dumps(simplex_body({"type": "constant", "value": "c"}))
+    path.write_text(body.replace('"c"', "1e309"))
+    return str(path)
+
+
+def strict_json(text):
+    # RFC 8259 has no NaN or Infinity
+    def reject(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(text, parse_constant=reject)
 
 
 def octahedron_body():
@@ -206,6 +220,15 @@ class TestCheck:
         assert cli.run(["solve", path, "--grid", "5", "--report",
                         str(tmp_path / "s.json")]) == 2
 
+    def test_infinite_density_fails(self, tmp_path):
+        # inf - h_G <= 1e-8 inf reads true, so the rule asks for finite h
+        path = infinite_density_problem(tmp_path / "p.json")
+        report = tmp_path / "r.json"
+        assert cli.run(["check", path, "--report", str(report)]) == 2
+        out = strict_json(report.read_text())
+        assert out["compatibility"]["max_abs"] is None
+        assert out["compatibility"]["pass"] is False
+
 
 class TestParsing:
     def test_malformed_json(self, tmp_path):
@@ -268,6 +291,58 @@ class TestParsing:
         path = write_problem(tmp_path / "p.json", simplex_body())
         assert cli.run(command[:1] + [path] + command[1:]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["boundary", "p.json", "--dump", "t.bin"],
+        ["verify", "--suite", "oracles", "--dump", "v.bin"]],
+        ids=["boundary", "verify"])
+    def test_binary_dump_of_a_text_table_is_exit_two(
+            self, tmp_path, monkeypatch, command):
+        # the packed GMA1 layout holds floats only, and these tables
+        # have text columns; refused before anything runs
+        def never(*args, **kwargs):
+            raise AssertionError("built before the dump path was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_boundary_data", never)
+        write_problem(tmp_path / "p.json", simplex_body())
+        assert cli.run(command) == 2
+        assert not (tmp_path / command[-1]).exists()
+
+
+# the README's exit code for every error class: 1 for an unreadable
+# problem file, 3 for a numerical failure, 2 for any other invalid input
+EXIT_CODES = {
+    "GmaError": 2, "Unbounded": 2, "EmptyInterior": 2, "RedundantFacet": 2,
+    "DegenerateNormals": 2, "NotAFace": 2, "ChartTooLarge": 2,
+    "OutsideDomain": 2, "NonSimpleVertex": 2, "MissingTrace": 2,
+    "IncompatibleEndpoint": 2, "QuadratureFailure": 3,
+    "InconsistentTraces": 3, "SolverError": 3, "NonConvexIterate": 3,
+    "LineSearchStall": 3, "SingularJacobian": 3,
+    "DegenerateTransversalHessian": 3, "NonEllipticIterate": 3,
+    "OutsideQuadrant": 2, "ParseError": 1, "ValidationError": 2,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {name for name, c in vars(errors).items()
+               if isinstance(c, type) and issubclass(c, errors.GmaError)}
+    assert classes == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_class_decides_the_exit_code(tmp_path, monkeypatch, name):
+    def fail(config):
+        raise getattr(errors, name)("raised by the test command")
+
+    _, help_line, options = cli._COMMANDS["check"]
+    monkeypatch.setitem(cli._COMMANDS, "check", (fail, help_line, options))
+    report = tmp_path / "r.json"
+    code = cli.run(["check", "p.json", "--report", str(report)])
+    assert code == EXIT_CODES[name]
+    out = json.loads(report.read_text())
+    assert out["error"]["kind"] == name
+    assert out["exit_code"] == code
+
 
 class TestSolve:
     def test_simplex_unit_density_oracle(self, tmp_path):
@@ -301,6 +376,19 @@ class TestSolve:
             assert code == 0
             outs.append((report.read_bytes(), dump.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_infinite_density_solves_no_edge(self, tmp_path, monkeypatch):
+        # the vertex rule refuses the density before any edge quadrature
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise QuadratureFailure("solve_edge ran")
+
+        monkeypatch.setattr(boundary, "solve_edge", spy)
+        path = infinite_density_problem(tmp_path / "p.json")
+        assert cli.run(["solve", path, "--grid", "9"]) == 2
+        assert calls == []
 
     def test_binary_dump(self, tmp_path):
         path = write_problem(tmp_path / "p.json", simplex_body())
@@ -666,6 +754,13 @@ class TestOracle:
             head = [write_problem(tmp_path / "p.json", square_body())]
         assert cli.run(["oracle"] + head + ["--point", point]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_value_is_exit_two(self, capsys):
+        # x log x overflows at 1e308; the report may not carry Infinity
+        assert cli.run(["oracle", "--k", "1", "--point", "1e308,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
 
     def test_outside_quadrant_is_validation_error(self, tmp_path):
         code = cli.run(["oracle", "--k", "1", "--point", "-1.0,0.0",

@@ -197,43 +197,49 @@ class TestInducedDensity:
             guillemin.guillemin_density(simplex2d(), [1.0, 1.0])
 
 
+def residuals(P, h):
+    return GuilleminProblem(P, h).compatibility_residuals()
+
+
 class TestVertexCompatibility:
     def test_simplex_origin(self):
         P = simplex2d()
         h = guillemin.DensitySpec.constant(1.0)
         vid = next(i for i, a in enumerate(P.vertex_active) if a == (0, 1))
-        assert abs(guillemin.check_vertex_compatibility(P, h, vid)) <= 1e-14
+        assert abs(residuals(P, h)[vid]) <= 1e-14
 
     def test_simplex_other_vertex(self):
         P = simplex2d()
         h = guillemin.DensitySpec.constant(1.0)
         vid = int(np.argmin(np.linalg.norm(P.vertices - [1.0, 0.0], axis=1)))
-        assert abs(guillemin.check_vertex_compatibility(P, h, vid)) <= 1e-14
+        assert abs(residuals(P, h)[vid]) <= 1e-14
 
     def test_square_constant_two(self):
         P = unit_square()
         h = guillemin.DensitySpec.constant(2.0)
         vid = int(np.argmin(np.linalg.norm(P.vertices, axis=1)))
-        assert np.isclose(guillemin.check_vertex_compatibility(P, h, vid), 1.0)
+        assert np.isclose(residuals(P, h)[vid], 1.0)
 
     def test_induced_density_compatible_everywhere(self):
         for P in (simplex2d(), unit_square(), trapezoid()):
             h = guillemin.DensitySpec.guillemin(P)
+            res = residuals(P, h)
             for vid in range(len(P.vertices)):
-                r = guillemin.check_vertex_compatibility(P, h, vid)
-                assert abs(r) <= 1e-10
+                assert abs(res[vid]) <= 1e-10
 
     def test_perturbed_density_compatible(self):
         P = trapezoid()
         h = guillemin.DensitySpec.perturbed(P, 0.3)
+        res = residuals(P, h)
         for vid in range(len(P.vertices)):
-            assert abs(guillemin.check_vertex_compatibility(P, h, vid)) <= 1e-10
+            assert abs(res[vid]) <= 1e-10
 
     def test_non_simple_vertex_raises(self):
         P = octahedron()
         h = guillemin.DensitySpec.constant(1.0)
-        with pytest.raises(NonSimpleVertex):
-            guillemin.check_vertex_compatibility(P, h, 0)
+        with pytest.raises(NonSimpleVertex,
+                           match="vertex 0 lies on 4 facets, expected 3"):
+            residuals(P, h)
 
     def test_rescaling_covariance(self):
         # the required vertex value picks up prod(lam_inactive) * prod(lam_active^2)
@@ -244,15 +250,39 @@ class TestVertexCompatibility:
             [geometry.AffineFunctional(lam[i] * f.normal, lam[i] * f.offset)
              for i, f in enumerate(P.facets)])
         zero = guillemin.DensitySpec.constant(0.0)
+        res, res2 = residuals(P, zero), residuals(scaled, zero)
         for vid, active in enumerate(P.vertex_active):
-            req = -guillemin.check_vertex_compatibility(P, zero, vid)
+            req = -res[vid]
             # match the vertex in the rescaled polytope
             p = P.vertices[vid]
             vid2 = int(np.argmin(np.linalg.norm(scaled.vertices - p, axis=1)))
-            req2 = -guillemin.check_vertex_compatibility(scaled, zero, vid2)
+            req2 = -res2[vid2]
             inactive = [i for i in range(len(P.facets)) if i not in active]
             factor = np.prod(lam[inactive]) * np.prod(lam[list(active)]) ** 2
             assert np.isclose(req2, factor * req, rtol=1e-10)
+
+    @pytest.mark.parametrize("method", ["compatibility_ok",
+                                        "compatibility_residuals"])
+    def test_one_density_call_on_the_vertices(self, method):
+        P = trapezoid()
+        h = guillemin.DensitySpec.perturbed(P, 0.3)
+        calls = []
+
+        def spy(x):
+            calls.append(np.array(x))
+            return h(x)
+
+        getattr(GuilleminProblem(P, guillemin.DensitySpec.from_callable(spy)),
+                method)()
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], P.vertices)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_density_fails(self, value):
+        # inf - h_G <= 1e-8 inf would read true without the finite test
+        prob = GuilleminProblem(unit_square(),
+                                guillemin.DensitySpec.constant(value))
+        assert not prob.compatibility_ok()
 
 
 class TestDensitySpec:
