@@ -540,9 +540,10 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     -------
     BoundaryData
         ``consistency`` holds ``max_mismatch`` (the largest gap),
-        ``tolerance`` (ten times ``tol``) and ``pairs`` (the number of
-        points compared: two per edge, and the chart boundary nodes of
-        every face of dimension two or more).
+        ``tolerance`` (10 ``tol`` max(1, |alpha(p)|, |sum l log l(p)|)
+        over the vertices p) and ``pairs`` (the points compared: two
+        per edge, and the chart boundary nodes of every face of
+        dimension two or more).
 
     Raises
     ------
@@ -575,7 +576,10 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     # filled in increasing dimension; a face solve reads only the traces
     # of lower dimension
     bd = BoundaryData(problem, traces, None)
-    tolerance = 10.0 * tol
+    # the s log s terms round relative to the size of the data
+    tolerance = 10.0 * tol * max(
+        1.0, float(np.max(np.abs(problem.vertex_values))),
+        float(np.max(np.abs(guillemin.potential_values(P, P.vertices)))))
 
     max_mismatch = 0.0
     pairs = 0

@@ -4,16 +4,13 @@ The canonical potential sum_i l_i(x) log l_i(x) solves the degenerate
 Monge-Ampere problem with a computable right-hand side: its induced
 density h_G = (prod_i l_i) det(sum_i n_i n_i^t / l_i) extends continuously
 to the closed polytope when the polytope is simple.  This module evaluates
-the potential, the induced density and the inclusion-exclusion
-boundary extension.
+the potential, the induced density and the density families.
 """
-
-import itertools
 
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import MissingTrace, OutsideDomain
+from .errors import OutsideDomain
 
 
 def _require_inside(P, x, what):
@@ -116,43 +113,3 @@ class DensitySpec:
     @classmethod
     def from_callable(cls, fn):
         return cls(fn)
-
-
-def smooth_extension(trace_fn, x, k):
-    """Inclusion-exclusion extension of boundary traces into the corner.
-
-    F(x) = sum over nonempty subsets S of the first k coordinates of
-    (-1)^(|S|+1) v(x with coordinates in S set to zero).  F agrees with v
-    wherever some of the first k coordinates vanish, and only ever
-    evaluates v at such points.
-
-    Parameters
-    ----------
-    trace_fn : callable
-        Boundary data; must accept points whose first k coordinates are
-        partially zeroed and may be vectorized over leading axes.
-    x : array_like, shape (..., n)
-    k : int
-        Number of singular coordinates.
-
-    Raises
-    ------
-    MissingTrace
-        The trace evaluator produced a non-finite value.
-    """
-    x = np.asarray(x, dtype=float)
-    acc = None
-    for r in range(1, k + 1):
-        for S in itertools.combinations(range(k), r):
-            y = x.copy()
-            y[..., list(S)] = 0.0
-            term = np.asarray(trace_fn(y), dtype=float)
-            if not np.all(np.isfinite(term)):
-                raise MissingTrace(
-                    "trace evaluator returned non-finite data on {x_%s = 0}"
-                    % ",".join(str(s) for s in S))
-            sign = 1.0 if r % 2 == 1 else -1.0
-            acc = sign * term if acc is None else acc + sign * term
-    if acc is None:
-        raise ValueError("k must be at least 1")
-    return float(acc) if acc.ndim == 0 else acc

@@ -111,12 +111,20 @@ class GuilleminProblem:
                                 name=self.name)
 
 
+def _finite(value, field):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError("density '%s' must be finite, got %r"
+                              % (field, value))
+    return value
+
+
 def _density_from_dict(d, P):
     kind = d.get("type")
     if kind == "constant":
         if "value" not in d:
             raise ParseError("constant density needs a 'value'")
-        c = float(d["value"])
+        c = _finite(d["value"], "value")
         if c <= 0:
             raise ValidationError("constant density must be positive")
         return DensitySpec.constant(c)
@@ -127,15 +135,16 @@ def _density_from_dict(d, P):
         coeffs = {}
         for t in terms:
             try:
-                coeffs[tuple(int(e) for e in t["exponents"])] = float(t["coeff"])
+                coeffs[tuple(int(e) for e in t["exponents"])] = _finite(
+                    t["coeff"], "coeff")
             except (KeyError, TypeError) as exc:
                 raise ParseError("bad polynomial term %r" % (t,)) from exc
         return DensitySpec.polynomial(coeffs, P.dimension)
     if kind == "guillemin":
         return DensitySpec.guillemin(P)
     if kind == "perturbed":
-        c = float(d.get("amplitude", 0.0))
-        return DensitySpec.perturbed(P, c)
+        return DensitySpec.perturbed(P, _finite(d.get("amplitude", 0.0),
+                                                "amplitude"))
     raise ParseError("unknown density type %r" % (kind,))
 
 

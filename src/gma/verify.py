@@ -89,7 +89,8 @@ def liouville_oracle(x, k):
     if np.any(head <= 0.0):
         raise OutsideQuadrant(
             "oracle needs the first %d coordinates positive" % k)
-    value = np.sum(head * np.log(head), -1) + 0.5 * np.sum(tail ** 2, -1)
+    with np.errstate(over="ignore"):  # callers test the value
+        value = np.sum(head * np.log(head), -1) + 0.5 * np.sum(tail ** 2, -1)
     gradient = np.concatenate([1.0 + np.log(head), tail], axis=-1)
     hessian = np.zeros(x.shape + (n,))
     hessian[..., range(n), range(n)] = np.concatenate(
@@ -138,33 +139,6 @@ def _check_product_power(P, samples, constants, seed):
                         float(np.min(vals)), None)
 
 
-def _check_face_lift(samples, constants, seed, u):
-    c0 = float(constants.get("C0", 1.0))
-    depth = float(constants.get("depth", 0.5))
-    rng = np.random.default_rng(seed)
-    x1 = 10.0 ** rng.uniform(-3, 0, samples) * depth
-    x2 = rng.uniform(-1.0, 1.0, samples)
-    pts = np.column_stack([x1, x2])
-
-    # for the unit density the lift of the face trace by C0 x1 log x1
-    # has Hessian determinant C0 / x1 through the trace equation, so the
-    # differential comparison reduces to one closed-form quotient
-    margins = (c0 - 1.0) / x1
-
-    # the lift trace(x2) + C0 x1 log x1 meets u on the face x1 = 0; it
-    # must stay below u on the other sides of [0, depth] x [-1, 1]
-    t = np.linspace(0.0, 1.0, 64)
-    sides = np.column_stack([
-        np.concatenate([np.full(64, depth), depth * t[1:], depth * t[1:]]),
-        np.concatenate([2.0 * t - 1.0, np.full(63, -1.0), np.ones(63)])])
-    boundary = min(float(u(p)) - float(u(np.array([0.0, p[1]])))
-                   - c0 * float(xlogy(p[0], p[0])) for p in sides)
-    return BarrierCheck(
-        "face-lift",
-        {"C0": c0, "depth": depth},
-        pts, float(np.min(margins)), float(boundary))
-
-
 def _check_g_concavity(samples, constants, seed, k):
     k = int(k)
     c0 = float(constants.get("C0", 1.0))
@@ -198,7 +172,7 @@ def _check_g_concavity(samples, constants, seed, k):
 
 
 def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
-                   seed=0, u=None, k=2):
+                   seed=0, k=2):
     """Evaluate one comparison-function certificate on a sample set.
 
     Margins come from closed-form derivative expressions of the barrier
@@ -212,13 +186,11 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     ----------
     barrier_id : str
         One of "product-power" (curvature lower bound for a power of
-        the facet product on a polytope), "face-lift" (trace lifted by
-        a transversal x log x term on the model half-strip with unit
-        density), or
-        "g-concavity" (determinant versus trace transfer for the k-th
-        root of the coordinate product on the quadrant; the boundary
-        margin is the least of the quadrant solution minus the
-        comparison function on the faces of the unit box).
+        the facet product on a polytope) or "g-concavity" (determinant
+        versus trace transfer for the k-th root of the coordinate
+        product on the quadrant; the boundary margin is the least of
+        the quadrant solution minus the comparison function on the
+        faces of the unit box).
         "product-power" has no boundary margin (None): its barrier
         vanishes on every facet whatever the constants.
     polytope : Polytope, optional
@@ -230,10 +202,6 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
         (alpha_exp = 1/(2n), C0 = 1, B = 1, delta = 0.1).
     seed : int
         Sampling seed.
-    u : callable, optional
-        Required for "face-lift": the model potential at one point whose
-        face trace the barrier lifts; the boundary margin is the least
-        of u minus the lift on the sides of the half-strip off the face.
     k : int
         Number of degenerate coordinates for "g-concavity".
 
@@ -244,17 +212,13 @@ def verify_barrier(barrier_id, polytope=None, samples=200, constants=None,
     Raises
     ------
     ValidationError
-        An unknown id, or a required polytope or u missing.
+        An unknown id, or "product-power" without a polytope.
     """
     constants = dict(constants or {})
     if barrier_id == "product-power":
         if polytope is None:
             raise ValidationError("product-power needs a polytope")
         return _check_product_power(polytope, samples, constants, seed)
-    if barrier_id == "face-lift":
-        if u is None:
-            raise ValidationError("face-lift needs a model potential u")
-        return _check_face_lift(samples, constants, seed, u)
     if barrier_id == "g-concavity":
         return _check_g_concavity(samples, constants, seed, k)
     raise ValidationError("unknown barrier id %r" % (barrier_id,))

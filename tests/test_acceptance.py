@@ -244,16 +244,6 @@ def test_06_barrier_margins():
         details.append("product-power %s minimum %.3g"
                        % (label, res.margin_differential))
 
-    def model_u(x):
-        return float(xlogy(x[0], x[0])) + 0.5 * float(x[1]) ** 2
-
-    res = verify.verify_barrier("face-lift", samples=400, seed=1, u=model_u)
-    calibrated = abs(res.margin_differential) <= 1e-10 \
-        and abs(res.margin_boundary) <= 1e-10
-    ok = ok and calibrated and len(res.samples) >= 200
-    details.append("face-lift calibration margin %.3g"
-                   % res.margin_differential)
-
     for k in (2, 3):
         res = verify.verify_barrier("g-concavity", samples=400, seed=1, k=k)
         good = res.margin_differential >= 0.0 and res.margin_boundary >= 0.0
@@ -335,28 +325,6 @@ def test_08_partial_legendre_identities():
             "round trip %.3g <= 1e-8, residual orders %.2f/%.2f >= 1.5, "
             "flat chart error %.3g <= 1e-10"
             % (round_trip, orders[0], orders[1], flat_err))
-
-
-def test_09_smooth_extension_matches_traces():
-    rng = np.random.default_rng(5)
-
-    def trace(y):
-        y = np.asarray(y, dtype=float)
-        out = np.cos(y[..., 0] + 2.0 * y[..., 1]) * (1.0 + y[..., -1])
-        return out + y[..., 0] * y[..., 1] - 0.3 * y[..., -1] ** 2
-
-    worst = {}
-    for k in (2, 3):
-        n = k + 1
-        pts = rng.uniform(0.0, 1.0, (10000, n))
-        zero_at = rng.integers(0, k, 10000)
-        pts[np.arange(10000), zero_at] = 0.0
-        F = guillemin.smooth_extension(trace, pts, k)
-        worst[k] = float(np.max(np.abs(F - trace(pts))))
-    ok = worst[2] <= 1e-13 and worst[3] <= 1e-13
-    _report(9, "corner extension agrees with traces", ok,
-            "max gap k=2: %.3g, k=3: %.3g, both <= 1e-13"
-            % (worst[2], worst[3]))
 
 
 def test_10_appendix_inequality_battery():

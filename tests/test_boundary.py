@@ -23,6 +23,16 @@ def simplex2d_problem(density=None, alpha=0.0):
     return GuilleminProblem(P, h, alpha)
 
 
+def large_simplex_problem():
+    # x, y >= 0, x + y <= 1e6 with its induced density
+    P = geometry.build_polytope([
+        geometry.AffineFunctional([1.0, 0.0], 0.0),
+        geometry.AffineFunctional([0.0, 1.0], 0.0),
+        geometry.AffineFunctional([-1.0, -1.0], -1e6),
+    ])
+    return GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0)
+
+
 def square_problem():
     P = geometry.build_polytope([
         geometry.AffineFunctional([1.0, 0.0], 0.0),
@@ -659,6 +669,40 @@ class TestBuildBoundaryData:
         with pytest.raises(InconsistentTraces, match=r"faces \(\d+,\) and "
                            r"\(\d+, \d+\) disagree by 0\.001 "):
             boundary.build_boundary_data(simplex2d_problem())
+
+    def test_large_simplex_gaps_within_the_scaled_tolerance(self):
+        # on x + y <= 1e6 the s log s terms reach 1.4e7, and rounding
+        # leaves edge gaps of 3.8e-9 at the vertices, beyond 10 tol
+        bd = boundary.build_boundary_data(large_simplex_problem())
+        scale = 1e6 * np.log(1e6)
+        assert bd.consistency["tolerance"] == pytest.approx(1e-9 * scale,
+                                                             rel=1e-12)
+        assert 1e-9 < bd.consistency["max_mismatch"] <= 1e-9 * scale
+
+    def test_long_rectangle_builds(self):
+        P = geometry.build_polytope([
+            geometry.AffineFunctional([1.0, 0.0], 0.0),
+            geometry.AffineFunctional([-1.0, 0.0], -1.0),
+            geometry.AffineFunctional([0.0, 1.0], 0.0),
+            geometry.AffineFunctional([0.0, -1.0], -1e7)])
+        bd = boundary.build_boundary_data(
+            GuilleminProblem(P, guillemin.DensitySpec.guillemin(P), 0.0))
+        assert bd.consistency["pairs"] == 8
+
+    def test_large_edge_off_its_vertex_values_is_inconsistent(
+            self, monkeypatch):
+        # the scaled tolerance still sees a shift of 1e-3 of the data
+        real = boundary.solve_edge
+
+        def shifted(*args, **kwargs):
+            profile = real(*args, **kwargs)
+            profile.w0 += 1e-3 * 1e6 * np.log(1e6)
+            return profile
+
+        monkeypatch.setattr(boundary, "solve_edge", shifted)
+        with pytest.raises(InconsistentTraces, match=r"faces \(\d+,\) and "
+                           r"\(\d+, \d+\) disagree by 1\.38e\+04 "):
+            boundary.build_boundary_data(large_simplex_problem())
 
     @pytest.mark.parametrize("shape, edges, faces",
                              [("simplex", 6, 4), ("cube", 12, 6)])

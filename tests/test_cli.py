@@ -11,8 +11,9 @@ import pytest
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
-from gma import boundary, cli, errors, geometry, verify
+from gma import boundary, cli, errors, geometry, guillemin, verify
 from gma.errors import QuadratureFailure, ValidationError
+from gma.problem import GuilleminProblem
 
 
 def write_problem(path, body):
@@ -20,13 +21,13 @@ def write_problem(path, body):
     return str(path)
 
 
-def simplex_body(density=None):
+def simplex_body(density=None, side=1.0):
     body = {
         "dimension": 2,
         "facets": [
             {"normal": [1.0, 0.0], "offset": 0.0},
             {"normal": [0.0, 1.0], "offset": 0.0},
-            {"normal": [-1.0, -1.0], "offset": -1.0},
+            {"normal": [-1.0, -1.0], "offset": -side},
         ],
     }
     if density is not None:
@@ -34,14 +35,14 @@ def simplex_body(density=None):
     return body
 
 
-def square_body(density=None):
+def square_body(density=None, side=1.0):
     body = {
         "dimension": 2,
         "facets": [
             {"normal": [1.0, 0.0], "offset": 0.0},
-            {"normal": [-1.0, 0.0], "offset": -1.0},
+            {"normal": [-1.0, 0.0], "offset": -side},
             {"normal": [0.0, 1.0], "offset": 0.0},
-            {"normal": [0.0, -1.0], "offset": -1.0},
+            {"normal": [0.0, -1.0], "offset": -side},
         ],
     }
     if density is not None:
@@ -221,13 +222,50 @@ class TestCheck:
                         str(tmp_path / "s.json")]) == 2
 
     def test_infinite_density_fails(self, tmp_path):
-        # inf - h_G <= 1e-8 inf reads true, so the rule asks for finite h
+        # the parser refuses the infinite constant and names its field
         path = infinite_density_problem(tmp_path / "p.json")
         report = tmp_path / "r.json"
         assert cli.run(["check", path, "--report", str(report)]) == 2
         out = strict_json(report.read_text())
-        assert out["compatibility"]["max_abs"] is None
-        assert out["compatibility"]["pass"] is False
+        assert out["error"]["kind"] == "ValidationError"
+        assert "'value' must be finite" in out["error"]["message"]
+
+    @pytest.mark.parametrize("density, field", [
+        ('{"type": "constant", "value": NaN}', "value"),
+        ('{"type": "perturbed", "amplitude": 1e309}', "amplitude"),
+        ('{"type": "perturbed", "amplitude": NaN}', "amplitude"),
+        ('{"type": "polynomial", "terms": [{"exponents": [0, 0], '
+         '"coeff": 1e309}]}', "coeff"),
+        ('{"type": "polynomial", "terms": [{"exponents": [0, 0], '
+         '"coeff": NaN}]}', "coeff")],
+        ids=["value-nan", "amplitude-inf", "amplitude-nan", "coeff-inf",
+             "coeff-nan"])
+    def test_non_finite_parameter_names_its_field(
+            self, tmp_path, monkeypatch, capsys, density, field):
+        # refused while the file is read, before any density call
+        def never(self, x):
+            raise AssertionError("density called")
+
+        monkeypatch.setattr(guillemin.DensitySpec, "__call__", never)
+        body = json.dumps(simplex_body({"type": "d"}))
+        path = tmp_path / "p.json"
+        path.write_text(body.replace('{"type": "d"}', density))
+        assert cli.run(["check", str(path)]) == 2
+        assert "'%s' must be finite" % field in capsys.readouterr().err
+
+    def test_one_vertex_rule_evaluation(self, tmp_path, monkeypatch):
+        # residuals and verdict come from one evaluation of the rule
+        calls = []
+        real = GuilleminProblem._vertex_densities
+
+        def spy(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(GuilleminProblem, "_vertex_densities", spy)
+        path = write_problem(tmp_path / "p.json", simplex_body())
+        assert cli.run(["check", path]) == 0
+        assert calls == [1]
 
 
 class TestParsing:
@@ -362,6 +400,44 @@ class TestSolve:
         assert lines[0] == "x1,x2,v,u,residual"
         assert len(lines) - 1 == out["nodes"]
 
+    @pytest.mark.parametrize("body", [
+        square_body({"type": "guillemin"}, side=2.0),
+        simplex_body({"type": "guillemin"}, side=1e5)],
+        ids=["square-side-2", "simplex-side-1e5"])
+    def test_oracle_adds_the_affine_vertex_data(self, tmp_path, body):
+        # sum l log l is nonzero at the vertices here (4 log 2 on the
+        # square), so the exact solution is the potential plus the
+        # affine function through the vertex values minus it
+        path = write_problem(tmp_path / "p.json", body)
+        report = tmp_path / "r.json"
+        assert cli.run(["solve", path, "--grid", "17",
+                        "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["max_error_vs_oracle"] <= 1e-9
+
+    def test_oracle_is_null_without_an_affine_fit(self, tmp_path):
+        # on the box [0, 1] x [0, 2] one raised corner is not affine data
+        body = square_body({"type": "guillemin"})
+        body["facets"][3]["offset"] = -2.0
+        body["vertex_values"] = [{"point": [1.0, 2.0], "value": 1.0}]
+        path = write_problem(tmp_path / "p.json", body)
+        report = tmp_path / "r.json"
+        assert cli.run(["solve", path, "--grid", "9",
+                        "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["max_error_vs_oracle"] is None
+
+    def test_large_simplex_solves(self, tmp_path):
+        # on x + y <= 1e6 the s log s terms reach 1.4e7 and the edge
+        # traces meet the vertex values to 3.8e-9, which the trace
+        # tolerance, scaled to the data, accepts
+        path = write_problem(tmp_path / "p.json",
+                             simplex_body({"type": "guillemin"}, side=1e6))
+        report = tmp_path / "r.json"
+        assert cli.run(["solve", path, "--grid", "17",
+                        "--report", str(report)]) == 0
+        out = json.loads(report.read_text())
+        assert out["boundary_consistency"]["tolerance"] == pytest.approx(
+            1e-9 * 1e6 * np.log(1e6), rel=1e-12)
+
     def test_deterministic_reports_and_dumps(self, tmp_path):
         path = write_problem(
             tmp_path / "p.json",
@@ -378,7 +454,7 @@ class TestSolve:
         assert outs[0] == outs[1]
 
     def test_infinite_density_solves_no_edge(self, tmp_path, monkeypatch):
-        # the vertex rule refuses the density before any edge quadrature
+        # the density is refused before any edge quadrature
         calls = []
 
         def spy(*args, **kwargs):
@@ -619,6 +695,15 @@ class TestVerify:
             blobs.append(dump.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_barrier_suite_lists_its_certificates(self, capsys):
+        # the product-power and g-concavity certificates, and no other
+        assert cli.run(["verify", "--suite", "barriers",
+                        "--deterministic"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["id"] for c in checks] == [
+            "product-power-square", "product-power-simplex",
+            "g-concavity-k2", "g-concavity-k3"]
+
     @pytest.mark.parametrize("suite, reads", [
         ("oracles", ("--seed",)), ("barriers", ("--seed",)),
         ("asymptotics", ("--levels", "--tol", "--max-iter")),
@@ -755,6 +840,7 @@ class TestOracle:
         assert cli.run(["oracle"] + head + ["--point", point]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_value_is_exit_two(self, capsys):
         # x log x overflows at 1e308; the report may not carry Infinity
         assert cli.run(["oracle", "--k", "1", "--point", "1e308,0.5"]) == 2

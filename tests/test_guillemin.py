@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gma import geometry, guillemin
-from gma.errors import MissingTrace, NonSimpleVertex, OutsideDomain
+from gma.errors import NonSimpleVertex, OutsideDomain
 from gma.problem import GuilleminProblem
 from gma.solver import GridChart
 from oracles import fd_hessian, induced_density
@@ -309,42 +309,3 @@ class TestDensitySpec:
         prod_l = np.prod(P.evaluate_all(x))
         assert np.isclose(h(x), 1.0 * (1.0 + 0.5 * prod_l))
         assert h.family[0] == "perturbed"
-
-
-class TestSmoothExtension:
-    def test_two_dim_formula(self):
-        v = lambda x: x[..., 0] + x[..., 1] + x[..., 0] * x[..., 1]
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 1, size=(50, 2))
-        F = guillemin.smooth_extension(v, pts, k=2)
-        assert np.allclose(F, pts[:, 0] + pts[:, 1])
-
-    def test_reproduces_traces_on_axes(self):
-        v = lambda x: np.sin(x[..., 0]) + x[..., 1] ** 2 + x[..., 0] * x[..., 1] ** 3
-        rng = np.random.default_rng(10)
-        pts = rng.uniform(0, 1, size=(100, 2))
-        pts[:50, 0] = 0.0
-        pts[50:, 1] = 0.0
-        F = guillemin.smooth_extension(v, pts, k=2)
-        assert np.allclose(F, v(pts), atol=1e-15)
-
-    def test_three_dim_two_active(self):
-        v = lambda x: np.cos(x[..., 0] + 2 * x[..., 1]) * (1 + x[..., 2])
-        x = np.array([0.3, 0.4, 0.5])
-        direct = (v(np.array([0.3, 0.0, 0.5])) + v(np.array([0.0, 0.4, 0.5]))
-                  - v(np.array([0.0, 0.0, 0.5])))
-        F = guillemin.smooth_extension(v, x, k=2)
-        assert np.isclose(F, direct)
-
-    def test_constant_in_singular_coords_telescopes(self):
-        v = lambda x: 1.0 + x[..., 2] ** 2 if x.ndim else None
-        x = np.array([0.3, 0.4, 0.5])
-        F = guillemin.smooth_extension(lambda y: 1.0 + y[..., 2] ** 2, x, k=2)
-        assert np.isclose(F, 1.0 + 0.25)
-
-    def test_missing_trace(self):
-        def broken(x):
-            out = np.asarray(x[..., 0], dtype=float)
-            return np.where(np.asarray(x[..., 1]) == 0.0, np.nan, out)
-        with pytest.raises(MissingTrace):
-            guillemin.smooth_extension(broken, np.array([0.2, 0.3]), k=2)

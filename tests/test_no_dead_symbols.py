@@ -14,8 +14,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gma"
 
 KEPT = {
-    ("guillemin", "smooth_extension"):
-        "acceptance criterion 09 checks the Whitney extension of traces",
     ("cli", "main"): "console script entry point named in pyproject.toml",
     ("cli", "_Parser.error"): "argparse calls it on a usage error",
     # each shim's own import spells its name, so the scan alone would

@@ -24,13 +24,6 @@ def standard_simplex():
     return geometry.build_polytope(fs)
 
 
-def calibration_u(x):
-    # x1 log x1 + x2^2 / 2: the face-lift barrier with C0 = 1 meets it
-    # exactly, so both of its margins read 0
-    x = np.asarray(x, dtype=float)
-    return xlogy(x[..., 0], x[..., 0]) + 0.5 * x[..., 1] ** 2
-
-
 class TestLiouvilleOracle:
     def test_unit_point(self):
         out = verify.liouville_oracle(np.array([1.0, 1.0]), 2)
@@ -155,42 +148,6 @@ class TestVerifyBarrier:
                                       constants={"alpha_exp": 0.9})
         assert check.margin_differential < 0.0
 
-    def test_face_lift_equality_calibration(self):
-        check = verify.verify_barrier("face-lift", samples=300,
-                                      u=calibration_u)
-        assert abs(check.margin_differential) <= 1e-10
-        assert abs(check.margin_boundary) <= 1e-10
-        assert check.constants["C0"] == 1.0
-
-    def test_face_lift_margin_sign(self):
-        surplus = verify.verify_barrier(
-            "face-lift", samples=200, constants={"C0": 2.0},
-            u=calibration_u)
-        assert surplus.margin_differential > 0.0
-        deficit = verify.verify_barrier(
-            "face-lift", samples=200, constants={"C0": 0.5},
-            u=calibration_u)
-        assert deficit.margin_differential < 0.0
-
-    def test_face_lift_needs_u(self):
-        # without u the boundary margin has nothing to compare the lift
-        # with, so the check refuses to run rather than read 0
-        with pytest.raises(ValidationError, match="face-lift needs"):
-            verify.verify_barrier("face-lift", samples=10)
-
-    def test_face_lift_boundary_margin_catches_low_potential(self):
-        # same face trace as the calibration potential but 5 x1 lower
-        # inside, so the lift exceeds u on the far side of the strip
-        def low_u(x):
-            x = np.asarray(x, dtype=float)
-            return xlogy(x[0], x[0]) + 0.5 * x[1] ** 2 - 5.0 * x[0]
-
-        check = verify.verify_barrier("face-lift", samples=100, u=low_u)
-        assert check.margin_boundary < -1.0
-        surplus = verify.verify_barrier("face-lift", samples=100,
-                                        constants={"C0": 2.0}, u=low_u)
-        assert surplus.margin_boundary < 0.0
-
     def test_g_concavity_planar(self):
         check = verify.verify_barrier("g-concavity", samples=200)
         assert check.barrier_id == "g-concavity"
@@ -218,6 +175,10 @@ class TestVerifyBarrier:
             constants={"delta": -0.05, "C0": 2.0})
         assert check.margin_differential >= 0.0
         assert check.margin_boundary < 0.0
+
+    def test_face_lift_is_not_a_barrier(self):
+        with pytest.raises(ValidationError, match="unknown barrier id"):
+            verify.verify_barrier("face-lift", samples=10)
 
     def test_unknown_barrier_id(self):
         with pytest.raises(Exception):
