@@ -358,23 +358,10 @@ def _suite_asymptotics(config):
     return checks
 
 
-def _suite_appendix(config):
-    checks = []
-    for entry in verify.appendix_checks():
-        parts = [entry["id"], entry["label"]]
-        if "order" in entry:
-            parts.append("k%dl%d" % (entry["order"], entry["l"]))
-        checks.append({"id": ":".join(parts), "value": entry["margin"],
-                       "constant": entry["constant"],
-                       "pass": bool(entry["pass"])})
-    return checks
-
-
 # each verify suite and the options it reads besides --dump and --strict
 _SUITES = {"oracles": (_suite_oracles, ("seed",)),
            "barriers": (_suite_barriers, ("seed",)),
-           "asymptotics": (_suite_asymptotics, ("levels", "tol", "max_iter")),
-           "appendix": (_suite_appendix, ())}
+           "asymptotics": (_suite_asymptotics, ("levels", "tol", "max_iter"))}
 
 
 def _cmd_verify(config):
@@ -454,7 +441,7 @@ _OPTIONS = {
         "type": float, "default": 0.25,
         "help": "chart extent in the transversal coordinate"}),
     "suite": (("--suite",), {
-        "choices": ("oracles", "barriers", "asymptotics", "appendix", "all"),
+        "choices": ("oracles", "barriers", "asymptotics", "all"),
         "default": "all", "help": "which suite to run"}),
     "point": (("--point",), {"help": "comma separated coordinates"}),
     "k": (("--k",), {"type": int,

@@ -123,6 +123,16 @@ class PartialLegendrePair:
         return self.y_points[:, 0] * ustar11 + hvals / u22
 
 
+def second_differences(values, d1, d2):
+    """Centred V_11, V_12, V_22 of a planar grid field at interior nodes."""
+    core = values[1:-1, 1:-1]
+    v11 = (values[2:, 1:-1] + values[:-2, 1:-1] - 2.0 * core) / d1 ** 2
+    v22 = (values[1:-1, 2:] + values[1:-1, :-2] - 2.0 * core) / d2 ** 2
+    v12 = (values[2:, 2:] - values[2:, :-2]
+           - values[:-2, 2:] + values[:-2, :-2]) / (4.0 * d1 * d2)
+    return v11, v12, v22
+
+
 def legendre_forward(values, axes, gradient=None):
     """Partial Legendre transform of a grid field, tangential dual only.
 
@@ -170,16 +180,10 @@ def legendre_forward(values, axes, gradient=None):
         g = ((values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * d2)).ravel()
 
     H = np.empty((len(pts), 2, 2))
-    core = values[1:-1, 1:-1]
-    H[:, 0, 0] = ((values[2:, 1:-1] + values[:-2, 1:-1] - 2.0 * core)
-                  / d1 ** 2).ravel()
-    H[:, 1, 1] = ((values[1:-1, 2:] + values[1:-1, :-2] - 2.0 * core)
-                  / d2 ** 2).ravel()
-    cross = (values[2:, 2:] - values[2:, :-2]
-             - values[:-2, 2:] + values[:-2, :-2]) / (4.0 * d1 * d2)
-    H[:, 0, 1] = H[:, 1, 0] = cross.ravel()
+    u11, u12, u22 = (d.ravel() for d in second_differences(values, d1, d2))
+    H[:, 0, 0], H[:, 1, 1] = u11, u22
+    H[:, 0, 1] = H[:, 1, 0] = u12
 
-    u22 = H[:, 1, 1]
     worst = int(np.argmin(u22))
     if u22[worst] <= _U22_FLOOR:
         raise DegenerateTransversalHessian(

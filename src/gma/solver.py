@@ -614,8 +614,9 @@ def newton_solve(problem, boundary=None, grid=None, tol=1e-10, max_iter=30):
 
     R, flagged = assemble_residual(v, problem, chart)
     if flagged.size:
-        # convexify the start by blending toward the zero interior field,
-        # whose discrete Hessian is the positive singular part alone
+        # halve the interior toward the zero field up to 60 times; next to
+        # the boundary the differences still read the boundary values, so
+        # even the zero field can stay flagged, and then the start fails
         blend = 1.0
         base = v[chart.interior].copy()
         for _ in range(60):

@@ -25,7 +25,7 @@ from . import geometry
 from .errors import (OutsideDomain, OutsideQuadrant, SolverError,
                      ValidationError)
 from .guillemin import DensitySpec, potential_values
-from .legendre import local_quadratic_eval
+from .legendre import local_quadratic_eval, second_differences
 from .problem import GuilleminProblem
 from .solver import newton_solve
 
@@ -38,8 +38,6 @@ __all__ = [
     "estimate_lipschitz",
     "estimate_weighted_hessian",
     "estimate_face_asymptotics",
-    "appendix_checks",
-    "interpolation_constant",
     "solution_probe",
     "estimator_levels",
 ]
@@ -297,12 +295,7 @@ def estimate_weighted_hessian(levels):
     ratios = []
     for values, axes in levels:
         V, x1, x2 = _load_level(values, axes)
-        d1 = x1[1] - x1[0]
-        d2 = x2[1] - x2[0]
-        V11 = (V[2:, 1:-1] - 2.0 * V[1:-1, 1:-1] + V[:-2, 1:-1]) / d1 ** 2
-        V22 = (V[1:-1, 2:] - 2.0 * V[1:-1, 1:-1] + V[1:-1, :-2]) / d2 ** 2
-        V12 = (V[2:, 2:] - V[2:, :-2] - V[:-2, 2:] + V[:-2, :-2]) \
-            / (4.0 * d1 * d2)
+        V11, V12, V22 = second_differences(V, x1[1] - x1[0], x2[1] - x2[0])
         w1 = x1[1:-1][:, None]
         Q = w1 * np.abs(V11) + np.sqrt(w1) * np.abs(V12) + np.abs(V22)
         ratios.append(float(Q.max()))
@@ -340,152 +333,9 @@ def estimate_face_asymptotics(levels):
     return {key: _finish(key, ratios) for key, ratios in acc.items()}
 
 
-def interpolation_constant(k):
-    """Derivative interpolation constant from the doubling recursion.
-
-    The one-dimensional seed bounds the first derivative by
-    5/2 (eps^-1 sup|f| + eps sup|f''|); iterating the recursion
-    c_{k+1} = 2 c_k + 36 c_k^2 lifts it to order k, and resolving the
-    epsilon trade-off doubles the constant.
-    """
-    k = int(k)
-    if k < 2:
-        raise ValidationError("interpolation needs order at least 2")
-    c = 2.5
-    for _ in range(k - 2):
-        c = 2.0 * c + 36.0 * c * c
-    return 2.0 * c
-
-
-def _product_bound_fields():
-    # (label, psi, k, n, closed-form constant)
-    return [
-        ("x1 x2 sin(x3)",
-         lambda x: x[0] * x[1] * np.sin(x[2]), 2, 3, 1.0),
-        ("x1 (1 - exp(-x2))",
-         lambda x: x[0] * (1.0 - np.exp(-x[1])), 2, 2, 1.0),
-        ("sin(x1) sinh(x2)",
-         lambda x: np.sin(x[0]) * np.sinh(x[1]), 2, 2, float(np.cosh(1.0))),
-        ("x1 x2 x3 exp(x1)",
-         lambda x: x[0] * x[1] * x[2] * np.exp(x[0]), 3, 3,
-         float(2.0 * np.e)),
-        ("x1 x2^2",
-         lambda x: x[0] * x[1] ** 2, 2, 2, 2.0),
-        ("x1 log(1 + x2)",
-         lambda x: x[0] * np.log1p(x[1]), 2, 2, 1.0),
-        ("x1 x2 cos(x1 x2)",
-         lambda x: x[0] * x[1] * np.cos(x[0] * x[1]), 2, 2, 5.0),
-    ]
-
-
-def _holder_fields():
-    # (label, delta, s, sup|s|, sup|grad s|) on [-1, 1]^2
-    r2 = float(np.sqrt(2.0))
-    return [
-        ("|x1|^0.5", 0.5, lambda x: 1.0, 1.0, 0.0),
-        ("|x1|^0.5 cos(x2)", 0.5, lambda x: np.cos(x[1]), 1.0, 1.0),
-        ("|x1|^0.75", 0.75, lambda x: 1.0, 1.0, 0.0),
-        ("|x1|^0.3 (1 + x1 x2 / 4)", 0.3,
-         lambda x: 1.0 + 0.25 * x[0] * x[1], 1.25, r2 / 4.0),
-        ("|x1|^0.9 exp(x1 - 1)", 0.9,
-         lambda x: np.exp(x[0] - 1.0), 1.0, 1.0),
-        ("|x1|^0.6 sin(x1 + x2)", 0.6,
-         lambda x: np.sin(x[0] + x[1]), 1.0, r2),
-    ]
-
-
-def _interpolation_fields():
-    # (label, k, l, derivative table indexed by order)
-    return [
-        ("sin(10 x)", 2, 1,
-         {0: lambda t: np.sin(10 * t), 1: lambda t: 10 * np.cos(10 * t),
-          2: lambda t: -100 * np.sin(10 * t)}),
-        ("sin(x)", 2, 1,
-         {0: np.sin, 1: np.cos, 2: lambda t: -np.sin(t)}),
-        ("cos(3 x)", 2, 1,
-         {0: lambda t: np.cos(3 * t), 1: lambda t: -3 * np.sin(3 * t),
-          2: lambda t: -9 * np.cos(3 * t)}),
-        ("x^2", 2, 1,
-         {0: lambda t: t ** 2, 1: lambda t: 2 * t,
-          2: lambda t: 2.0 + 0 * t}),
-        ("sin(5 x) + sin(x) / 2", 2, 1,
-         {0: lambda t: np.sin(5 * t) + 0.5 * np.sin(t),
-          1: lambda t: 5 * np.cos(5 * t) + 0.5 * np.cos(t),
-          2: lambda t: -25 * np.sin(5 * t) - 0.5 * np.sin(t)}),
-        ("1 / (1 + x^2)", 2, 1,
-         {0: lambda t: 1 / (1 + t ** 2),
-          1: lambda t: -2 * t / (1 + t ** 2) ** 2,
-          2: lambda t: (6 * t ** 2 - 2) / (1 + t ** 2) ** 3}),
-        ("sin(2 x)", 3, 1,
-         {0: lambda t: np.sin(2 * t), 1: lambda t: 2 * np.cos(2 * t),
-          3: lambda t: -8 * np.cos(2 * t)}),
-        ("sin(2 x)", 3, 2,
-         {0: lambda t: np.sin(2 * t), 2: lambda t: -4 * np.sin(2 * t),
-          3: lambda t: -8 * np.cos(2 * t)}),
-    ]
-
-
 def appendix_checks():
-    """Battery of closed-form inequality checks on sampled fields.
-
-    Runs three families: pointwise product bounds for fields vanishing
-    on coordinate hyperplanes (constant = a closed-form sup of the
-    mixed derivative), Hoelder growth of difference quotients for a
-    power-of-distance times smooth factor (constant 8 times a
-    closed-form majorant), and derivative interpolation between the
-    sup of a function and the sup of its top derivative (constant from
-    the doubling recursion).
-
-    Returns
-    -------
-    list of dict
-        One entry per field with id, label, constant, margin, pass.
-    """
-    rng = np.random.default_rng(7)
-    out = []
-
-    for label, psi, k, n, C in _product_bound_fields():
-        pts = rng.uniform(0.0, 1.0, (400, n))
-        margin = float(np.min(C * np.prod(pts[:, :k], axis=1)
-                              - np.abs(psi(pts.T))))
-        out.append({"id": "product-bound", "label": label, "k": k,
-                    "constant": C, "margin": float(margin),
-                    "pass": margin >= 0.0})
-
-    for label, delta, s, sup_s, sup_ds in _holder_fields():
-        R = float(np.sqrt(2.0))
-        M = max(sup_s, delta * sup_s + R * sup_ds)
-
-        def f(x):
-            return np.abs(x[:, 0]) ** delta * s(x.T)
-
-        pairs = rng.uniform(-1.0, 1.0, (2000, 2, 2))
-        # pairs reaching the singular line drive the quotient hardest
-        t = 10.0 ** rng.uniform(-6, 0, 200)
-        straddle = np.stack([np.column_stack([t, 0.3 * t]),
-                             np.column_stack([0.0 * t, 0.3 * t])], axis=1)
-        a, b = np.concatenate([pairs, straddle]).transpose(1, 0, 2)
-        gap = np.linalg.norm(a - b, axis=1)
-        keep = gap > 0.0
-        sem = float(np.max(np.abs(f(a) - f(b))[keep] / gap[keep] ** delta,
-                           initial=0.0))
-        margin = 8.0 * M - sem
-        out.append({"id": "holder-growth", "label": label, "delta": delta,
-                    "constant": 8.0, "margin": float(margin),
-                    "pass": margin >= 0.0})
-
-    t = np.linspace(-3.0, 3.0, 4001)
-    for label, k, l, der in _interpolation_fields():
-        C = interpolation_constant(k)
-        A = float(np.max(np.abs(der[0](t))))
-        B = float(np.max(np.abs(der[k](t))))
-        mid = float(np.max(np.abs(der[l](t))))
-        bound = C * A ** (1.0 - l / k) * B ** (l / k)
-        margin = bound - mid
-        out.append({"id": "interpolation", "label": label, "order": k,
-                    "l": l, "constant": C, "margin": float(margin),
-                    "pass": margin >= 0.0})
-    return out
+    """No checks; kept only because perfbench/tracer.py binds this name."""
+    return []
 
 
 def solution_probe(solution):

@@ -327,25 +327,6 @@ def test_08_partial_legendre_identities():
             % (round_trip, orders[0], orders[1], flat_err))
 
 
-def test_10_appendix_inequality_battery():
-    entries = verify.appendix_checks()
-    total = len(entries)
-    all_pass = all(e["pass"] for e in entries)
-    product = [e for e in entries if e["id"] == "product-bound"]
-    frozen = [e for e in product if e["label"] == "x1 x2 sin(x3)"]
-    growth = [e for e in entries if e["id"] == "holder-growth"]
-    interp = [e for e in entries if e["id"] == "interpolation"]
-    ok = (total >= 20 and all_pass
-          and len(frozen) == 1 and frozen[0]["constant"] == 1.0
-          and growth and all(e["constant"] == 8.0 for e in growth)
-          and interp and all(
-              e["constant"] == verify.interpolation_constant(e["order"])
-              for e in interp))
-    _report(10, "appendix inequality battery", ok,
-            "%d fields, all pass %s, product constant 1, growth "
-            "constant 8, derived interpolation constants" % (total, all_pass))
-
-
 def test_11_solver_invariants_at_release_resolution():
     ok = True
     details = []

@@ -1,13 +1,16 @@
+import functools
 import json
 import os
 import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import LinearNDInterpolator
 
 import gma.solver
@@ -678,11 +681,9 @@ class TestVerify:
         assert all(c["pass"] for c in out["checks"])
         assert all(c["value"] <= 1e-12 for c in out["checks"])
 
-    def test_appendix_suite_strict(self, tmp_path):
-        report = tmp_path / "r.json"
-        code = cli.run(["verify", "--suite", "appendix", "--strict",
-                        "--report", str(report)])
-        assert code == 0
+    def test_retired_appendix_suite_is_a_usage_error(self, capsys):
+        assert cli.run(["verify", "--suite", "appendix"]) == 64
+        assert "invalid choice: 'appendix'" in capsys.readouterr().err
 
     def test_barrier_suite_deterministic_csv(self, tmp_path):
         blobs = []
@@ -706,8 +707,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, reads", [
         ("oracles", ("--seed",)), ("barriers", ("--seed",)),
-        ("asymptotics", ("--levels", "--tol", "--max-iter")),
-        ("appendix", ())])
+        ("asymptotics", ("--levels", "--tol", "--max-iter"))])
     def test_suite_options_read_by_the_suite_only(self, suite, reads,
                                                   capsys):
         for flag in ("--levels", "--tol", "--max-iter", "--seed"):
@@ -716,12 +716,12 @@ class TestVerify:
                     == 64, flag
                 assert "does not read %s" % flag in capsys.readouterr().err
 
-    def test_appendix_config_names_what_it_read(self, capsys):
-        assert cli.run(["verify", "--suite", "appendix",
+    def test_suite_config_names_what_it_read(self, capsys):
+        assert cli.run(["verify", "--suite", "barriers",
                         "--deterministic"]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert config == {"subcommand": "verify", "deterministic": True,
-                          "suite": "appendix", "strict": False}
+                          "suite": "barriers", "strict": False, "seed": 0}
 
     def test_all_suites_read_every_suite_option(self):
         args = cli._config_from_args(cli._build_parser().parse_args(
@@ -903,6 +903,80 @@ class TestScaledFunctionals:
         # only -1e-9 there
         path = write_problem(tmp_path / "p.json", scaled_square_body(1e-8))
         assert cli.run(["oracle", path, "--point", "-0.1,0.5"]) == 2
+
+
+def simplex3_body():
+    facets = [{"normal": e, "offset": 0.0} for e in np.eye(3).tolist()]
+    return {"dimension": 3,
+            "facets": facets + [{"normal": [-1.0] * 3, "offset": -1.0}]}
+
+
+# (unit body, its vertices, lattice size)
+SCALING_CASES = {
+    "simplex-2": (simplex_body(), [[0, 0], [1, 0], [0, 1]], 17),
+    "square": (square_body(), [[0, 0], [1, 0], [0, 1], [1, 1]], 17),
+    "simplex-3": (simplex3_body(),
+                  [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], 9),
+}
+
+
+def scaled_problem(case, s):
+    """The case's problem on the polytope scaled by s about the origin.
+
+    If u solves the unit problem, u_s(s x) = s u(x) + s ln s sum l_i(x)
+    solves this one: the facet offsets scale by s, the density by
+    s^(N - n), so the perturbation amplitude scales by s^-N for N facets,
+    and the regular part is v_s(s x) = s v(x).
+    """
+    body, vertices, _ = SCALING_CASES[case]
+    V = np.array(vertices, dtype=float)
+    normals = np.array([f["normal"] for f in body["facets"]])
+    offsets = np.array([f["offset"] for f in body["facets"]])
+    alpha = 0.3 * V[:, 0] - 0.2 * V[:, 1] + 0.1 * np.sum(V ** 2, axis=1)
+    lsum = np.sum(V @ normals.T - offsets, axis=1)
+    values = s * alpha + s * np.log(s) * lsum
+    return dict(body, facets=[
+        {"normal": f["normal"], "offset": f["offset"] * s}
+        for f in body["facets"]],
+        density={"type": "perturbed", "amplitude": s ** -len(offsets)},
+        vertex_values=[{"point": (s * p).tolist(), "value": float(a)}
+                       for p, a in zip(V, values)])
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_run(case, s):
+    """(check exit, solve exit, converged, iterations, dumped v / s)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        path = write_problem(tmp / "p.json", scaled_problem(case, s))
+        check = cli.run(["check", path, "--report", str(tmp / "c.json")])
+        solve = cli.run(["solve", path, "--grid",
+                         str(SCALING_CASES[case][2]),
+                         "--report", str(tmp / "r.json"),
+                         "--dump", str(tmp / "x.bin")])
+        if solve != 0:
+            return check, solve, None, None, None
+        rep = json.loads((tmp / "r.json").read_text())["solver"]
+        blob = (tmp / "x.bin").read_bytes()
+    rows, cols = struct.unpack("<4sIII", blob[:16])[1:3]
+    table = np.frombuffer(blob[16:], "<f8").reshape(rows, cols)
+    n = len(SCALING_CASES[case][1][0])
+    return check, solve, rep["converged"], rep["iterations"], table[:, n] / s
+
+
+class TestScaling:
+    @pytest.mark.parametrize("case", list(SCALING_CASES))
+    @settings(max_examples=10, deadline=None)
+    @example(exponent=-6.0)
+    @example(exponent=6.0)
+    @given(exponent=st.floats(-6.0, 6.0))
+    def test_scaling_the_polytope_scales_the_solution(self, case, exponent):
+        base = scaled_run(case, 1.0)
+        run = scaled_run(case, 10.0 ** exponent)
+        assert base[:3] == (0, 0, True)
+        assert run[:4] == base[:4]
+        assert np.max(np.abs(run[4] - base[4])) \
+            <= 1e-8 * np.max(np.abs(base[4]))
 
 
 # scipy subpackages a gma process loads on first use only

@@ -11,7 +11,9 @@ spells the symbol; the definition itself does not count.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gma"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gma"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 KEPT = {
     ("cli", "main"): "console script entry point named in pyproject.toml",
@@ -22,6 +24,9 @@ KEPT = {
         "perfbench/tracer.py binds it by name; goes with ROADMAP item 5's "
         "[benchmark] PR",
     ("geometry", "linprog"):
+        "perfbench/tracer.py binds it by name; goes with ROADMAP item 5's "
+        "[benchmark] PR",
+    ("verify", "appendix_checks"):
         "perfbench/tracer.py binds it by name; goes with ROADMAP item 5's "
         "[benchmark] PR",
 }
@@ -60,3 +65,28 @@ def test_every_symbol_has_a_src_caller():
     assert not dead, "no src code refers to %s" % ", ".join(dead)
     stale = ["%s.%s" % sym for sym in KEPT if sym not in defined]
     assert not stale, "kept but no longer defined: %s" % ", ".join(stale)
+
+
+def _traced():
+    # (module, name) of every gma binding the tracer patches, read from
+    # its FUNCTIONS, METHODS and BINDINGS tables without importing it
+    traced = set()
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name)
+                and t.id in ("FUNCTIONS", "METHODS", "BINDINGS")
+                for t in node.targets):
+            for row in ast.literal_eval(node.value):
+                traced.add((row[1].rpartition(".")[2], ".".join(row[2:])))
+    return traced
+
+
+def test_symbols_kept_for_the_tracer_are_still_traced():
+    # a symbol kept only because the tracer binds it must go once the
+    # tracer stops binding it
+    traced = _traced()
+    kept = [sym for sym, why in KEPT.items() if "perfbench/tracer.py" in why]
+    assert kept
+    untraced = ["%s.%s" % sym for sym in kept if sym not in traced]
+    assert not untraced, "kept for the tracer but not traced: %s" \
+        % ", ".join(untraced)

@@ -359,79 +359,3 @@ class TestSolutionProbe:
         for read in (verify.solution_probe(sol), sol.v):
             with pytest.raises(OutsideDomain):
                 read(x)
-
-
-class TestAppendixChecks:
-    def test_battery_passes(self):
-        checks = verify.appendix_checks()
-        assert len(checks) >= 20
-        assert all(c["pass"] for c in checks)
-        ids = {c["id"] for c in checks}
-        assert ids == {"product-bound", "holder-growth", "interpolation"}
-
-    def test_product_bound_frozen_example(self):
-        checks = [c for c in verify.appendix_checks()
-                  if c["id"] == "product-bound"]
-        spec = [c for c in checks if "x1 x2 sin(x3)" in c["label"]]
-        assert len(spec) == 1
-        assert spec[0]["constant"] == 1.0
-        assert spec[0]["margin"] >= 0.0
-
-    def test_holder_constant_is_eight(self):
-        checks = [c for c in verify.appendix_checks()
-                  if c["id"] == "holder-growth"]
-        assert len(checks) >= 6
-        assert all(c["constant"] == 8.0 for c in checks)
-        assert all(c["margin"] >= 0.0 for c in checks)
-
-    def test_interpolation_constants_from_recursion(self):
-        # epsilon-form recursion: c2 = 5/2, c_{k+1} = 2 c_k + 36 c_k^2;
-        # the direct two-norm constant is twice that
-        assert verify.interpolation_constant(2) == 5.0
-        assert verify.interpolation_constant(3) == 460.0
-
-    def test_interpolation_frozen_example(self):
-        checks = [c for c in verify.appendix_checks()
-                  if c["id"] == "interpolation"]
-        spec = [c for c in checks if "sin(10 x)" in c["label"]
-                and c["order"] == 2]
-        assert len(spec) == 1
-        assert spec[0]["constant"] == 5.0
-        assert spec[0]["margin"] >= 0.0
-
-    @pytest.mark.parametrize("seed", [7, 11])
-    def test_array_margins_equal_pointwise_loops(self, seed, monkeypatch):
-        # the battery evaluates each field on all samples at once; the
-        # same draws taken one point and one pair at a time must give
-        # bit-identical margins
-        rng = np.random.default_rng(seed)
-        loops = []
-        for _, psi, k, n, C in verify._product_bound_fields():
-            margin = np.inf
-            for x in rng.uniform(0.0, 1.0, (400, n)):
-                margin = min(margin,
-                             C * float(np.prod(x[:k])) - abs(float(psi(x))))
-            loops.append(margin)
-        for _, delta, s, sup_s, sup_ds in verify._holder_fields():
-            M = max(sup_s, delta * sup_s + float(np.sqrt(2.0)) * sup_ds)
-            pairs = rng.uniform(-1.0, 1.0, (2000, 2, 2))
-            t = 10.0 ** rng.uniform(-6, 0, 200)
-            straddle = np.stack([np.column_stack([t, 0.3 * t]),
-                                 np.column_stack([0.0 * t, 0.3 * t])],
-                                axis=1)
-            sem = 0.0
-            for a, b in np.concatenate([pairs, straddle]):
-                gap = np.linalg.norm(a - b)
-                if gap <= 0.0:
-                    continue
-                fa = abs(a[0]) ** delta * float(s(a))
-                fb = abs(b[0]) ** delta * float(s(b))
-                sem = max(sem, abs(fa - fb) / gap ** delta)
-            loops.append(8.0 * M - sem)
-        # the battery draws from a fixed seed; hand it this case's seed
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda _: default_rng(seed))
-        checks = verify.appendix_checks()
-        margins = [c["margin"] for c in checks if c["id"] != "interpolation"]
-        assert margins == loops
