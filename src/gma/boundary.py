@@ -15,7 +15,6 @@ assembled into a single evaluator with a consistency report.
 
 import numpy as np
 from typing import NamedTuple
-from scipy.special import xlogy
 
 from . import geometry, guillemin
 from .errors import (
@@ -63,12 +62,10 @@ class RestrictedProblem:
 
     def to_ambient(self, xi):
         """Map face coordinates (shape (..., d)) to ambient points."""
-        xi = np.asarray(xi, dtype=float)
         return xi @ self._tangent.T + self._base
 
     def from_face(self, x):
         """Tangential coordinates of an ambient point on the face."""
-        x = np.asarray(x, dtype=float)
         return (x - self._base) @ self._tangent
 
 
@@ -126,16 +123,14 @@ def restrict_problem(problem, gamma):
                 for j, f in enumerate(P.facets) if j not in touching]
     values = problem.vertex_values[list(face.vertex_ids)]
 
-    ambient_density = problem.density
-    absorbed_funcs = [g for _, g in absorbed]
     G = P.normals[list(key)]
     gram = float(np.linalg.det(G @ G.T))
 
     def effective_density(xi):
-        xi = np.asarray(xi, dtype=float)
-        x = xi @ tangent.T + base
-        vals = np.asarray(ambient_density(x), dtype=float) / gram
-        for g in absorbed_funcs:
+        # DensitySpec hands xi over as a float array
+        vals = np.asarray(problem.density(xi @ tangent.T + base),
+                          dtype=float) / gram
+        for _, g in absorbed:
             vals = vals / g(xi)
         return vals
 
@@ -212,7 +207,8 @@ class EdgeProfile:
         ts = np.asarray(ts, dtype=float)
         av = np.maximum(self.a_slope * (ts - self.t_lo), 0.0)
         bv = np.maximum(self.b_slope * (ts - self.t_hi), 0.0)
-        out = self.w(ts) + self.c_a * xlogy(av, av) + self.c_b * xlogy(bv, bv)
+        out = (self.w(ts) + self.c_a * guillemin.xlogx(av)
+               + self.c_b * guillemin.xlogx(bv))
         return float(out) if ts.ndim == 0 else out
 
 
@@ -301,8 +297,7 @@ def solve_edge(problem, tol=1e-10):
     alpha_hi = float(problem.vertex_values[i_hi])
 
     def hfun(ts):
-        # one density call on the flattened points, whatever their shape
-        ts = np.asarray(ts, dtype=float)
+        # one density call on the flattened float points, whatever their shape
         hs = np.asarray(problem.density(ts.reshape(-1, 1)), dtype=float)
         return np.broadcast_to(hs, (ts.size,)).reshape(ts.shape)
 
@@ -560,11 +555,11 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     P = problem.polytope
     n = P.dimension
     if not problem.compatibility_ok():
-        res = problem.compatibility_residuals()
-        worst = int(np.argmax(np.abs(res)))
+        h, h_G = problem._vertex_densities()
+        bad = int(np.flatnonzero(~vertex_rule(h, h_G))[0])
         raise IncompatibleEndpoint(
             "vertex %d violates the matching condition by %.3g"
-            % (worst, res[worst]))
+            % (bad, h[bad] - h_G[bad]))
     # imported here: solver imports this module
     from .solver import assemble_residual, newton_solve
 

@@ -18,12 +18,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import geometry, legendre, solver, verify
 from .boundary import build_boundary_data
 from .errors import GmaError, ParseError, SolverError, ValidationError
-from .guillemin import guillemin_density, potential_values
+from .guillemin import guillemin_density, potential_values, xlogx
 from .problem import (COMPATIBILITY_RTOL, SCHEMA_VERSION, load_problem,
                       vertex_rule)
 
@@ -116,9 +115,7 @@ def _write_matrix(path, header, table):
     if str(path).endswith(".bin"):
         blob = struct.pack("<4sIII", b"GMA1",
                            table.shape[0], table.shape[1], 0)
-        with open(path, "wb") as fh:
-            fh.write(blob)
-            fh.write(table.tobytes())
+        Path(path).write_bytes(blob + table.tobytes())
     else:
         _write_csv(path, header, [[float(c) for c in row] for row in table])
 
@@ -288,7 +285,7 @@ def _cmd_model(config):
             x1_axis = np.linspace(0.4 * config.depth, hi, m)
             x2_axis = np.linspace(-0.6, 0.6, m)
             X1, X2 = np.meshgrid(x1_axis, x2_axis, indexing="ij")
-            U = xlogy(X1, X1) + msol.v(
+            U = xlogx(X1) + msol.v(
                 np.column_stack([X1.ravel(), X2.ravel()])).reshape(m, m)
             pair = legendre.legendre_forward(U, (x1_axis, x2_axis))
             resid = pair.transversal_residual(
@@ -576,18 +573,14 @@ def run(argv=None):
         64 on usage errors.
     """
     parser = _build_parser()
-    if argv is None:
-        argv = list(sys.argv[1:])
     # join value flags with '=' so coordinates starting with a minus
     # sign are not mistaken for option strings
-    joined, i = [], 0
-    while i < len(argv):
-        if argv[i] in ("--point", "--levels") and i + 1 < len(argv):
-            joined.append("%s=%s" % (argv[i], argv[i + 1]))
-            i += 2
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--point", "--levels"):
+            joined[-1] += "=" + arg
         else:
-            joined.append(argv[i])
-            i += 1
+            joined.append(arg)
     try:
         config = _config_from_args(parser.parse_args(joined))
     except _UsageError as exc:

@@ -8,9 +8,14 @@ the potential, the induced density and the density families.
 """
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import OutsideDomain
+
+
+def xlogx(x):
+    """x log x elementwise, with 0 log 0 = 0 (also at -0.0)."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x == 0, 0.0, x * np.log(np.where(x == 0, 1.0, x)))
 
 
 def _require_inside(P, x, what):
@@ -23,7 +28,7 @@ def _require_inside(P, x, what):
 def potential_values(P, xs):
     """Values of sum_i l_i log l_i at many points (0 log 0 = 0)."""
     xs, vals = _require_inside(P, xs, "potential")
-    return xlogy(np.clip(vals, 0.0, None), np.clip(vals, 0.0, None)).sum(-1)
+    return xlogx(np.clip(vals, 0.0, None)).sum(-1)
 
 
 def _bordered_determinant(P, vals):

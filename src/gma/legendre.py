@@ -16,8 +16,6 @@ direction, which is the setting every companion check exercises.
 """
 
 import numpy as np
-# not called here; perfbench/tracer.py patches gma.legendre.spsolve by name
-from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .errors import (
     DegenerateTransversalHessian,
@@ -27,6 +25,8 @@ from .errors import (
 )
 from .solver import (Stencil, damped_newton, dissection_order,
                      freudenthal_cells, inverses, pivots, require_lattice)
+# not called here; perfbench/tracer.py patches gma.legendre.spsolve by name
+from .solver import spsolve  # noqa: F401
 
 __all__ = [
     "PartialLegendrePair",

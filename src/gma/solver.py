@@ -18,8 +18,6 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
 
 from .boundary import build_boundary_data
 from .errors import (ChartTooLarge, GmaError, LineSearchStall,
@@ -38,6 +36,18 @@ def LinearNDInterpolator(*args, **kwargs):
     """scipy's LinearNDInterpolator on first call; only the tracer binds it."""
     from scipy.interpolate import LinearNDInterpolator
     return LinearNDInterpolator(*args, **kwargs)
+
+
+def splu(*args, **kwargs):
+    """scipy's splu on first call; the tests patch it by name."""
+    from scipy.sparse.linalg import splu
+    return splu(*args, **kwargs)
+
+
+def spsolve(*args, **kwargs):
+    """scipy's spsolve on first call; the tracer binds it by name."""
+    from scipy.sparse.linalg import spsolve
+    return spsolve(*args, **kwargs)
 
 
 def _simplex_map(P):
@@ -121,6 +131,7 @@ class Stencil:
     """
 
     def __init__(self, neighbors, columns, coeffs, base):
+        import scipy.sparse as sp
         self.neighbors, self.columns, self.coeffs = neighbors, columns, coeffs
         self.base = np.reshape(base, coeffs.shape[:2] + (-1,))
         O, K = neighbors.shape
@@ -148,8 +159,8 @@ class Stencil:
     def jacobian(self, G):
         """CSC matrix of the weights of G at the unknown columns."""
         p = self.pattern
-        return sp.csc_matrix((self.weights(G)[p.data, p.indices], p.indices,
-                              p.indptr), shape=p.shape)
+        return type(p)((self.weights(G)[p.data, p.indices], p.indices,
+                        p.indptr), shape=p.shape)
 
 
 def pivots(H):
@@ -462,7 +473,6 @@ class RegularizedSolution:
         return float(vals[0]) if single else vals
 
     def u(self, x):
-        x = np.asarray(x, dtype=float)
         return self.v(x) + potential_values(self.problem.polytope, x)
 
 

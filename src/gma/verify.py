@@ -19,12 +19,11 @@ all reductions run over sorted sample order.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import geometry
 from .errors import (OutsideDomain, OutsideQuadrant, SolverError,
                      ValidationError)
-from .guillemin import DensitySpec, potential_values
+from .guillemin import DensitySpec, potential_values, xlogx
 from .legendre import local_quadratic_eval, second_differences
 from .problem import GuilleminProblem
 from .solver import newton_solve
@@ -162,7 +161,7 @@ def _check_g_concavity(samples, constants, seed, k):
     faces = np.concatenate([np.where(np.arange(k) == a, end, pts)
                             for a in range(k) for end in (0.0, 1.0)])
     gaps = (B * np.prod(faces, axis=1) ** (1.0 / k)
-            - delta * np.sum(xlogy(faces, faces), axis=1))
+            - delta * np.sum(xlogx(faces), axis=1))
     return BarrierCheck(
         "g-concavity",
         {"C0": c0, "B": B, "delta": delta, "k": k},
@@ -404,8 +403,7 @@ def estimator_levels(levels, tol=1e-10, max_iter=30):
     class QuadrantTraces:
         # regular part of x1 log x1 + x2 log x2 at (k, 2) points
         def v(self, x):
-            return xlogy(x[..., 0], x[..., 0]) + xlogy(x[..., 1], x[..., 1]) \
-                - potential_values(square, x)
+            return xlogx(x).sum(-1) - potential_values(square, x)
 
     def probe_grid(problem, boundary, m, x1, x2):
         sol, rep = newton_solve(problem, boundary=boundary, grid=m, tol=tol,
@@ -423,11 +421,10 @@ def estimator_levels(levels, tol=1e-10, max_iter=30):
     for m in map(int, levels):
         x1, x2 = np.linspace(0.0, 0.25, m), np.linspace(0.25, 0.45, m)
         X, v = probe_grid(edge_problem, None, m, x1, x2)
-        v = v + potential_values(simplex, X) - xlogy(X[:, 0], X[:, 0])
+        v = v + potential_values(simplex, X) - xlogx(X[:, 0])
         edge.append((v.reshape(m, m), (x1, x2)))
         ax = np.linspace(0.0, 0.5, m)
         X, v = probe_grid(corner_problem, QuadrantTraces(), m, ax, ax)
-        v = v + xlogy(1.0 - X[:, 0], 1.0 - X[:, 0]) \
-            + xlogy(1.0 - X[:, 1], 1.0 - X[:, 1])
+        v = v + xlogx(1.0 - X[:, 0]) + xlogx(1.0 - X[:, 1])
         corner.append((v.reshape(m, m), (ax, ax)))
     return edge, corner

@@ -522,6 +522,22 @@ class TestBuildBoundaryData:
                            match="vertex 0 lies on 4 facets, expected 3"):
             boundary.build_boundary_data(prob)
 
+    def test_incompatible_endpoint_names_a_vertex_the_rule_refuses(self):
+        # the rule is relative: vertex 0 (h = 1e6) is off by 5e-3, within
+        # 1e-8 |h|, while vertex 3 (h = 1e3) is off by 1e-4, outside it
+        P = _scaled_square_problem(1000.0, False).polytope
+
+        def h(x):
+            left = np.where(np.isclose(x[..., 0], 0.0), 1.0 + 5e-9, 1.0)
+            corner = np.all(np.isclose(x, 1.0), axis=-1)
+            return guillemin.guillemin_density(P, x) * left + 1e-4 * corner
+
+        prob = GuilleminProblem(P, guillemin.DensitySpec.from_callable(h),
+                                0.0)
+        with pytest.raises(IncompatibleEndpoint, match=r"^vertex 3 violates "
+                           r"the matching condition by 0\.0001$"):
+            boundary.build_boundary_data(prob)
+
     def test_vertex_values(self):
         prob = simplex2d_problem()
         prob.vertex_values[:] = [1.0, 2.0, 3.0]

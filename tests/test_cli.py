@@ -11,7 +11,9 @@ import types
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator
+from scipy.sparse.linalg import splu, spsolve
 
 import gma.solver
 from gma import boundary, cli, errors, geometry, guillemin, verify
@@ -980,22 +982,57 @@ class TestScaling:
 
 
 # scipy subpackages a gma process loads on first use only
-LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.spatial", "scipy.fft")
+LAZY = {"scipy.optimize", "scipy.interpolate", "scipy.spatial", "scipy.fft",
+        "scipy.special", "scipy.sparse", "scipy.sparse.linalg"}
 
 
 def loaded_after(code):
-    """The LAZY modules in sys.modules after running code in a new process."""
+    """The scipy modules in sys.modules after running code in a new
+    process, read from the last line it prints."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    probe = "%s\nimport sys\nprint(*[m for m in %r if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe % (code, LAZY)],
+    probe = ("%s\nimport sys\n"
+             "print('', *[m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", probe % code],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def cli_run(*argv):
+    """Probe code that runs gma with argv in-process, exit code ignored."""
+    return ("from gma.cli import run\n"
+            "try:\n    run(%r)\nexcept SystemExit:\n    pass" % (list(argv),))
 
 
 class TestImportFootprint:
     def test_cli_import_loads_no_lazy_subpackage(self):
         assert loaded_after("import gma.cli") == set()
+
+    def test_help_loads_no_scipy(self):
+        assert loaded_after(cli_run("--help")) == set()
+
+    @pytest.mark.parametrize("command", ["check", "boundary"])
+    @pytest.mark.parametrize("body", [simplex_body, square_body])
+    def test_two_dimensional_command_loads_no_scipy(self, tmp_path, command,
+                                                    body):
+        path = write_problem(tmp_path / "p.json", body())
+        report = tmp_path / "r.json"
+        assert loaded_after(cli_run(command, path, "--report",
+                                    str(report))) == set()
+        # the command ran to its report, so no scipy was skipped with it
+        assert "error" not in json.loads(report.read_text())
+
+    def test_solve_loads_the_sparse_lu(self, tmp_path):
+        # the laziness defers scipy to the first factorization, it does
+        # not skip it
+        path = write_problem(tmp_path / "p.json", square_body(
+            {"type": "perturbed", "amplitude": 0.5}))
+        report = tmp_path / "r.json"
+        loaded = loaded_after(cli_run("solve", path, "--grid", "9",
+                                      "--report", str(report)))
+        solved = json.loads(report.read_text())["solver"]
+        assert solved["converged"] and solved["factorizations"] >= 1
+        assert {"scipy.sparse", "scipy.sparse.linalg"} <= loaded
 
     def test_model_solve_loads_no_optimize_or_interpolate(self):
         loaded = loaded_after(
@@ -1006,7 +1043,7 @@ class TestImportFootprint:
             "    lambda x: 0.5 * np.asarray(x)[..., 1] ** 2, grid=9)\n"
             "sol.v(np.array([[0.1, 0.2], [0.2, -0.3]]))")
         # the model solution's P2 reads index the grid; no KD-tree
-        assert loaded == set()
+        assert not loaded & (LAZY - {"scipy.sparse", "scipy.sparse.linalg"})
 
     def test_polytope_builds_load_no_optimize_or_spatial(self, tmp_path):
         path = write_problem(tmp_path / "p.json", simplex_body())
@@ -1039,11 +1076,21 @@ class TestLazyBindings:
     """perfbench/tracer.py patches these module globals by name."""
 
     @pytest.mark.parametrize("module, name", [
-        (geometry, "linprog"), (gma.solver, "LinearNDInterpolator")])
+        (geometry, "linprog"), (gma.solver, "LinearNDInterpolator"),
+        (gma.solver, "splu"), (gma.solver, "spsolve")])
     def test_plain_module_function(self, module, name):
         fn = vars(module)[name]
         assert isinstance(fn, types.FunctionType)
         assert fn.__module__ == module.__name__
+
+    def test_sparse_solves_equal_scipy(self):
+        rng = np.random.default_rng(6)
+        A = (sp.random(40, 40, density=0.1, random_state=rng, format="csc")
+             + 4.0 * sp.identity(40, format="csc"))
+        b = rng.random(40)
+        assert np.array_equal(gma.solver.spsolve(A, b), spsolve(A, b))
+        ours = gma.solver.splu(A, permc_spec="NATURAL").solve(b)
+        assert np.array_equal(ours, splu(A, permc_spec="NATURAL").solve(b))
 
     def test_interpolator_evaluates_like_scipy(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from gma import geometry, guillemin
 from gma.errors import NonSimpleVertex, OutsideDomain
@@ -77,6 +80,28 @@ def trapezoid_density_closed_form(P, x):
     l = P.evaluate_all(x)
     return (l[2] * l[3] + l[1] * l[3] + l[1] * l[2]
             + l[0] * l[2] + l[0] * l[1])
+
+
+class TestXlogx:
+    def test_exact_at_zero_one_and_inf(self):
+        x = np.array([0.0, -0.0, 1.0, np.inf])
+        got = guillemin.xlogx(x)
+        assert np.array_equal(got, xlogy(x, x))
+        assert not np.any(np.signbit(got))
+
+    def test_matches_scipy_over_the_float_range(self):
+        rng = np.random.default_rng(11)
+        for exponent in range(-300, 4, 3):
+            x = 10.0 ** exponent * rng.random(1000)
+            np.testing.assert_allclose(guillemin.xlogx(x), xlogy(x, x),
+                                       rtol=2.3e-16, atol=0.0)
+
+    def test_no_warning_at_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert guillemin.xlogx(0.0) == 0.0
+            assert np.array_equal(guillemin.xlogx(np.zeros((2, 3))),
+                                  np.zeros((2, 3)))
 
 
 class TestPotential:
