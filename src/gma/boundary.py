@@ -555,7 +555,7 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     P = problem.polytope
     n = P.dimension
     if not problem.compatibility_ok():
-        h, h_G = problem._vertex_densities()
+        h, h_G = problem.vertex_densities()
         bad = int(np.flatnonzero(~vertex_rule(h, h_G))[0])
         raise IncompatibleEndpoint(
             "vertex %d violates the matching condition by %.3g"

@@ -142,7 +142,7 @@ def _cmd_check(config):
         _emit_report(config, payload, started)
         return EXIT_INVALID
     # one evaluation of the vertex rule gives residuals and verdict
-    h, h_G = prob._vertex_densities()
+    h, h_G = prob.vertex_densities()
     residuals, ok = h - h_G, bool(np.all(vertex_rule(h, h_G)))
     payload["nonsimple_vertices"] = []
     payload["compatibility"] = {
@@ -302,19 +302,6 @@ def _cmd_model(config):
     return EXIT_CHECKS if config.strict and not rep["converged"] else EXIT_OK
 
 
-def _suite_oracles(config):
-    rng = np.random.default_rng(config.seed)
-    checks = []
-    for k in (1, 2, 3):
-        for n in range(k, 5):
-            x = np.hstack([10.0 ** rng.uniform(-3.0, 0.5, (1000, k)),
-                           rng.normal(0.0, 1.0, (1000, n - k))])
-            worst = float(np.abs(verify.liouville_oracle(x, k).residual).max())
-            checks.append({"id": "liouville-k%d-n%d" % (k, n),
-                           "value": worst, "pass": worst <= 1e-12})
-    return checks
-
-
 def _suite_barriers(config):
     checks = []
     for label, P in (("square", verify._unit_square()),
@@ -356,8 +343,7 @@ def _suite_asymptotics(config):
 
 
 # each verify suite and the options it reads besides --dump and --strict
-_SUITES = {"oracles": (_suite_oracles, ("seed",)),
-           "barriers": (_suite_barriers, ("seed",)),
+_SUITES = {"barriers": (_suite_barriers, ("seed",)),
            "asymptotics": (_suite_asymptotics, ("levels", "tol", "max_iter"))}
 
 
@@ -389,23 +375,15 @@ def _cmd_oracle(config):
     if not config.point:
         raise ValidationError("oracle needs --point")
     x = np.asarray(config.point, dtype=float)
-    if config.problem is not None:
-        prob = load_problem(config.problem)
-        P = prob.polytope
-        if x.size != P.dimension:
-            raise ValidationError(
-                "--point length %d does not match the problem "
-                "dimension %d" % (x.size, P.dimension))
+    P = load_problem(config.problem).polytope
+    if x.size != P.dimension:
+        raise ValidationError(
+            "--point length %d does not match the problem dimension %d"
+            % (x.size, P.dimension))
+    with np.errstate(over="ignore"):  # tested below
         payload = {"density": float(guillemin_density(P, x)),
                    "potential": float(potential_values(P, x))}
-    else:
-        if config.k is None:
-            raise ValidationError(
-                "oracle needs --k when no problem file is given")
-        # value, gradient, hessian and residual under their field names
-        payload = {"k": int(config.k), "n": len(config.point),
-                   **verify.liouville_oracle(x, config.k)._asdict()}
-    if not all(np.all(np.isfinite(v)) for v in payload.values()):
+    if not all(np.isfinite(v) for v in payload.values()):
         raise ValidationError("reference values at --point %s overflow"
                               % ",".join(map(repr, config.point)))
     _emit_report(config, {"point": list(config.point), **payload}, started)
@@ -413,11 +391,9 @@ def _cmd_oracle(config):
 
 
 # add_argument arguments of every option a subcommand can take, by the
-# name the command table uses; "problem?" is the optional positional
+# name the command table uses
 _OPTIONS = {
     "problem": (("problem",), {"help": "problem description JSON file"}),
-    "problem?": (("problem",), {"nargs": "?", "default": None,
-                                "help": "problem description JSON file"}),
     "grid": (("--grid",), {"type": int, "default": 33,
                            "help": "nodes per edge of the solver lattice"}),
     "levels": (("--levels",), {"default": "9,17,33",
@@ -438,12 +414,9 @@ _OPTIONS = {
         "type": float, "default": 0.25,
         "help": "chart extent in the transversal coordinate"}),
     "suite": (("--suite",), {
-        "choices": ("oracles", "barriers", "asymptotics", "all"),
+        "choices": ("barriers", "asymptotics", "all"),
         "default": "all", "help": "which suite to run"}),
     "point": (("--point",), {"help": "comma separated coordinates"}),
-    "k": (("--k",), {"type": int,
-                     "help": "number of degenerate coordinates for the "
-                             "quadrant reference solution"}),
     "report": (("--report",), {
         "help": "write the JSON report here instead of stdout"}),
     "deterministic": (("--deterministic",), {
@@ -468,7 +441,7 @@ _COMMANDS = {
                ("levels", "tol", "max_iter", "dump", "seed", "strict",
                 "suite")),
     "oracle": (_cmd_oracle, "closed-form reference values at a point",
-               ("problem?", "point", "k")),
+               ("problem", "point")),
 }
 
 # the bound each numeric option must meet, in the order they are checked
@@ -516,27 +489,21 @@ def _classify(exc):
 
 def _config_from_args(args):
     """The options the run reads, defaults filled in and --levels and
-    --point resolved, or a usage error for a given option it does not
-    read (``--k`` with a problem file, an option of a verify suite not
-    run).  A bad setting or output path, or a ``.bin`` dump of a table
-    with text columns, raises ValidationError before any file is read.
-    The report embeds this configuration.
+    --point resolved, or a usage error for an option of a verify suite
+    not run.  A bad setting or output path, or a ``.bin`` dump of a
+    table with text columns, raises ValidationError before any file is
+    read.  The report embeds this configuration.
     """
     options = set(_COMMANDS[args.subcommand][2]) | {"report", "deterministic"}
-    if args.subcommand == "oracle" and "problem" in args:
-        options.discard("k")
     if getattr(args, "suite", "all") != "all":
         options -= {option for _, reads in _SUITES.values()
                     for option in reads} - set(_SUITES[args.suite][1])
-    dests = {option.rstrip("?"): option for option in options}
-    unread = sorted(set(vars(args)) - set(dests) - {"subcommand"})
+    unread = sorted(set(vars(args)) - options - {"subcommand"})
     if unread:
-        raise _UsageError("%s with %s does not read --%s" % (
-            args.subcommand, "--suite " + args.suite if "suite" in args
-            else "a problem file", ", --".join(unread).replace("_", "-")))
-    for dest, option in dests.items():
-        if dest not in args:
-            setattr(args, dest, _OPTIONS[option][1].get("default"))
+        raise _UsageError("verify with --suite %s does not read --%s" % (
+            args.suite, ", --".join(unread).replace("_", "-")))
+    for option in options - set(vars(args)):
+        setattr(args, option, _OPTIONS[option][1].get("default"))
     if "levels" in args:
         args.levels = _parse_list(args.levels, int, ("--levels", "integers"))
     if "point" in args:

@@ -2,8 +2,9 @@
 
 Every error raised by the package derives from :class:`GmaError`, so callers
 can catch the whole family with one clause.  Geometry validation, boundary
-induction, the interior solver and the verification suite each have their own
-small set of subclasses; nothing here carries state beyond the message.
+induction, the interior solver, the model problems and the command line each
+have their own small set of subclasses; nothing here carries state beyond the
+message.
 """
 
 
@@ -102,14 +103,6 @@ class DegenerateTransversalHessian(SolverError):
 
 class NonEllipticIterate(SolverError):
     """A model-problem iterate left the ellipticity cone."""
-
-
-# ---------------------------------------------------------------------------
-# verification suite
-
-
-class OutsideQuadrant(GmaError):
-    """Evaluation point has a negative coordinate where none is allowed."""
 
 
 # ---------------------------------------------------------------------------

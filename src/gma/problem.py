@@ -60,10 +60,11 @@ class GuilleminProblem:
     def dimension(self):
         return self.polytope.dimension
 
-    def _vertex_densities(self):
+    def vertex_densities(self):
         """h(p) by one density call and h_G(p) by one bordered determinant,
-        at every vertex p; raises NonSimpleVertex first if some vertex does
-        not lie on exactly n facets."""
+        at every vertex p; h - h_G, the residual of the vertex rule, scales
+        with the functionals, taken as given.  Raises NonSimpleVertex first
+        if some vertex does not lie on exactly n facets."""
         P = self.polytope
         for i, active in enumerate(P.vertex_active):
             if len(active) != P.dimension:
@@ -73,15 +74,9 @@ class GuilleminProblem:
         return (np.asarray(self.density(P.vertices), dtype=float),
                 _bordered_determinant(P, P.evaluate_all(P.vertices)))
 
-    def compatibility_residuals(self):
-        """Vertex matching residuals h(p) - h_G(p), one per vertex; they
-        scale with the functionals, taken as given."""
-        h, h_G = self._vertex_densities()
-        return h - h_G
-
     def compatibility_ok(self):
         """True when the vertex rule holds at every vertex."""
-        return bool(np.all(vertex_rule(*self._vertex_densities())))
+        return bool(np.all(vertex_rule(*self.vertex_densities())))
 
     def transform(self, M, b):
         """The problem in new coordinates xi with x = M xi + b.

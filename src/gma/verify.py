@@ -1,16 +1,16 @@
 """Closed-form certificates and refinement diagnostics.
 
-Three groups of checks back the solver up.  Quadrant oracles evaluate
-the explicit degenerate solutions (log terms on the vanishing
-coordinates plus a quadratic bulk) together with the defect of the
-equation they satisfy, so any consumer can confirm the algebra to
-rounding.  Barrier certificates evaluate comparison functions whose
-derivatives are written out in closed form and report the worst
-sampled margin of the differential inequality and of the boundary
-comparison.  Mesh estimators take a solved field on a sequence of
-refined grids near a face or a corner and track the sup of the
-quantity each regularity statement bounds, flagging growth beyond ten
-percent per refinement.
+Two groups of checks back the solver up.  Barrier certificates
+evaluate comparison functions whose derivatives are written out in
+closed form and report the worst sampled margin of the differential
+inequality and of the boundary comparison.  Mesh estimators take a
+solved field on a sequence of refined grids near a face or a corner
+and track the sup of the quantity each regularity statement bounds,
+flagging growth beyond ten percent per refinement.  The quadrant
+solutions (log terms on the vanishing coordinates plus a quadratic
+bulk), the local models of the solution near a face, enter as the
+g-concavity comparison and as the corner estimator's traces; their own
+equation holds by algebra, so no check evaluates them alone.
 
 Everything here is deterministic: sampling uses seeded generators and
 all reductions run over sorted sample order.
@@ -21,16 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import (OutsideDomain, OutsideQuadrant, SolverError,
-                     ValidationError)
+from .errors import OutsideDomain, SolverError, ValidationError
 from .guillemin import DensitySpec, potential_values, xlogx
 from .legendre import local_quadratic_eval, second_differences
 from .problem import GuilleminProblem
 from .solver import newton_solve
 
 __all__ = [
-    "LiouvilleData",
-    "liouville_oracle",
     "BarrierCheck",
     "verify_barrier",
     "EstimateReport",
@@ -43,59 +40,6 @@ __all__ = [
 
 _TREND_FLOOR = 1e-12
 _TREND_LIMIT = 1.1
-
-
-class LiouvilleData(NamedTuple):
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    residual: float
-
-
-def liouville_oracle(x, k):
-    """Explicit quadrant solution and the defect of its equation.
-
-    The potential is sum_{a<=k} x_a log x_a plus half the squared norm
-    of the remaining coordinates.  It solves the degenerate equation
-    prod_{a<=k} x_a det D2 u = 1 on the open quadrant exactly; the
-    returned residual is that product minus one, evaluated in floating
-    point from the closed-form Hessian.
-
-    Parameters
-    ----------
-    x : ndarray, shape (n,) or (m, n)
-        One point or m rows; the first k coordinates must be positive.
-    k : int
-        Number of degenerate coordinates.
-
-    Returns
-    -------
-    LiouvilleData
-        value, gradient, hessian, residual; rows add a leading axis m.
-
-    Raises
-    ------
-    OutsideQuadrant
-        When any of the first k coordinates is not strictly positive.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n, k = x.shape[-1], int(k)
-    if not 1 <= k <= n:
-        raise ValidationError("need 1 <= k <= n")
-    head, tail = x[..., :k], x[..., k:]
-    if np.any(head <= 0.0):
-        raise OutsideQuadrant(
-            "oracle needs the first %d coordinates positive" % k)
-    with np.errstate(over="ignore"):  # callers test the value
-        value = np.sum(head * np.log(head), -1) + 0.5 * np.sum(tail ** 2, -1)
-    gradient = np.concatenate([1.0 + np.log(head), tail], axis=-1)
-    hessian = np.zeros(x.shape + (n,))
-    hessian[..., range(n), range(n)] = np.concatenate(
-        [1.0 / head, np.ones_like(tail)], axis=-1)
-    residual = np.prod(head, -1) * np.linalg.det(hessian) - 1.0
-    if x.ndim == 1:
-        value, residual = float(value), float(residual)
-    return LiouvilleData(value, gradient, hessian, residual)
 
 
 class BarrierCheck(NamedTuple):

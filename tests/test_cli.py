@@ -55,11 +55,11 @@ def square_body(density=None, side=1.0):
     return body
 
 
-def cube_body(density):
+def cube_body(density, side=1.0):
     facets = []
     for e in np.eye(3).tolist():
         facets.append({"normal": e, "offset": 0.0})
-        facets.append({"normal": [-c for c in e], "offset": -1.0})
+        facets.append({"normal": [-c for c in e], "offset": -side})
     return {"dimension": 3, "facets": facets, "density": density}
 
 
@@ -89,7 +89,7 @@ def octahedron_body():
 # the options each subcommand reads, each with a value for a quick run
 # (None for a switch); every subcommand also takes --report and
 # --deterministic, all but model and verify take a problem file, and
-# verify runs its oracle suite, which reads --seed of the suite options
+# verify runs its barrier suite, which reads --seed of the suite options
 COMMAND_OPTIONS = {
     "check": {},
     "boundary": {"--grid": "5", "--tol": "1e-10", "--dump": "d.csv"},
@@ -99,7 +99,7 @@ COMMAND_OPTIONS = {
               "--dump": "d.csv", "--strict": None, "--form": "z",
               "--depth": "0.25"},
     "verify": {"--dump": "d.csv", "--seed": "0", "--strict": None},
-    "oracle": {"--point": "0.5,0.25", "--k": "1"},
+    "oracle": {"--point": "0.5,0.25"},
 }
 
 # the flags every subcommand used to take, whether it read them or not
@@ -111,10 +111,10 @@ FORMER_COMMON = ("--grid", "--levels", "--tol", "--max-iter", "--dump",
 def test_options_follow_the_command_table(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     head = [command]
-    if command in ("check", "boundary", "solve"):
+    if command in ("check", "boundary", "solve", "oracle"):
         head.append(write_problem(tmp_path / "p.json", simplex_body()))
     if command == "verify":
-        head += ["--suite", "oracles"]
+        head += ["--suite", "barriers"]
     options = COMMAND_OPTIONS[command]
     argv = list(head)
     for flag, value in options.items():
@@ -261,13 +261,13 @@ class TestCheck:
     def test_one_vertex_rule_evaluation(self, tmp_path, monkeypatch):
         # residuals and verdict come from one evaluation of the rule
         calls = []
-        real = GuilleminProblem._vertex_densities
+        real = GuilleminProblem.vertex_densities
 
         def spy(self):
             calls.append(1)
             return real(self)
 
-        monkeypatch.setattr(GuilleminProblem, "_vertex_densities", spy)
+        monkeypatch.setattr(GuilleminProblem, "vertex_densities", spy)
         path = write_problem(tmp_path / "p.json", simplex_body())
         assert cli.run(["check", path]) == 0
         assert calls == [1]
@@ -336,7 +336,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("command", [
         ["boundary", "p.json", "--dump", "t.bin"],
-        ["verify", "--suite", "oracles", "--dump", "v.bin"]],
+        ["verify", "--suite", "barriers", "--dump", "v.bin"]],
         ids=["boundary", "verify"])
     def test_binary_dump_of_a_text_table_is_exit_two(
             self, tmp_path, monkeypatch, command):
@@ -362,7 +362,7 @@ EXIT_CODES = {
     "InconsistentTraces": 3, "SolverError": 3, "NonConvexIterate": 3,
     "LineSearchStall": 3, "SingularJacobian": 3,
     "DegenerateTransversalHessian": 3, "NonEllipticIterate": 3,
-    "OutsideQuadrant": 2, "ParseError": 1, "ValidationError": 2,
+    "ParseError": 1, "ValidationError": 2,
 }
 
 
@@ -672,20 +672,76 @@ class TestModel:
         assert out["error"]["kind"] == "ChartTooLarge"
 
 
-class TestVerify:
-    def test_oracle_suite(self, tmp_path):
-        report = tmp_path / "r.json"
-        code = cli.run(["verify", "--suite", "oracles",
-                        "--report", str(report)])
-        assert code == 0
-        out = json.loads(report.read_text())
-        assert out["all_pass"] is True
-        assert all(c["pass"] for c in out["checks"])
-        assert all(c["value"] <= 1e-12 for c in out["checks"])
+def barrier_constants(barrier_id, constants):
+    # verify_barrier with these constants on barrier_id's calls
+    def perturb(monkeypatch):
+        real = verify.verify_barrier
 
+        def patched(bid, *args, **kwargs):
+            if bid == barrier_id:
+                kwargs["constants"] = constants
+            return real(bid, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_barrier", patched)
+    return perturb
+
+
+def probe_term(term):
+    # every read of a solved field gains term(x) at the probed points
+    def perturb(monkeypatch):
+        real = verify.solution_probe
+
+        def patched(solution):
+            probe = real(solution)
+            return lambda x: probe(x) + term(np.asarray(x))
+
+        monkeypatch.setattr(verify, "solution_probe", patched)
+    return perturb
+
+
+# each id prefix of `verify --suite all`, the suite that emits it and a
+# perturbation that makes its checks fail with their thresholds as they
+# are: the barriers with constants they cannot certify, the estimators
+# with a probe whose reads gain a term of unbounded weighted derivatives
+# near the face (a square root of x1, which cancels from the corner
+# remainder, or a fourth root of x1 x2, which does not)
+FAILING_TWINS = {
+    "product-power": ("barriers",
+                      barrier_constants("product-power", {"alpha_exp": 0.9})),
+    "g-concavity": ("barriers", barrier_constants(
+        "g-concavity", {"delta": -0.05, "C0": 2.0})),
+    "lipschitz": ("asymptotics", probe_term(lambda x: np.sqrt(x[:, 0]))),
+    "weighted-hessian": ("asymptotics",
+                         probe_term(lambda x: np.sqrt(x[:, 0]))),
+    "asymptotics-quadrant": ("asymptotics", probe_term(
+        lambda x: np.prod(x, axis=1) ** 0.25)),
+}
+
+
+def verify_verdicts(tmp_path, suite):
+    # the pass flag of each check of one verify run, by id
+    report = tmp_path / "r.json"
+    argv = ["verify", "--suite", suite, "--report", str(report)]
+    if suite != "barriers":
+        argv += ["--levels", "9,17,33"]
+    assert cli.run(argv) == 0
+    return {c["id"]: c["pass"]
+            for c in json.loads(report.read_text())["checks"]}
+
+
+class TestVerify:
     def test_retired_appendix_suite_is_a_usage_error(self, capsys):
         assert cli.run(["verify", "--suite", "appendix"]) == 64
         assert "invalid choice: 'appendix'" in capsys.readouterr().err
+
+    def test_retired_quadrant_oracle_is_a_usage_error(self, capsys):
+        # neither the oracle suite nor the problem-free oracle is left
+        assert cli.run(["verify", "--suite", "oracles"]) == 64
+        assert "invalid choice: 'oracles'" in capsys.readouterr().err
+        assert cli.run(["oracle", "--k", "2", "--point", "0.5,0.25,0.7"]) \
+            == 64
+        assert cli.run(["oracle", "--point", "0.5,0.25"]) == 64
+        assert "required: problem" in capsys.readouterr().err
 
     def test_barrier_suite_deterministic_csv(self, tmp_path):
         blobs = []
@@ -708,7 +764,7 @@ class TestVerify:
             "g-concavity-k2", "g-concavity-k3"]
 
     @pytest.mark.parametrize("suite, reads", [
-        ("oracles", ("--seed",)), ("barriers", ("--seed",)),
+        ("barriers", ("--seed",)),
         ("asymptotics", ("--levels", "--tol", "--max-iter"))])
     def test_suite_options_read_by_the_suite_only(self, suite, reads,
                                                   capsys):
@@ -786,21 +842,24 @@ class TestVerify:
         assert lines[0].split(",")[0] == "level"
         assert len(lines) == 4  # header + one row per level
 
+    @pytest.mark.parametrize("prefix", sorted(FAILING_TWINS))
+    def test_failing_twin(self, tmp_path, monkeypatch, prefix):
+        suite, perturb = FAILING_TWINS[prefix]
+        perturb(monkeypatch)
+        verdicts = verify_verdicts(tmp_path, suite)
+        ids = [cid for cid in verdicts if cid.startswith(prefix)]
+        assert ids
+        assert not any(verdicts[cid] for cid in ids), verdicts
+
+    def test_failing_twins_cover_every_check(self, tmp_path):
+        # each of the 8 ids passes unperturbed and has exactly one twin
+        verdicts = verify_verdicts(tmp_path, "all")
+        assert len(verdicts) == 8 and all(verdicts.values()), verdicts
+        for cid in verdicts:
+            assert sum(cid.startswith(p) for p in FAILING_TWINS) == 1, cid
+
 
 class TestOracle:
-    def test_quadrant_point(self, capsys):
-        # the report fields as the one-point oracle wrote them
-        assert cli.run(["oracle", "--k", "2", "--point", "0.5,0.25,0.7",
-                        "--deterministic"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        del out["config"], out["schema_version"]
-        assert out == {
-            "point": [0.5, 0.25, 0.7], "k": 2, "n": 3,
-            "value": -0.4481471805599453,
-            "gradient": [0.3068528194400547, -0.3862943611198906, 0.7],
-            "hessian": [[2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
-            "residual": -2.220446049250313e-16}
-
     def test_problem_point(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", square_body())
         code = cli.run(["oracle", path, "--point", "0.5,0.5"])
@@ -824,7 +883,7 @@ class TestOracle:
         code = cli.run(["oracle", path, "--k", "7", "--point", "0.5,0.5",
                         "--report", str(report)])
         assert code == 64
-        assert "does not read --k" in capsys.readouterr().err
+        assert "unrecognized arguments: --k" in capsys.readouterr().err
         assert not report.exists()
         assert cli.run(["oracle", path, "--point", "0.5,0.5",
                         "--report", str(report)]) == 0
@@ -832,28 +891,25 @@ class TestOracle:
         assert set(config) == {"subcommand", "deterministic", "problem",
                                "point"}
 
-    @pytest.mark.parametrize("head, point", [
-        (["--k", "1"], "nan,0.5"), (["--k", "1"], "inf,0.5"),
-        ([], "0.2,nan")], ids=["nan", "infinity", "problem-nan"])
-    def test_nonfinite_point_is_exit_two(self, tmp_path, capsys, head, point):
+    @pytest.mark.parametrize("point", ["nan,0.5", "inf,0.5", "0.2,nan"],
+                             ids=["nan", "infinity", "problem-nan"])
+    def test_nonfinite_point_is_exit_two(self, tmp_path, capsys, point):
         # NaN and Infinity are not JSON, so no report may carry them
-        if not head:
-            head = [write_problem(tmp_path / "p.json", square_body())]
-        assert cli.run(["oracle"] + head + ["--point", point]) == 2
+        path = write_problem(tmp_path / "p.json", square_body())
+        assert cli.run(["oracle", path, "--point", point]) == 2
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_value_is_exit_two(self, capsys):
-        # x log x overflows at 1e308; the report may not carry Infinity
-        assert cli.run(["oracle", "--k", "1", "--point", "1e308,0.5"]) == 2
+    def test_overflowing_value_is_exit_two(self, tmp_path, capsys):
+        # the bordered determinant overflows in the cube [0, 1e120]^3;
+        # the report may not carry Infinity, nor numpy warn of it
+        path = write_problem(tmp_path / "cube.json",
+                             cube_body({"type": "guillemin"}, side=1e120))
+        assert cli.run(["oracle", path, "--point", "5e119,5e119,5e119"]) \
+            == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflow" in captured.err
-
-    def test_outside_quadrant_is_validation_error(self, tmp_path):
-        code = cli.run(["oracle", "--k", "1", "--point", "-1.0,0.0",
-                        "--report", str(tmp_path / "r.json")])
-        assert code == 2
 
     def test_point_dimension_mismatch_is_validation_error(self, tmp_path,
                                                           capsys):

@@ -18,8 +18,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 KEPT = {
     ("cli", "main"): "console script entry point named in pyproject.toml",
     ("cli", "_Parser.error"): "argparse calls it on a usage error",
-    ("problem", "GuilleminProblem.compatibility_residuals"):
-        "acceptance criterion 04's tests read the vertex residuals through it",
     # each shim's own import spells its name, so the scan alone would
     # pass it by accident
     ("solver", "LinearNDInterpolator"):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import xlogy
 
 from gma import geometry, guillemin, solver, verify
-from gma.errors import OutsideDomain, OutsideQuadrant, ValidationError
+from gma.errors import OutsideDomain, ValidationError
 from gma.problem import GuilleminProblem
 
 from oracles import fd_hessian
@@ -22,81 +22,6 @@ def standard_simplex():
           geometry.AffineFunctional([0.0, 1.0], 0.0),
           geometry.AffineFunctional([-1.0, -1.0], -1.0)]
     return geometry.build_polytope(fs)
-
-
-class TestLiouvilleOracle:
-    def test_unit_point(self):
-        out = verify.liouville_oracle(np.array([1.0, 1.0]), 2)
-        assert out.value == 0.0
-        assert np.allclose(out.gradient, [1.0, 1.0])
-        assert np.allclose(out.hessian, np.eye(2))
-        assert abs(out.residual) <= 1e-15
-
-    def test_diagonal_point(self):
-        x = np.array([0.5, 0.25, 0.7])
-        out = verify.liouville_oracle(x, 2)
-        assert np.isclose(np.linalg.det(out.hessian), 8.0, rtol=1e-13)
-        assert abs(out.residual) <= 1e-13
-        expect = 0.5 * np.log(0.5) + 0.25 * np.log(0.25) + 0.5 * 0.49
-        assert np.isclose(out.value, expect, rtol=1e-14)
-
-    def test_single_degenerate_direction_matches_model(self):
-        # k = 1 is the half-space model with h = 1: u = x1 log x1 + |x2|^2/2
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = np.array([rng.uniform(0.05, 2.0), rng.normal()])
-            out = verify.liouville_oracle(x, 1)
-            assert np.isclose(out.value,
-                              xlogy(x[0], x[0]) + 0.5 * x[1] ** 2,
-                              rtol=1e-14, atol=1e-14)
-            assert np.allclose(out.hessian,
-                               np.diag([1.0 / x[0], 1.0]), rtol=1e-14)
-            assert abs(x[0] * np.linalg.det(out.hessian) - 1.0) <= 1e-14
-
-    def test_outside_quadrant(self):
-        with pytest.raises(OutsideQuadrant):
-            verify.liouville_oracle(np.array([0.0, 1.0]), 1)
-        with pytest.raises(OutsideQuadrant):
-            verify.liouville_oracle(np.array([0.3, -0.2, 1.0]), 2)
-        # tangential coordinates may have any sign
-        out = verify.liouville_oracle(np.array([0.3, -0.2]), 1)
-        assert np.isfinite(out.value)
-
-    def test_thousand_random_points(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for k in (1, 2, 3):
-            for n in range(k, 5):
-                x = np.empty((1000, n))
-                x[:, :k] = 10.0 ** rng.uniform(-2, 1, (1000, k))
-                x[:, k:] = rng.normal(0.0, 2.0, (1000, n - k))
-                out = verify.liouville_oracle(x, k)
-                worst = max(worst, float(np.max(np.abs(out.residual))))
-        assert worst <= 1e-12
-
-    @pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3)
-                                      for n in range(k, 5)])
-    def test_batch_equals_rows(self, k, n):
-        rng = np.random.default_rng([k, n])
-        x = np.hstack([10.0 ** rng.uniform(-3.0, 0.5, (50, k)),
-                       rng.normal(0.0, 1.0, (50, n - k))])
-        batch = verify.liouville_oracle(x, k)
-        rows = [verify.liouville_oracle(row, k) for row in x]
-        assert type(rows[0].value) is float
-        assert type(rows[0].residual) is float
-        for field, got in zip(verify.LiouvilleData._fields, batch):
-            want = np.array([getattr(r, field) for r in rows])
-            assert got.shape == want.shape, field
-            assert np.array_equal(got, want), field
-
-    def test_batch_with_one_bad_head_is_outside(self):
-        x = np.tile([0.5, 0.25, 0.7], (10, 1))
-        x[7, 1] = 0.0
-        with pytest.raises(OutsideQuadrant):
-            verify.liouville_oracle(x, 2)
-        # the tangential coordinate may be negative in any row
-        x[7, 1], x[3, 2] = 0.25, -0.7
-        assert verify.liouville_oracle(x, 2).residual.shape == (10,)
 
 
 class TestVerifyBarrier:
