@@ -93,10 +93,8 @@ class PartialLegendrePair:
     """
 
     def __init__(self, x_points, y_points, ustar, hessians):
-        self.x_points = x_points
-        self.y_points = y_points
-        self.ustar = ustar
-        self.hessians = hessians
+        self.x_points, self.y_points = x_points, y_points
+        self.ustar, self.hessians = ustar, hessians
 
     def transversal_residual(self, h):
         """Residual y1 u*_11 + h(y) det D2_tan u* at the sample points.
@@ -115,12 +113,10 @@ class PartialLegendrePair:
         -------
         ndarray, shape (K,)
         """
-        u11 = self.hessians[:, 0, 0]
-        u12 = self.hessians[:, 0, 1]
-        u22 = self.hessians[:, 1, 1]
-        ustar11 = -(u11 - u12 ** 2 / u22)
+        H = self.hessians
+        ustar11 = -(H[:, 0, 0] - H[:, 0, 1] ** 2 / H[:, 1, 1])
         hvals = np.asarray(h(self.y_points), dtype=float)
-        return self.y_points[:, 0] * ustar11 + hvals / u22
+        return self.y_points[:, 0] * ustar11 + hvals / H[:, 1, 1]
 
 
 def second_differences(values, d1, d2):
@@ -179,10 +175,8 @@ def legendre_forward(values, axes, gradient=None):
     else:
         g = ((values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * d2)).ravel()
 
-    H = np.empty((len(pts), 2, 2))
     u11, u12, u22 = (d.ravel() for d in second_differences(values, d1, d2))
-    H[:, 0, 0], H[:, 1, 1] = u11, u22
-    H[:, 0, 1] = H[:, 1, 0] = u12
+    H = np.stack([u11, u12, u12, u22], axis=-1).reshape(-1, 2, 2)
 
     worst = int(np.argmin(u22))
     if u22[worst] <= _U22_FLOOR:
@@ -210,10 +204,8 @@ class ModelSolution:
     """
 
     def __init__(self, z1_axis, z2_axis, values, report):
-        self.z1_axis = z1_axis
-        self.z2_axis = z2_axis
-        self.values = values
-        self.report = report
+        self.z1_axis, self.z2_axis = z1_axis, z2_axis
+        self.values, self.report = values, report
 
     def v(self, x):
         """Regular part at x-coordinates, v(x) = w(2 sqrt(x1), x2).
@@ -298,7 +290,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     on the outer boundary only; the face values are unknowns.  The
     iteration is :func:`gma.solver.damped_newton`, the chart solver's
     driver: single-precision LU factors, reused for chord steps, in the
-    nested-dissection order of the unknowns, and each solve refined once.
+    nested-dissection order of the unknowns, each Newton step refined.
 
     Parameters
     ----------
@@ -356,8 +348,7 @@ def model_solve_z(h, trace, x_depth=0.25, lateral=(-1.0, 1.0), grid=17,
     Z = 2.0 * np.sqrt(x_depth)
     z1 = np.linspace(0.0, Z, m1)
     z2 = np.linspace(lo, hi, m2)
-    d1 = z1[1] - z1[0]
-    d2 = z2[1] - z2[0]
+    d1, d2 = z1[1] - z1[0], z2[1] - z2[0]
     Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
     xpts = np.stack([Z1 ** 2 / 4.0, Z2], axis=-1)
 

@@ -356,14 +356,26 @@ def _jacobian_matrix(chart, v):
     return chart.stencil.jacobian(inverses(chart.stencil.matrices(v)))
 
 
+def _dst1(x):
+    """Unnormalised type-I sine transform along every axis in turn, as
+    ``scipy.fft.dstn(x, type=1)``: along an axis of length N it is -Im of
+    the real FFT of the odd extension [0, x, 0, -x reversed]."""
+    for a in range(x.ndim):
+        z = np.moveaxis(x, a, -1)
+        zero = np.zeros(z.shape[:-1] + (1,))
+        z = np.concatenate([zero, z, zero, -z[..., ::-1]], axis=-1)
+        x = np.moveaxis(-np.fft.rfft(z)[..., 1:-1].imag, -1, a)
+    return x
+
+
 def _harmonic_lift(chart, v):
     """Fill interior values by a discrete Laplace solve from the boundary.
 
     The Laplacian, the (2n+1)-point one, is the trace of the chart's
     stencil.  On a box lattice it is diagonalised by the type-I discrete
     sine transform, so box charts and 1-D charts are solved by one forward
-    and one inverse DST of the values placed by their lattice
-    coordinates.  The 2-D simplex lattice is the half
+    and one inverse DST (:func:`_dst1`, through numpy's FFT) of the values
+    placed by their lattice coordinates.  The 2-D simplex lattice is the half
     i + j <= m - 1 of the square, and the reflection
     (i, j) -> (m - 1 - j, m - 1 - i) across the hypotenuse maps the
     stencil onto itself: with the right hand side mirrored with its sign
@@ -387,7 +399,6 @@ def _harmonic_lift(chart, v):
         A.eliminate_zeros()
         return spsolve(A, rhs, permc_spec="NATURAL")
 
-    from scipy.fft import dstn, idstn
     # eigenvalues of the Laplacian on the (m-2)^n interior box
     lam1 = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / d2
     lam = functools.reduce(np.add.outer, [lam1] * n)
@@ -397,7 +408,8 @@ def _harmonic_lift(chart, v):
     F[at] = rhs
     if chart.kind == "simplex" and n == 2:
         F -= F.T[::-1, ::-1]
-    return idstn(dstn(F, type=1) / lam, type=1)[at]
+    # the inverse transform is the forward one over 2(m - 1) per axis
+    return (_dst1(_dst1(F) / lam) / (2 * (m - 1)) ** n)[at]
 
 
 def freudenthal_cells(s, top, width, simplex):
@@ -449,10 +461,8 @@ class RegularizedSolution:
     """
 
     def __init__(self, problem, chart, values, report):
-        self.problem = problem
-        self.chart = chart
+        self.problem, self.chart, self.report = problem, chart, report
         self.values = np.asarray(values, dtype=float)
-        self.report = report
 
     def _eval_ref(self, xi):
         chart = self.chart
@@ -477,7 +487,7 @@ class RegularizedSolution:
 
 
 def _refined_solve(lu, J, b):
-    """J s = b on single-precision factors of J, refined once against J."""
+    """J s = b on fresh single-precision factors of J, refined once."""
     s = lu.solve(b.astype(np.float32)).astype(float)
     return s + lu.solve((b - J @ s).astype(np.float32))
 
@@ -486,15 +496,16 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
     """Damped Newton iteration on a vector of unknowns, reusing LU factors.
 
     ``splu`` factors the Jacobian in single precision as numbered
-    (``permc_spec="NATURAL"``), and every step on the factors, chord
-    and Newton alike, is refined once against the double-precision
-    Jacobian (:func:`_refined_solve`); both solvers number their
-    unknowns by :func:`dissection_order`.
-    A chord step on the kept factors is taken when it keeps every node
-    admissible and lowers the sup norm residual, and the factors are
-    kept while it cuts the residual at least fourfold.  Otherwise Newton
-    refactors at the current iterate and backtracks, halving lambda down
-    to 2^-31 until |R(x + lambda s)| <= (1 - lambda/4) |R(x)|.
+    (``permc_spec="NATURAL"``); both solvers number their unknowns by
+    :func:`dissection_order`.  The Newton step on fresh factors is
+    refined once against the double-precision Jacobian
+    (:func:`_refined_solve`); a chord step on kept factors takes one
+    solve, the stale Jacobian erring far more than single precision.
+    It is taken when it keeps every node admissible and lowers the sup
+    norm residual, and the factors are kept while it cuts the residual
+    at least fourfold.  Otherwise Newton refactors at the current
+    iterate and backtracks, halving lambda down to 2^-31 until
+    |R(x + lambda s)| <= (1 - lambda/4) |R(x)|.
 
     Parameters
     ----------
@@ -527,18 +538,18 @@ def damped_newton(residual, jacobian, x, R, tol, max_iter):
     """
     norm = float(np.max(np.abs(R)))
     iterations = trials = factorizations = 0
-    lu = J = None
+    lu = None
     while norm > tol and iterations < max_iter:
         if lu is not None:
             # chord step on the kept factors: taken if it lowers the
             # residual, the factors kept if it contracts it fast enough
-            xt = x + _refined_solve(lu, J, -R)
+            xt = x + lu.solve((-R).astype(np.float32))
             Rt, ok = residual(xt)
             trials += 1
             nt = float(np.max(np.abs(Rt))) if ok else np.inf
             if nt > _CHORD_CONTRACTION * norm:
                 # free the old factors first: two live LUs double peak memory
-                lu = J = None
+                lu = None
             if nt < norm:
                 x, R, norm = xt, Rt, nt
                 iterations += 1

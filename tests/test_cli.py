@@ -807,6 +807,24 @@ class TestVerify:
         assert checks["product-power-square"]["constants"] == {
             "alpha_exp": 0.25}
 
+    @pytest.mark.parametrize("twin", [False, True], ids=["good", "twin"])
+    def test_g_concavity_value_is_the_deciding_margin(self, tmp_path,
+                                                      monkeypatch, twin):
+        # the twin passes its differential comparison and fails its
+        # boundary one; the value is the smaller margin, so a check
+        # passes exactly when its value is non-negative
+        if twin:
+            FAILING_TWINS["g-concavity"][1](monkeypatch)
+        report = tmp_path / "r.json"
+        assert cli.run(["verify", "--suite", "barriers",
+                        "--report", str(report)]) == 0
+        checks = [c for c in json.loads(report.read_text())["checks"]
+                  if c["id"].startswith("g-concavity")]
+        assert len(checks) == 2
+        for check in checks:
+            assert check["pass"] is (check["value"] >= 0.0) is (not twin), \
+                check
+
     @pytest.mark.parametrize("levels", ["33", "9,9,9", "17,9", "9,17,3"])
     def test_levels_that_grade_no_refinement_are_exit_two(
             self, levels, monkeypatch, capsys):
@@ -1077,6 +1095,26 @@ class TestImportFootprint:
                                     str(report))) == set()
         # the command ran to its report, so no scipy was skipped with it
         assert "error" not in json.loads(report.read_text())
+
+    @pytest.mark.parametrize("body", [simplex_body, square_body])
+    def test_solve_loads_no_fft(self, tmp_path, body):
+        # the sine-transform lift runs on numpy's FFT, so a box or 2-D
+        # simplex solve loads neither scipy.fft nor scipy.special
+        path = write_problem(tmp_path / "p.json", body(
+            {"type": "perturbed", "amplitude": 0.5}))
+        report = tmp_path / "r.json"
+        loaded = loaded_after(cli_run("solve", path, "--grid", "9",
+                                      "--report", str(report)))
+        assert json.loads(report.read_text())["solver"]["converged"]
+        assert not loaded & {"scipy.fft", "scipy.special"}, loaded
+
+    def test_verify_asymptotics_loads_no_fft(self, tmp_path):
+        report = tmp_path / "r.json"
+        loaded = loaded_after(cli_run("verify", "--suite", "asymptotics",
+                                      "--levels", "9,17", "--report",
+                                      str(report)))
+        assert json.loads(report.read_text())["all_pass"] is True
+        assert not loaded & {"scipy.fft", "scipy.special"}, loaded
 
     def test_solve_loads_the_sparse_lu(self, tmp_path):
         # the laziness defers scipy to the first factorization, it does

@@ -1,9 +1,11 @@
 import itertools
+import re
 import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.sparse.linalg import splu, spsolve
 
 from gma import boundary, geometry, guillemin, legendre, solver
@@ -752,6 +754,43 @@ class TestNewtonSolve:
         assert report["line_search_total"] < ref["line_search_total"]
         assert report["factorizations"] <= ref["factorizations"]
 
+    def test_one_solve_per_chord_trial(self, monkeypatch):
+        # the factors splu returns take two solves for the Newton step
+        # right after a factorization (one refining sweep) and one per
+        # chord trial, whose stale Jacobian errs far more than float32
+        events, factor, evaluate = [], solver.splu, solver.assemble_residual
+
+        class Factors:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                events.append("s")
+                return self.lu.solve(b)
+
+        def spy_splu(*args, **kwargs):
+            events.append("F")
+            return Factors(factor(*args, **kwargs))
+
+        def spy_residual(*args):
+            events.append("r")
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "splu", spy_splu)
+        monkeypatch.setattr(solver, "assemble_residual", spy_residual)
+        prob = polynomial_problem("box", 2)
+        bd = types.SimpleNamespace(v=lambda x: 0.04 * np.exp(x @ [1.0, 2.0]))
+        _, report = solver.newton_solve(prob, boundary=bd, grid=65,
+                                        tol=1e-10)
+        log = "".join(events)
+        # the start's residual, then Newton steps with their line
+        # searches, and chord trials
+        assert re.fullmatch(r"r(Fssr+|sr)*", log), log
+        assert log.count("F") == report["factorizations"]
+        assert log.count("r") == report["line_search_total"] + 1
+        assert report["converged"]
+        assert log.count("s") > 2 * report["factorizations"], log
+
     @pytest.mark.parametrize("kind", ["box", "simplex"])
     @pytest.mark.parametrize("refined", [True, False],
                              ids=["refined", "unrefined-twin"])
@@ -895,6 +934,17 @@ def _lift_cases():
 
 
 class TestHarmonicLift:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64,), (7, 7),
+                                       (127, 127), (5, 9), (15, 15, 15),
+                                       (3, 6, 4)])
+    def test_sine_transform_equals_scipy(self, shape):
+        x = np.random.default_rng(len(shape) * 1000 + shape[0]) \
+            .standard_normal(shape)
+        ref = dstn(x, type=1)
+        ours = solver._dst1(x)
+        assert ours.shape == shape
+        assert np.max(np.abs(ours - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("kind,n,m", list(_lift_cases()))
     def test_matches_sparse_solve(self, kind, n, m):
         chart = solver.GridChart(unit_problem(kind, n), m=m)
