@@ -7,10 +7,13 @@ This module walks the face lattice once, in increasing dimension: it
 pulls the problem back to each face, solves the one dimensional edge
 problems by quadrature, and solves each higher dimensional face with
 the interior solver, its boundary values read off the traces of its
-subfaces.  Each face is checked against its subfaces where it is built:
-edge profiles against the vertex values at their ends, face solutions
-by their stored boundary values and a residual audit.  The traces are
-assembled into a single evaluator with a consistency report.
+subfaces.  Each trace is read once per lattice node: an edge profile
+is tabulated at the lattice points of its edge, and a face's boundary
+values are filled once and kept for its check.  Each face is checked
+against its subfaces where it is built: edge profiles against the
+vertex values at their ends, face solutions by their stored boundary
+values and a residual audit.  The traces are assembled into a single
+evaluator with a consistency report.
 """
 
 import numpy as np
@@ -55,10 +58,8 @@ class RestrictedProblem:
     __slots__ = ("problem", "absorbed", "_base", "_tangent")
 
     def __init__(self, problem, absorbed, base, tangent):
-        self.problem = problem
-        self.absorbed = absorbed
-        self._base = base
-        self._tangent = tangent
+        self.problem, self.absorbed = problem, absorbed
+        self._base, self._tangent = base, tangent
 
     def to_ambient(self, xi):
         """Map face coordinates (shape (..., d)) to ambient points."""
@@ -165,19 +166,10 @@ class EdgeProfile:
 
     def __init__(self, t_lo, t_hi, a_slope, b_slope, c_a, c_b, w0, c, starts,
                  ends, cum0, cum1, coef):
-        self.t_lo = t_lo
-        self.t_hi = t_hi
-        self.a_slope = a_slope
-        self.b_slope = b_slope
-        self.c_a = c_a
-        self.c_b = c_b
-        self.w0 = w0
-        self.c = c
-        self._starts = starts
-        self._ends = ends
-        self._cum0 = cum0
-        self._cum1 = cum1
-        self._coef = coef
+        self.t_lo, self.t_hi, self.c_a, self.c_b = t_lo, t_hi, c_a, c_b
+        self.a_slope, self.b_slope, self.w0, self.c = a_slope, b_slope, w0, c
+        self._starts, self._ends, self._coef = starts, ends, coef
+        self._cum0, self._cum1 = cum0, cum1
         self.n_panels = len(starts)
 
     def w(self, ts):
@@ -398,11 +390,29 @@ class _VertexTrace(NamedTuple):
 
 
 class _EdgeTrace(NamedTuple):
+    """An edge, read through its profile.  ``table`` holds the profile at
+    the m equally spaced lattice points from one vertex, at edge
+    coordinate ``ends[0]``, to the other, at ``ends[1]``: a point whose
+    edge parameter lies on that lattice within rounding reads the table,
+    any other point the profile."""
+
     restriction: object
     profile: object
+    ends: tuple
+    table: np.ndarray
 
     def u(self, x):
-        return self.profile.u(self.restriction.from_face(x)[:, 0])
+        t = self.restriction.from_face(x)[:, 0]
+        m = len(self.table)
+        s = (t - self.ends[0]) / (self.ends[1] - self.ends[0]) * (m - 1)
+        # chart nodes on the edge land within about 1e-14 of an index
+        j = np.rint(s)
+        on = (np.abs(s - j) <= 1e-10) & (j >= 0) & (j < m)
+        out = np.empty(len(t))
+        out[on] = self.table[j[on].astype(int)]
+        if not on.all():
+            out[~on] = self.profile.u(t[~on])
+        return out
 
 
 class _FaceTrace(NamedTuple):
@@ -434,8 +444,7 @@ class BoundaryData:
     """
 
     def __init__(self, problem, traces, consistency):
-        self.problem = problem
-        self.traces = traces
+        self.problem, self.traces = problem, traces
         self.consistency = consistency
 
     def u(self, x):
@@ -481,22 +490,27 @@ class BoundaryData:
         return float(out) if x.ndim == 1 else out
 
 
-class _SubfaceValues(NamedTuple):
+class _SubfaceValues:
     """Boundary values of a face problem, read off the ambient traces.
 
     ``v`` maps face coordinates to ambient points, evaluates the ambient
     traces there (all on faces of lower dimension) and subtracts the
-    face polytope's own potential.  Only the face solve holds it, so no
-    trace refers back to the ambient :class:`BoundaryData`.
+    face polytope's own potential.  It keeps the points of its one call
+    (``xi``) and the values it filled (``values``) for the face check.
+    Only the face solve holds it, so no trace refers back to the
+    ambient :class:`BoundaryData`.
     """
 
-    ambient: object
-    restriction: object
+    def __init__(self, ambient, restriction):
+        self.ambient, self.restriction = ambient, restriction
+        self.xi = self.values = None
 
     def v(self, xi):
         res = self.restriction
-        return (self.ambient.u(res.to_ambient(xi))
-                - guillemin.potential_values(res.problem.polytope, xi))
+        self.xi = xi
+        self.values = (self.ambient.u(res.to_ambient(xi))
+                       - guillemin.potential_values(res.problem.polytope, xi))
+        return self.values
 
 
 def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
@@ -508,28 +522,30 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     restricted one dimensional problems.  A face of dimension two or
     more is solved by :func:`gma.solver.newton_solve` on its restricted
     problem, with boundary values read off the traces of its subfaces,
-    which are already built.
+    which are already built.  Each edge profile is tabulated once at the
+    ``grid`` equally spaced lattice points of its edge, where every
+    chart of that size reads it.
 
     Each face is checked where it is built, against its subfaces:
 
     - an edge: its profile at both endpoints against the vertex values;
     - a face of dimension two or more: the values its solution stores
-      on the chart boundary nodes against the subface traces at those
-      nodes.  The solve must report convergence, and the discrete
-      residual re-assembled from the stored values must flag no node
-      and stay within ``tol``.
+      on the chart boundary nodes against the values the one fill of
+      those nodes read off the subface traces.  The solve must report
+      convergence, and the discrete residual re-assembled from the
+      stored values must flag no node and stay within ``tol``.
 
     Parameters
     ----------
     problem : GuilleminProblem
     grid : int, optional
-        Grid parameter handed to the face solver.
+        Nodes per edge of the face charts and of the edge tables;
+        default 17, as :func:`gma.solver.newton_solve`.
     tol : float
         Quadrature tolerance for the edge profiles and residual
         tolerance of the face solves.
     threads : object, optional
-        Read by nothing: the build is one sequential walk.  Kept only
-        for callers that still pass ``threads=None``.
+        Read by nothing: the build is one sequential walk.
 
     Returns
     -------
@@ -563,11 +579,8 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
     # imported here: solver imports this module
     from .solver import assemble_residual, newton_solve
 
-    traces = {}
-    for key, face in P.faces.items():
-        if face.dim == 0:
-            vid = face.vertex_ids[0]
-            traces[key] = _VertexTrace(float(problem.vertex_values[vid]))
+    traces = {key: _VertexTrace(float(problem.vertex_values[f.vertex_ids[0]]))
+              for key, f in P.faces.items() if f.dim == 0}
     # filled in increasing dimension; a face solve reads only the traces
     # of lower dimension
     bd = BoundaryData(problem, traces, None)
@@ -578,19 +591,25 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
 
     max_mismatch = 0.0
     pairs = 0
+    # the lattice of the face charts and of newton_solve's default chart
+    m = 17 if grid is None else int(grid)
     # a stable sort: faces of one dimension keep their lattice order
     for key in sorted((k for k, f in P.faces.items() if 0 < f.dim < n),
                       key=lambda k: P.faces[k].dim):
         res = restrict_problem(problem, key)
         if P.faces[key].dim == 1:
-            trace = _EdgeTrace(res, solve_edge(res.problem, tol=tol))
             ids = list(P.faces[key].vertex_ids)
             x = P.vertices[ids]
-            gaps = np.abs(trace.u(x) - problem.vertex_values[ids])
+            s = np.linspace(0.0, 1.0, m)[:, None]
+            t = res.from_face((1.0 - s) * x[0] + s * x[-1])[:, 0]
+            profile = solve_edge(res.problem, tol=tol)
+            trace = _EdgeTrace(res, profile, (t[0], t[-1]), profile.u(t))
+            # the table's ends are the profile read at the vertices
+            gaps = np.abs(trace.table[[0, -1]] - problem.vertex_values[ids])
         else:
             subfaces = _SubfaceValues(bd, res)
             sol, rep = newton_solve(res.problem, boundary=subfaces,
-                                    grid=grid, tol=tol)
+                                    grid=m, tol=tol)
             if not rep["converged"]:
                 raise SolverError(
                     "face %s did not converge: residual %.3g after %d "
@@ -605,10 +624,8 @@ def build_boundary_data(problem, grid=None, tol=1e-10, threads=None):
                     "residual %.3g against tol %.3g"
                     % (key, flagged.size, audit, tol))
             trace = _FaceTrace(res, sol)
-            chart = sol.chart
-            xi = chart.to_problem(chart.nodes[chart.boundary])
-            x = res.to_ambient(xi)
-            gaps = np.abs(sol.values[chart.boundary] - subfaces.v(xi))
+            x = res.to_ambient(subfaces.xi)
+            gaps = np.abs(sol.values[sol.chart.boundary] - subfaces.values)
         i = int(np.argmax(gaps))
         if not gaps[i] <= tolerance:
             active = np.nonzero(P.distances(x[i]) <= P.tau)[0]

@@ -63,8 +63,7 @@ class Face:
     __slots__ = ("active", "dim", "vertex_ids")
 
     def __init__(self, active, dim, vertex_ids):
-        self.active = tuple(active)
-        self.dim = int(dim)
+        self.active, self.dim = tuple(active), int(dim)
         self.vertex_ids = tuple(vertex_ids)
 
     def __repr__(self):
@@ -99,22 +98,14 @@ class Polytope:
         self.vertex_active = tuple(tuple(a) for a in vertex_active)
         self.faces = dict(faces)
         self.tau = 1e-9 * self.diameter if tau is None else float(tau)
-        self._normals = np.array([f.normal for f in self.facets])
-        self._offsets = np.array([f.offset for f in self.facets])
-        self._lengths = np.linalg.norm(self._normals, axis=1)
-
-    @property
-    def normals(self):
-        return self._normals
-
-    @property
-    def offsets(self):
-        return self._offsets
+        self.normals = np.array([f.normal for f in self.facets])
+        self.offsets = np.array([f.offset for f in self.facets])
+        self._lengths = np.linalg.norm(self.normals, axis=1)
 
     def evaluate_all(self, x):
         """Values of every facet functional at x; batched over leading axes."""
         x = np.asarray(x, dtype=float)
-        return x @ self._normals.T - self._offsets
+        return x @ self.normals.T - self.offsets
 
     def distances(self, x):
         """Signed distances of x to every facet hyperplane, for tau."""
@@ -262,28 +253,21 @@ def build_polytope(functionals, tau_geom=None):
     # face lattice: intersection closure of vertex active sets
     sets = {frozenset(a) for a in vertex_active}
     while True:
-        fresh = set()
-        for a, b in itertools.combinations(sets, 2):
-            c = a & b
-            if c not in sets:
-                fresh.add(c)
+        fresh = {a & b for a, b in itertools.combinations(sets, 2)
+                 if a & b not in sets}
         if not fresh:
             break
         sets |= fresh
     sets.add(frozenset())
 
+    # every set of the closure is the intersection of the vertex active
+    # sets that contain it, so it is its face's canonical key
     faces = {}
     for s in sets:
         ids = [k for k, a in enumerate(vertex_active) if s <= set(a)]
-        if not ids:
-            continue
-        canon = frozenset.intersection(*[frozenset(vertex_active[k])
-                                         for k in ids])
-        key = tuple(sorted(canon))
-        if key in faces:
-            continue
-        dim = _affine_rank(pts[ids], diam)
-        faces[key] = Face(key, dim, ids)
+        if ids:
+            key = tuple(sorted(s))
+            faces[key] = Face(key, _affine_rank(pts[ids], diam), ids)
 
     return Polytope(facets, pts, vertex_active, faces, tau)
 

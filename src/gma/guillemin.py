@@ -68,8 +68,7 @@ class DensitySpec:
     """
 
     def __init__(self, fn, family=("callable",)):
-        self._fn = fn
-        self.family = family
+        self._fn, self.family = fn, family
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))

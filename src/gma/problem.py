@@ -42,8 +42,7 @@ class GuilleminProblem:
     """
 
     def __init__(self, polytope, density, vertex_values=0.0, name=None):
-        self.polytope = polytope
-        self.density = density
+        self.polytope, self.density, self.name = polytope, density, name
         nv = len(polytope.vertices)
         vv = np.asarray(vertex_values, dtype=float)
         if vv.ndim == 0:
@@ -54,7 +53,6 @@ class GuilleminProblem:
         if not np.all(np.isfinite(vv)):
             raise ValidationError("vertex values must be finite")
         self.vertex_values = vv
-        self.name = name
 
     @property
     def dimension(self):

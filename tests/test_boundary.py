@@ -868,3 +868,174 @@ class TestThreeDimensionalRecursion:
                 continue
             expect = guillemin.potential_values(P, x)
             assert abs(bd.u(x) - expect) <= 1e-3
+
+
+def _polynomial_problem(shape, n, seed):
+    # an affine image of the standard simplex or the unit box with a
+    # polynomial density, 1 + 2 x1 x2 or 1 + sum 2 x_i (1 - x_i) in
+    # reference coordinates, and the vertex values of an affine function
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    fs = [geometry.AffineFunctional(e, 0.0) for e in eye]
+    coeffs = {(0,) * n: 1.0}
+    if shape == "simplex":
+        fs.append(geometry.AffineFunctional(-np.ones(n), -1.0))
+        coeffs[(1, 1) + (0,) * (n - 2)] = 2.0
+    else:
+        fs.extend(geometry.AffineFunctional(-e, -1.0) for e in eye)
+        for i in range(n):
+            coeffs[tuple(eye[i].astype(int))] = 2.0
+            coeffs[tuple(2 * eye[i].astype(int))] = -2.0
+    P = geometry.build_polytope(fs)
+    ref = GuilleminProblem(P, guillemin.DensitySpec.polynomial(coeffs, n),
+                           P.vertices @ rng.uniform(-0.3, 0.3, n))
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = U @ np.diag(rng.uniform(0.6, 1.6, n)) @ V.T
+    Minv = np.linalg.inv(M)
+    prob = ref.transform(Minv, -Minv @ rng.uniform(-1.0, 1.0, n))
+    assert prob.compatibility_ok()
+    return prob
+
+
+def _read_profiles(monkeypatch):
+    # every edge read goes through the profile, as without edge tables
+    monkeypatch.setattr(boundary._EdgeTrace, "u", lambda self, x: (
+        self.profile.u(self.restriction.from_face(x)[:, 0])))
+
+
+def _chart_edge_points(bd, m):
+    # the chart boundary nodes the global fill and every face fill read,
+    # in ambient coordinates, grouped by the edge they lie on
+    prob = bd.problem
+    P = prob.polytope
+    charts = [(gma.solver.GridChart(prob, m), None)] + [
+        (tr.solution.chart, tr.restriction) for tr in bd.traces.values()
+        if isinstance(tr, boundary._FaceTrace)]
+    groups = {}
+    for chart, res in charts:
+        x = chart.to_problem(chart.nodes[chart.boundary])
+        x = x if res is None else res.to_ambient(x)
+        for row in x:
+            key = P.canonical_active(
+                tuple(np.nonzero(P.distances(row) <= P.tau)[0]))
+            if P.faces[key].dim == 1:
+                groups.setdefault(key, []).append(row)
+    return {key: np.array(rows) for key, rows in groups.items()}
+
+
+@pytest.fixture(scope="module")
+def walk():
+    # walk(shape, n): the boundary build of one generated problem and the
+    # number of face solves it ran, built once per module; 4-D walks run
+    # at m = 7, the others at m = 9
+    built = {}
+
+    def build(shape, n):
+        if (shape, n) not in built:
+            m = 7 if n == 4 else 9
+            prob = _polynomial_problem(shape, n, seed=n)
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                real = gma.solver.newton_solve
+                mp.setattr(gma.solver, "newton_solve", lambda *a, **k: (
+                    calls.append(a[0]) or real(*a, **k)))
+                bd = boundary.build_boundary_data(prob, grid=m)
+            built[shape, n] = prob, m, bd, len(calls)
+        return built[shape, n]
+
+    return build
+
+
+class TestTraceReads:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", ["simplex", "box"])
+    def test_table_reads_equal_profile_reads(self, walk, shape, n):
+        # every chart node on an edge reads the edge table, never the
+        # profile, and the table value is the profile's within rounding
+        _, m, bd, _ = walk(shape, n)
+        groups = _chart_edge_points(bd, m)
+        assert set(groups) == {k for k, f in bd.problem.polytope.faces.items()
+                               if f.dim == 1}
+        for key, x in groups.items():
+            trace = bd.traces[key]
+            expect = trace.profile.u(trace.restriction.from_face(x)[:, 0])
+            got = trace._replace(profile=None).u(x)
+            assert np.all(np.abs(got - expect)
+                          <= 1e-14 * np.maximum(1.0, np.abs(expect))), key
+
+    def test_mixed_lattice_and_off_lattice_points(self):
+        prob = square_problem()
+        bd = boundary.build_boundary_data(prob, grid=9)
+        P = prob.polytope
+        key = next(k for k, f in P.faces.items() if f.dim == 1)
+        p, q = P.vertices[list(P.faces[key].vertex_ids)]
+        # the vertices themselves read the vertex traces
+        on = np.arange(1, 8) / 8.0
+        off = np.r_[(np.arange(8) + 0.37) / 8.0, 0.5 + 1e-7, 1.0 - 1e-6]
+        t = np.r_[on, off]
+        order = np.random.default_rng(4).permutation(len(t))
+        x = ((1.0 - t)[:, None] * p + t[:, None] * q)[order]
+        trace = bd.traces[key]
+        expect = trace.profile.u(trace.restriction.from_face(x)[:, 0])
+        got = bd.u(x)
+        is_off = order >= len(on)
+        assert np.array_equal(got[is_off], expect[is_off])
+        assert np.max(np.abs(got - expect)) <= 1e-14
+        # the lattice points alone read the table only
+        assert np.array_equal(trace._replace(profile=None).u(x[~is_off]),
+                              got[~is_off])
+
+    def test_boundary_dump_equals_profile_reads(self, monkeypatch, tmp_path):
+        # `gma boundary --grid 17 --dump` tabulates every edge at 33
+        # points, 17 of them on the edge table's lattice
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "dimension": 3,
+            "facets": [{"normal": [1.0, 0.0, 0.0], "offset": 0.0},
+                       {"normal": [0.0, 1.0, 0.0], "offset": 0.0},
+                       {"normal": [0.0, 0.0, 1.0], "offset": 0.0},
+                       {"normal": [-1.0, -1.0, -1.0], "offset": -1.0}],
+            "density": {"type": "perturbed", "amplitude": 0.1}}))
+
+        def dump(name):
+            out = tmp_path / ("%s.csv" % name)
+            code = cli.run(["boundary", str(path), "--grid", "17", "--dump",
+                            str(out), "--report", str(tmp_path / "r.json")])
+            assert code == 0
+            return out.read_bytes()
+
+        table = dump("table")
+        _read_profiles(monkeypatch)
+        assert dump("profile") == table
+
+    @pytest.mark.parametrize("shape, edges, faces",
+                             [("simplex", 6, 4), ("cube", 12, 6)])
+    def test_each_face_filled_once(self, monkeypatch, shape, edges, faces):
+        calls = []
+        real = boundary._SubfaceValues.v
+        monkeypatch.setattr(boundary._SubfaceValues, "v", lambda self, xi: (
+            calls.append(len(xi)) or real(self, xi)))
+        bd = boundary.build_boundary_data(_solid3d_problem(shape), grid=9)
+        assert len(calls) == faces
+        assert bd.consistency["pairs"] == 2 * edges + sum(calls)
+
+    @pytest.mark.parametrize("shape, faces", [("simplex", 10 + 5),
+                                              ("box", 24 + 8)])
+    def test_four_dimensional_walk(self, walk, monkeypatch, shape, faces):
+        # 3-face charts read the traces of 2-faces, whose charts read
+        # the edge tables; each 2- and 3-face is solved once
+        prob, m, bd, solves = walk(shape, 4)
+        assert solves == faces
+        sol, rep = gma.solver.newton_solve(prob, boundary=bd, grid=m)
+        assert rep["converged"]
+        _read_profiles(monkeypatch)
+        ref = boundary.build_boundary_data(prob, grid=m)
+        assert ref.consistency == bd.consistency
+        for key, trace in bd.traces.items():
+            if isinstance(trace, boundary._FaceTrace):
+                gap = np.abs(trace.solution.values
+                             - ref.traces[key].solution.values)
+                assert np.max(gap) <= 1e-12, key
+        ref_sol, _ = gma.solver.newton_solve(prob, boundary=ref, grid=m)
+        assert np.max(np.abs(sol.values - ref_sol.values)) <= 1e-12
